@@ -21,8 +21,6 @@ from .analysis import (
     normalized_cross_correlation,
 )
 from .biphoton import (
-    NonlinearCoupling,
-    chi3,
     coincidence_counts,
     kappa,
     psi_analytic_exp,
@@ -40,7 +38,6 @@ from .config import (
     parse_config,
 )
 from .dispersion import (
-    PhotonLeg,
     PTModeResult,
     PTRegime,
     chi_linear,
@@ -50,13 +47,11 @@ from .dispersion import (
     group_delay_estimate,
     group_delay_numeric,
     pt_mode_analysis,
-    wavenumber,
 )
 from .grids import GridError, SpectralGrid, Waveform, WaveformKind, spectrum_to_waveform
 from .interference import (
     InterferometerConfig,
     beat_correlation,
-    bs_output_amplitude,
     extract_beat_frequency,
     hom_residual_factor,
     visibility_ideal,
@@ -64,7 +59,6 @@ from .interference import (
 )
 from .params import (
     BeamField,
-    BeamRole,
     DetectionConfig,
     GenerationMode,
     MediumConfig,
@@ -75,13 +69,13 @@ from .params import (
 from .reference import psi_reference
 
 __all__ = [
-    "BeamField", "BeamRole", "CoherenceMethod", "CoherenceReport", "ConfigError",
+    "BeamField", "CoherenceMethod", "CoherenceReport", "ConfigError",
     "DetectionConfig", "GenerationMode", "GridError", "InsufficientSignalError",
-    "InterferometerConfig", "MediumConfig", "NonlinearCoupling", "NumericsConfig",
-    "PTModeResult", "PTRegime", "PhotonLeg", "RunConfig", "ScanPoint",
+    "InterferometerConfig", "MediumConfig", "NumericsConfig",
+    "PTModeResult", "PTRegime", "RunConfig", "ScanPoint",
     "SpectralGrid", "Waveform", "WaveformKind",
     "bandwidth_from_width", "beam_profile", "beat_correlation",
-    "bs_output_amplitude", "cauchy_schwarz_factor", "chi3", "chi_linear",
+    "cauchy_schwarz_factor", "chi_linear",
     "coherence_scan", "coincidence_counts", "density_prefactor", "dump_config",
     "eit_absorption_loss", "eit_transmission", "extract_beat_frequency",
     "extract_coherence_time", "gamma12_for_absorption", "group_delay_estimate",
@@ -90,5 +84,4 @@ __all__ = [
     "psi_analytic_exp", "psi_analytic_rect", "psi_full", "psi_reference",
     "psi_uniform_spectrum", "pt_mode_analysis", "rabi_scale",
     "spectrum_to_waveform", "visibility_ideal", "visibility_with_noise",
-    "wavenumber",
 ]

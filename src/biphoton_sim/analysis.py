@@ -8,7 +8,7 @@ conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -204,10 +204,7 @@ def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
         if include_full:
             if grid is None:
                 raise ValueError("include_full requires a spectral grid")
-            scan_coupling = BeamField(
-                wavelength=coupling.wavelength, power=power,
-                waist=coupling.waist, detuning=coupling.detuning,
-                peak_rabi=omega_c, role=coupling.role)
+            scan_coupling = replace(coupling, power=power, peak_rabi=omega_c)
             wave = psi_full(grid, z_panels, medium, pump, scan_coupling, mode,
                             scale=scale, threads=threads)
             report = extract_coherence_time(wave.intensity, wave.tau)

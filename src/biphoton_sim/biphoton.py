@@ -21,31 +21,20 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import eit_bandwidth_proxy
-from .grids import GridError, SpectralGrid, Waveform, WaveformKind, spectrum_to_waveform
-from .params import (
-    C_LIGHT,
-    BeamField,
-    DetectionConfig,
-    GenerationMode,
-    MediumConfig,
-    beam_profile,
-    density_prefactor,
+from .dispersion import (
+    eit_absorption_loss,
+    eit_bandwidth_proxy,
+    eit_denominator,
+    group_delay_estimate,
+    pair_wavenumbers,
 )
+from .grids import GridError, SpectralGrid, Waveform, WaveformKind, spectrum_to_waveform
+from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
 
-_CHUNK_ELEMENTS = 2 ** 21  # ~16 MB of complex128 per working array
-
-
-@dataclass(frozen=True)
-class NonlinearCoupling:
-    """Parametric coupling value(s), symmetrized in detuning, with its scale."""
-
-    value: np.ndarray | complex
-    scale: float
+_CHUNK_ELEMENTS = 2 ** 21  # 32 MiB of complex128 per working array
 
 
 def _upper_dephasing(medium: MediumConfig, mode: GenerationMode) -> float:
@@ -56,49 +45,39 @@ def _upper_dephasing(medium: MediumConfig, mode: GenerationMode) -> float:
     return medium.gamma13
 
 
-def chi3(omega, z: float, medium: MediumConfig, pump: BeamField,
-         coupling: BeamField, mode: GenerationMode, scale: float = 1.0):
-    """Third-order nonlinear response at detuning omega and position z.
-
-    chi3 = scale / ((Delta_p + i gamma_up)
-                    * (|Omega_c(z)|^2 - 4 (omega + i gamma13)(omega + i gamma12)))
-
-    where Omega_c(z) follows the coupling-beam envelope and gamma_up is the
-    dephasing of the pump-coupled upper level.  ``scale`` absorbs the dipole
-    matrix elements and atomic density; only relative values are meaningful.
-    For vanishing dephasing the response diverges at omega = +/- Omega_c/2,
-    the two dressed-state resonances.
-    """
-    om = np.asarray(omega, dtype=float)
-    oc = coupling.peak_rabi * beam_profile(coupling, z, medium.theta)
+def _coupling(d_plus, d_minus, envelope, medium: MediumConfig, pump: BeamField,
+              mode: GenerationMode, scale: float):
+    """kappa from the EIT denominators D(+omega), D(-omega); see :func:`kappa`."""
     den1 = pump.detuning + 1j * _upper_dephasing(medium, mode)
-    den2 = oc ** 2 - 4.0 * (om + 1j * medium.gamma13) * (om + 1j * medium.gamma12)
-    out = scale / (den1 * den2)
-    if np.isscalar(omega):
-        return complex(out)
-    return out
+    prefactor = -1j * (medium.omega0 / (2.0 * C_LIGHT)) * scale / den1
+    return prefactor * envelope * (1.0 / d_plus + 1.0 / d_minus)
 
 
 def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
-          coupling: BeamField, mode: GenerationMode,
-          scale: float = 1.0) -> NonlinearCoupling:
+          coupling: BeamField, mode: GenerationMode, scale: float = 1.0):
     """Parametric gain per unit length at detuning omega and position z.
 
-    kappa = -i (omega0 / 2c) E_p(z) E_c(z) [chi3(omega) + chi3(-omega)]
+    kappa = -i (omega0 / 2c) E_p(z) E_c(z) [chi3(omega) + chi3(-omega)],
+    chi3(omega) = scale / ((Delta_p + i gamma_up) D(omega))
 
-    with the field envelopes reduced to their normalized beam profiles (their
-    peak values are absorbed by ``scale``).  The explicit symmetrization makes
-    kappa(omega) = kappa(-omega) exact, including in floating point.
+    with D the EIT denominator at the local coupling Rabi frequency
+    Omega_c(z), gamma_up the dephasing of the pump-coupled upper level, and
+    the field envelopes reduced to their normalized beam profiles (their peak
+    values, the dipole matrix elements and the atomic density are absorbed by
+    ``scale``; only relative values are meaningful).  The explicit
+    symmetrization makes kappa(omega) = kappa(-omega) exact, including in
+    floating point.
     """
     om = np.asarray(omega, dtype=float)
-    envelope = (beam_profile(pump, z, medium.theta)
-                * beam_profile(coupling, z, medium.theta))
-    sym = (chi3(om, z, medium, pump, coupling, mode, scale)
-           + chi3(-om, z, medium, pump, coupling, mode, scale))
-    value = -1j * (medium.omega0 / (2.0 * C_LIGHT)) * envelope * sym
+    gc = beam_profile(coupling, z, medium.theta)
+    oc_sq = (coupling.peak_rabi * gc) ** 2
+    value = _coupling(eit_denominator(om, oc_sq, medium),
+                      eit_denominator(-om, oc_sq, medium),
+                      beam_profile(pump, z, medium.theta) * gc,
+                      medium, pump, mode, scale)
     if np.isscalar(omega):
-        return NonlinearCoupling(value=complex(value), scale=scale)
-    return NonlinearCoupling(value=value, scale=scale)
+        return complex(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -122,38 +101,10 @@ def drive_carrier_offset(pump: BeamField, coupling: BeamField,
     return 0.0
 
 
-def _kappa_array(om, oc_sq, envelope, medium: MediumConfig, pump: BeamField,
-                 mode: GenerationMode, scale: float):
-    """Vectorized parametric coupling; broadcasts detuning against position."""
-    den1 = pump.detuning + 1j * _upper_dephasing(medium, mode)
-    d_plus = oc_sq - 4.0 * (om + 1j * medium.gamma13) * (om + 1j * medium.gamma12)
-    d_minus = oc_sq - 4.0 * (-om + 1j * medium.gamma13) * (-om + 1j * medium.gamma12)
-    prefactor = -1j * (medium.omega0 / (2.0 * C_LIGHT)) * scale / den1
-    return prefactor * envelope * (1.0 / d_plus + 1.0 / d_minus)
-
-
-def _dispersive_wavenumbers(om: np.ndarray, oc_sq, medium: MediumConfig,
-                            mode: GenerationMode):
-    """Carrier-subtracted complex wavenumbers q1(omega), q2(omega).
-
-    q1 = (omega0 + omega)/c sqrt(1 + chi(omega)) - omega0/c for the slow
-    photon; q2 is its detuning mirror in the degenerate scheme and the vacuum
-    -omega/c in the nondegenerate one.  ``oc_sq`` may carry a z axis.
-    """
-    beta = density_prefactor(medium)
-    w0 = medium.omega0
-
-    def chi(o):
-        num = 4.0 * beta * (o + 1j * medium.gamma12)
-        den = oc_sq - 4.0 * (o + 1j * medium.gamma13) * (o + 1j * medium.gamma12)
-        return num / den
-
-    q1 = (w0 + om) / C_LIGHT * np.sqrt(1.0 + chi(om)) - w0 / C_LIGHT
-    if mode is GenerationMode.DEGENERATE:
-        q2 = (w0 - om) / C_LIGHT * np.sqrt(1.0 + chi(-om)) - w0 / C_LIGHT
-    else:
-        q2 = np.broadcast_to(-om / C_LIGHT + 0j, q1.shape)
-    return q1, q2
+def _residual_wavevector(medium: MediumConfig, pump: BeamField,
+                         coupling: BeamField, mode: GenerationMode) -> float:
+    """Longitudinal drive-field wavevector residual (k_p - k_c) cos(theta), 1/m."""
+    return drive_carrier_offset(pump, coupling, mode) / C_LIGHT * np.cos(medium.theta)
 
 
 def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) -> None:
@@ -216,7 +167,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     gc = beam_profile(coupling, z, medium.theta)
     oc_sq = (coupling.peak_rabi * gc) ** 2
     envelope = gp * gc
-    delta0 = drive_carrier_offset(pump, coupling, mode) / C_LIGHT * np.cos(medium.theta)
+    delta0 = _residual_wavevector(medium, pump, coupling, mode)
 
     n = grid.n
     spectrum = np.empty(n, dtype=complex)
@@ -224,7 +175,11 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
 
     def fill(start: int) -> None:
         om = grid.omega[start:start + chunk][:, None]
-        q1, q2 = _dispersive_wavenumbers(om, oc_sq[None, :], medium, mode)
+        d_plus = eit_denominator(om, oc_sq[None, :], medium)
+        d_minus = eit_denominator(-om, oc_sq[None, :], medium)
+        q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
+        kap = _coupling(d_plus, d_minus, envelope[None, :], medium, pump, mode, scale)
+        del d_plus, d_minus  # free both before the phase stage's arrays exist
         inc1 = 0.5 * (q1[:, 1:] + q1[:, :-1]) * h
         inc2 = 0.5 * (q2[:, 1:] + q2[:, :-1]) * h
         cum1 = np.concatenate(
@@ -232,8 +187,6 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         cum2 = np.concatenate(
             [np.zeros((om.shape[0], 1), complex), np.cumsum(inc2, axis=1)], axis=1)
         phase = np.exp(1j * ((cum1[:, -1:] - cum1) + cum2 + z[None, :] * delta0))
-        kap = _kappa_array(om, oc_sq[None, :], envelope[None, :], medium, pump,
-                           mode, scale)
         spectrum[start:start + chunk] = (kap * phase) @ simpson
 
     starts = range(0, n, chunk)
@@ -274,11 +227,13 @@ def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
     e^{-alpha L} magnitude of Phi.
     """
     om = grid.omega
-    q1, q2 = _dispersive_wavenumbers(om, coupling.peak_rabi ** 2, medium, mode)
-    delta0 = drive_carrier_offset(pump, coupling, mode) / C_LIGHT * np.cos(medium.theta)
-    mismatch = q2 - q1 + delta0  # z-phase coefficient; sinc is even in it
+    d_plus = eit_denominator(om, coupling.peak_rabi ** 2, medium)
+    d_minus = eit_denominator(-om, coupling.peak_rabi ** 2, medium)
+    q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
+    kap = _coupling(d_plus, d_minus, 1.0, medium, pump, mode, scale)
+    # z-phase coefficient; sinc is even in it
+    mismatch = q2 - q1 + _residual_wavevector(medium, pump, coupling, mode)
     L = medium.length
-    kap = _kappa_array(om, coupling.peak_rabi ** 2, 1.0, medium, pump, mode, scale)
     phi = _complex_sinc(mismatch * L / 2.0) * np.exp(1j * (q1 + q2) * L / 2.0)
     return kap * phi * L
 
@@ -301,17 +256,12 @@ def psi_analytic_rect(grid: SpectralGrid, medium: MediumConfig,
     """
     if mode is not GenerationMode.DEGENERATE:
         raise ValueError("the rectangular limit applies to the degenerate scheme")
-    from .dispersion import eit_absorption_loss, group_delay_estimate
-
     delay = group_delay_estimate(medium, coupling.peak_rabi)
     vg = medium.length / delay
     alpha_l = eit_absorption_loss(medium, coupling.peak_rabi)
     tau = grid.tau
     box = (np.abs(tau) <= delay).astype(float)
-    dk_cp = 0.0
-    if pump is not None:
-        dk_cp = (drive_carrier_offset(pump, coupling, mode)
-                 / C_LIGHT * np.cos(medium.theta))
+    dk_cp = 0.0 if pump is None else _residual_wavevector(medium, pump, coupling, mode)
     amp = (abs(kappa0) * medium.length * np.exp(-alpha_l)
            * box * np.exp(-0.5j * dk_cp * vg * tau))
     return Waveform(tau=tau, amplitude=amp, kind=WaveformKind.ANALYTIC_RECT)

@@ -33,7 +33,7 @@ from .biphoton import (
     psi_full,
     psi_uniform_spectrum,
 )
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, check_power_mw, load_config
 from .dispersion import (
     eit_absorption_loss,
     eit_transmission,
@@ -129,7 +129,7 @@ def _build_waveform(cfg: RunConfig, engine: str, threads: int):
     if engine == "analytic":
         if cfg.mode is GenerationMode.DEGENERATE:
             k0 = kappa(0.0, 0.0, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
-                       scale=cfg.kappa_scale).value
+                       scale=cfg.kappa_scale)
             return psi_analytic_rect(grid, cfg.medium, cfg.coupling, cfg.mode,
                                      kappa0=k0, pump=cfg.pump)
         alpha = eit_absorption_loss(cfg.medium, cfg.coupling.peak_rabi) / cfg.medium.length
@@ -282,11 +282,12 @@ def main(argv: list[str] | None = None) -> int:
             powers = None
             if args.powers is not None:
                 try:
-                    powers = [float(tok) for tok in args.powers.split(",") if tok]
+                    values = [float(tok) for tok in args.powers.split(",") if tok]
                 except ValueError:
                     raise ConfigError(
                         f"--powers must be comma-separated numbers, got {args.powers!r}"
                     ) from None
+                powers = [check_power_mw(p, "--powers") for p in values]
             return cmd_scan(args.config, args.out, powers_mw=powers,
                             include_full=args.full, threads=threads)
         raise AssertionError(f"unhandled command {args.command}")

@@ -16,7 +16,7 @@ from importlib import resources
 
 from .grids import SpectralGrid
 from .interference import InterferometerConfig
-from .params import BeamField, BeamRole, DetectionConfig, GenerationMode, MediumConfig
+from .params import BeamField, DetectionConfig, GenerationMode, MediumConfig
 
 MHZ = 2.0 * math.pi * 1e6  # linear MHz -> rad/s
 
@@ -50,8 +50,8 @@ class NumericsConfig:
         if self.z_panels < 64 or self.z_panels % 2:
             raise ValueError(
                 f"z_panels must be an even count >= 64, got {self.z_panels}")
-        if self.tau_span <= 0:
-            raise ValueError(f"tau_span must be > 0, got {self.tau_span}")
+        if not (math.isfinite(self.tau_span) and self.tau_span > 0):
+            raise ValueError(f"tau_span must be finite and > 0, got {self.tau_span}")
 
     def grid(self) -> SpectralGrid:
         return SpectralGrid.from_numerics(self.n_omega, self.tau_span)
@@ -82,11 +82,22 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _number(section: dict, key: str, where: str) -> float:
-    val = _require(section, key, where)
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"expected a number, got {val!r}", f"{where}.{key}")
+def _object(val, where: str) -> dict:
+    if not isinstance(val, dict):
+        raise ConfigError(f"expected an object, got {val!r}", where)
+    return val
+
+
+def _finite(val, where: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ConfigError(f"expected a finite number, got {val!r}", where)
     return float(val)
+
+
+def _number(section: dict, key: str, where: str, default: float | None = None) -> float:
+    if default is not None and key not in section:
+        return default
+    return _finite(_require(section, key, where), f"{where}.{key}")
 
 
 def _build(data: dict) -> RunConfig:
@@ -101,7 +112,7 @@ def _build(data: dict) -> RunConfig:
             f"must be 'degenerate' or 'nondegenerate', got {mode_raw!r}",
             "config.mode") from None
 
-    med = _require(data, "medium", "config")
+    med = _object(_require(data, "medium", "config"), "medium")
     try:
         medium = MediumConfig(
             od=_number(med, "od", "medium"),
@@ -115,8 +126,8 @@ def _build(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), "medium") from None
 
-    def beam(section_name: str, role: BeamRole) -> BeamField:
-        sec = _require(data, section_name, "config")
+    def beam(section_name: str) -> BeamField:
+        sec = _object(_require(data, section_name, "config"), section_name)
         try:
             return BeamField(
                 wavelength=_number(sec, "wavelength_nm", section_name) * 1e-9,
@@ -124,15 +135,14 @@ def _build(data: dict) -> RunConfig:
                 waist=_number(sec, "waist_mm", section_name) * 1e-3,
                 detuning=_number(sec, "detuning_mhz", section_name) * MHZ,
                 peak_rabi=_number(sec, "peak_rabi_mhz", section_name) * MHZ,
-                role=role,
             )
         except ValueError as exc:
             raise ConfigError(str(exc), section_name) from None
 
-    pump = beam("pump", BeamRole.PUMP)
-    coupling = beam("coupling", BeamRole.COUPLING)
+    pump = beam("pump")
+    coupling = beam("coupling")
 
-    det = _require(data, "detection", "config")
+    det = _object(_require(data, "detection", "config"), "detection")
     try:
         detection = DetectionConfig(
             duty_cycle=_number(det, "duty_cycle", "detection"),
@@ -144,37 +154,40 @@ def _build(data: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc), "detection") from None
 
-    num = data.get("numerics", {})
+    num = _object(data.get("numerics", {}), "numerics")
+    tau_span_ns = _number(num, "tau_span_ns", "numerics", 80000.0)
     try:
         numerics = NumericsConfig(
             n_omega=int(num.get("n_omega", 16384)),
             z_panels=int(num.get("z_panels", 512)),
-            tau_span=float(num.get("tau_span_ns", 80000.0)) * 1e-9,
+            tau_span=tau_span_ns * 1e-9,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc), "numerics") from None
 
     interferometer = None
     if "interferometer" in data:
-        itf = data["interferometer"]
+        itf = _object(data["interferometer"], "interferometer")
         try:
             interferometer = InterferometerConfig(
                 reflectance=_number(itf, "reflectance", "interferometer"),
                 shift_delta=_number(itf, "shift_mhz", "interferometer") * 1e6,
-                noise_counts=float(itf.get("noise_counts", 0.0)),
+                noise_counts=_number(itf, "noise_counts", "interferometer", 0.0),
             )
         except ValueError as exc:
             raise ConfigError(str(exc), "interferometer") from None
 
     scan_powers = None
     if "scan" in data:
-        powers = data["scan"].get("powers_mw")
+        powers = _object(data["scan"], "scan").get("powers_mw")
         if powers is not None:
             if not isinstance(powers, list) or len(powers) < 1:
                 raise ConfigError("powers_mw must be a non-empty list", "scan")
-            scan_powers = tuple(float(p) * 1e-3 for p in powers)
+            scan_powers = tuple(
+                check_power_mw(p, f"scan.powers_mw[{i}]") * 1e-3
+                for i, p in enumerate(powers))
 
-    kappa_scale = float(data.get("kappa_scale", 1.0))
+    kappa_scale = _number(data, "kappa_scale", "config", 1.0)
     if kappa_scale <= 0:
         raise ConfigError("must be > 0", "config.kappa_scale")
 
@@ -182,6 +195,14 @@ def _build(data: dict) -> RunConfig:
                      detection=detection, numerics=numerics,
                      interferometer=interferometer, scan_powers=scan_powers,
                      kappa_scale=kappa_scale)
+
+
+def check_power_mw(val, where: str) -> float:
+    """A coupling power in mW: finite and > 0 (the Rabi scaling takes its root)."""
+    power = _finite(val, where)
+    if power <= 0:
+        raise ConfigError(f"coupling power must be > 0, got {val!r}", where)
+    return power
 
 
 def parse_config(text: str) -> RunConfig:

@@ -1,8 +1,15 @@
 """Linear response of the coupled atomic medium.
 
-Susceptibility of the slow (EIT) photon, complex wavenumbers of both photons,
-transparency / group-delay / absorption diagnostics, and the eigenvalue
-analysis of the counter-propagating two-mode coupling matrix.
+The EIT pole structure is written once, in :func:`eit_denominator`:
+
+    D(omega; |Omega_c|^2) = |Omega_c|^2 - 4 (omega + i gamma13)(omega + i gamma12)
+
+The linear susceptibility, the slow-photon wavenumber built on it, and the
+parametric coupling kappa of :mod:`biphoton_sim.biphoton` all take D as an
+input, so both photons of a degenerate pair see one medium:
+k2(omega) = k1(-omega) and kappa(omega) = kappa(-omega) hold exactly.  Also
+here: transparency / group-delay / absorption diagnostics, and the
+eigenvalue analysis of the counter-propagating two-mode coupling matrix.
 """
 
 from __future__ import annotations
@@ -13,13 +20,6 @@ from enum import Enum
 import numpy as np
 
 from .params import C_LIGHT, GenerationMode, MediumConfig, density_prefactor
-
-
-class PhotonLeg(Enum):
-    """Which photon of the pair a wavenumber refers to."""
-
-    ONE = 1  # slow photon, sees the EIT medium
-    TWO = 2  # partner photon
 
 
 class PTRegime(Enum):
@@ -36,57 +36,74 @@ class PTModeResult:
     regime: PTRegime
 
 
+def eit_denominator(omega, omega_c_sq, medium: MediumConfig):
+    """EIT denominator D = |Omega_c|^2 - 4 (omega + i gamma13)(omega + i gamma12).
+
+    Shared by the linear and third-order responses (Du, Wen & Rubin, JOSA B
+    25, C98, 2008).  ``omega_c_sq`` is the local squared coupling Rabi
+    frequency and may carry a z axis that broadcasts against ``omega``.  D
+    cannot vanish for real omega when gamma13 > 0; for vanishing dephasing
+    its zeros omega = +/- Omega_c/2 are the two dressed-state resonances.
+    """
+    return omega_c_sq - 4.0 * (omega + 1j * medium.gamma13) * (omega + 1j * medium.gamma12)
+
+
+def _susceptibility(omega, d, medium: MediumConfig):
+    return 4.0 * density_prefactor(medium) * (omega + 1j * medium.gamma12) / d
+
+
 def chi_linear(omega, omega_c_local: float, medium: MediumConfig):
     """Linear susceptibility of the slow photon at detuning omega.
 
-    chi(omega) = 4 beta (omega + i gamma12)
-                 / (|Omega_c|^2 - 4 (omega + i gamma13)(omega + i gamma12))
+    chi(omega) = 4 beta (omega + i gamma12) / D(omega)
 
-    with beta from :func:`density_prefactor` and ``omega_c_local`` the coupling
-    Rabi frequency at the evaluation point (weak-pump term dropped).  The
-    denominator cannot vanish for real omega when gamma13 > 0.  On two-photon
-    resonance with gamma12 = 0 the medium is perfectly transparent (chi = 0);
-    with the coupling off, chi(0) = i beta / gamma13, which reproduces the
-    two-level intensity transmission exp(-OD).
+    with beta from :func:`density_prefactor`, D from :func:`eit_denominator`
+    and ``omega_c_local`` the coupling Rabi frequency at the evaluation point
+    (weak-pump term dropped).  On two-photon resonance with gamma12 = 0 the
+    medium is perfectly transparent (chi = 0); with the coupling off,
+    chi(0) = i beta / gamma13, which reproduces the two-level intensity
+    transmission exp(-OD).
     """
     if omega_c_local < 0:
         raise ValueError(f"omega_c_local must be >= 0, got {omega_c_local}")
-    beta = density_prefactor(medium)
     om = np.asarray(omega, dtype=float)
-    num = 4.0 * beta * (om + 1j * medium.gamma12)
-    den = omega_c_local ** 2 - 4.0 * (om + 1j * medium.gamma13) * (om + 1j * medium.gamma12)
-    chi = num / den
+    chi = _susceptibility(om, eit_denominator(om, omega_c_local ** 2, medium), medium)
     if np.isscalar(omega):
         return complex(chi)
     return chi
 
 
-def wavenumber(omega, omega_c_local: float, medium: MediumConfig,
-               photon: PhotonLeg, mode: GenerationMode,
-               carrier2: float | None = None):
-    """Complex wavenumber of one photon of the pair.
+def _slow_wavenumber(omega, d, medium: MediumConfig):
+    """Carrier-subtracted wavenumber of the slow photon, q = k1 - omega0/c.
 
-    Photon ONE always propagates through the EIT medium:
-    k1(omega) = (omega0 + omega)/c * sqrt(1 + chi(omega)), principal branch.
-
-    Photon TWO depends on the scheme.  Degenerate: k2(omega) = k1(-omega),
-    implemented literally as that call so the mirror identity is bitwise
-    exact on mirrored grids.  Nondegenerate: the far-detuned partner photon
-    propagates dispersion-free and lossless, k2(omega) = (omega0' - omega)/c,
-    with carrier ``carrier2`` (defaults to the medium carrier).
+    k1(omega) = (omega0 + omega)/c sqrt(1 + chi(omega)), principal branch,
+    with chi built on the EIT denominator ``d`` = D(omega).
     """
-    if photon is PhotonLeg.TWO:
-        if mode is GenerationMode.DEGENERATE:
-            return wavenumber(-np.asarray(omega) if not np.isscalar(omega) else -omega,
-                              omega_c_local, medium, PhotonLeg.ONE, mode)
-        w0p = medium.omega0 if carrier2 is None else carrier2
-        k = (w0p - np.asarray(omega, dtype=float)) / C_LIGHT + 0j
-        return complex(k) if np.isscalar(omega) else k
-    chi = chi_linear(omega, omega_c_local, medium)
-    k = (medium.omega0 + np.asarray(omega, dtype=float)) / C_LIGHT * np.sqrt(1.0 + chi)
-    if np.isscalar(omega):
-        return complex(k)
-    return k
+    w0 = medium.omega0
+    chi = _susceptibility(omega, d, medium)
+    return (w0 + omega) / C_LIGHT * np.sqrt(1.0 + chi) - w0 / C_LIGHT
+
+
+def pair_wavenumbers(omega, d_plus, d_minus, medium: MediumConfig,
+                     mode: GenerationMode):
+    """Carrier-subtracted wavenumbers q1(omega), q2(omega) of the pair.
+
+    ``d_plus`` and ``d_minus`` are D(+omega) and D(-omega).  Photon 1 always
+    propagates through the EIT medium.  Degenerate scheme: photon 2 is its
+    detuning mirror, q2(omega) = q1(-omega), evaluated by the same formula so
+    the identity is bitwise exact on mirrored grids.  Nondegenerate scheme:
+    the far-detuned partner propagates dispersion-free and lossless,
+    q2(omega) = -omega/c.
+    """
+    q1 = _slow_wavenumber(omega, d_plus, medium)
+    if mode is GenerationMode.DEGENERATE:
+        return q1, _slow_wavenumber(-omega, d_minus, medium)
+    return q1, np.broadcast_to(-omega / C_LIGHT + 0j, q1.shape)
+
+
+def _slow_wavenumber_at(omega, omega_c: float, medium: MediumConfig):
+    om = np.asarray(omega, dtype=float)
+    return _slow_wavenumber(om, eit_denominator(om, omega_c ** 2, medium), medium)
 
 
 def eit_transmission(omega_grid, omega_c: float, medium: MediumConfig):
@@ -96,9 +113,8 @@ def eit_transmission(omega_grid, omega_c: float, medium: MediumConfig):
     exponent; on resonance T(0) = exp(-2 alpha L) with alpha L from
     :func:`eit_absorption_loss`.
     """
-    k1 = wavenumber(omega_grid, omega_c, medium, PhotonLeg.ONE,
-                    GenerationMode.DEGENERATE)
-    t = np.exp(-2.0 * np.imag(k1) * medium.length)
+    q1 = _slow_wavenumber_at(omega_grid, omega_c, medium)
+    t = np.exp(-2.0 * np.imag(q1) * medium.length)
     if np.isscalar(omega_grid):
         return float(t)
     return t
@@ -121,9 +137,8 @@ def group_delay_numeric(medium: MediumConfig, omega_c: float) -> float:
     if omega_c <= 0:
         raise ValueError("omega_c must be > 0")
     h = 1e-3 * eit_bandwidth_proxy(medium, omega_c)
-    kp = wavenumber(+h, omega_c, medium, PhotonLeg.ONE, GenerationMode.DEGENERATE)
-    km = wavenumber(-h, omega_c, medium, PhotonLeg.ONE, GenerationMode.DEGENERATE)
-    return medium.length * (kp.real - km.real) / (2.0 * h)
+    q = _slow_wavenumber_at(np.array([h, -h]), omega_c, medium).real
+    return medium.length * (q[0] - q[1]) / (2.0 * h)
 
 
 def eit_bandwidth_proxy(medium: MediumConfig, omega_c: float) -> float:

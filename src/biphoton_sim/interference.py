@@ -69,24 +69,6 @@ def beat_correlation(psi0: Waveform, cfg: InterferometerConfig) -> np.ndarray:
     return mod * psi0.intensity
 
 
-def bs_output_amplitude(psi0: Waveform, t3: float, t4: float,
-                        cfg: InterferometerConfig) -> complex:
-    """Joint detection amplitude at the two output ports at times t3, t4.
-
-    e^{-i pi delta (t3 + t4)} [R e^{-i pi delta tau} - (1-R) e^{i pi delta tau}]
-    psi0(tau), tau = t4 - t3.  Its squared magnitude equals
-    :func:`beat_correlation` pointwise; the leading factor is a pure phase.
-    """
-    tau = t4 - t3
-    re = np.interp(tau, psi0.tau, psi0.amplitude.real)
-    im = np.interp(tau, psi0.tau, psi0.amplitude.imag)
-    r = cfg.reflectance
-    phase = math.pi * cfg.shift_delta
-    global_ph = np.exp(-1j * phase * (t3 + t4))
-    mix = r * np.exp(-1j * phase * tau) - (1.0 - r) * np.exp(1j * phase * tau)
-    return complex(global_ph * mix * (re + 1j * im))
-
-
 def visibility_ideal(reflectance: float) -> float:
     """Noise-free beat visibility V0 = 2 R (1-R) / (R^2 + (1-R)^2); 1 at R = 1/2."""
     if not 0.0 <= reflectance <= 1.0:

@@ -27,11 +27,6 @@ class GenerationMode(Enum):
     DEGENERATE = "degenerate"
 
 
-class BeamRole(Enum):
-    PUMP = "pump"
-    COUPLING = "coupling"
-
-
 @dataclass(frozen=True)
 class MediumConfig:
     """Cold-atom ensemble parameters.
@@ -93,7 +88,6 @@ class BeamField:
     waist: float       # m, e^-2 intensity radius
     detuning: float    # rad/s
     peak_rabi: float   # rad/s
-    role: BeamRole
 
     def __post_init__(self) -> None:
         if self.wavelength <= 0:

@@ -4,7 +4,6 @@ import pytest
 
 from biphoton_sim import (
     BeamField,
-    BeamRole,
     MediumConfig,
     coincidence_counts,
     extract_coherence_time,
@@ -25,15 +24,13 @@ def make_medium(od=150.0, length=0.017, g12_mhz=0.004, g13_mhz=3.0,
 def make_pump(rabi_mhz=218.6, det_mhz=6800.0, waist=1.6e-3, power=0.15,
               wavelength=795e-9) -> BeamField:
     return BeamField(wavelength=wavelength, power=power, waist=waist,
-                     detuning=det_mhz * MHZ, peak_rabi=rabi_mhz * MHZ,
-                     role=BeamRole.PUMP)
+                     detuning=det_mhz * MHZ, peak_rabi=rabi_mhz * MHZ)
 
 
 def make_coupling(rabi_mhz=14.5, waist=2.3e-3, power=2.3e-3,
                   wavelength=795e-9) -> BeamField:
     return BeamField(wavelength=wavelength, power=power, waist=waist,
-                     detuning=0.0, peak_rabi=rabi_mhz * MHZ,
-                     role=BeamRole.COUPLING)
+                     detuning=0.0, peak_rabi=rabi_mhz * MHZ)
 
 
 @pytest.fixture(scope="session")

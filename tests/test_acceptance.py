@@ -23,7 +23,6 @@ from biphoton_sim import (
     extract_beat_frequency,
     group_delay_estimate,
     hom_residual_factor,
-    kappa,
     load_preset,
     psi_analytic_rect,
     psi_full,
@@ -32,13 +31,12 @@ from biphoton_sim import (
     pt_mode_analysis,
     spectrum_to_waveform,
     visibility_ideal,
-    wavenumber,
 )
-from biphoton_sim.dispersion import PhotonLeg, PTRegime
+from biphoton_sim.dispersion import PTRegime
 from biphoton_sim.grids import WaveformKind
-from biphoton_sim.selftest import run_selftest
+from biphoton_sim.selftest import check_kappa_symmetry, check_wavenumber_mirror, run_selftest
 
-from conftest import MHZ, make_coupling, make_medium, make_pump
+from conftest import make_coupling, make_medium, make_pump
 
 DEG = GenerationMode.DEGENERATE
 
@@ -218,22 +216,14 @@ class TestCriterion6OracleEquivalence:
 
 class TestCriterion7ExactInvariants:
     def test_kappa_symmetry(self):
-        medium = make_medium()
-        pump, coupling = make_pump(), make_coupling()
-        omega = (np.arange(2 ** 10) - 2 ** 9) * (0.05 * MHZ)
-        val = kappa(omega, 0.1 * medium.length, medium, pump, coupling, DEG).value
-        worst = np.max(np.abs(val[1:] - val[1:][::-1]))
-        report(f"criterion 7a: kappa(w) - kappa(-w) worst {worst:.1e} (exact)")
-        assert worst == 0.0
+        res = check_kappa_symmetry()
+        report(f"criterion 7a: kappa(w) - kappa(-w) worst {res.observed:.1e} (exact)")
+        assert res.passed
 
     def test_wavenumber_mirror(self):
-        medium = make_medium()
-        omega = (np.arange(2 ** 10) - 2 ** 9) * (0.05 * MHZ)
-        k1m = wavenumber(-omega, 14.5 * MHZ, medium, PhotonLeg.ONE, DEG)
-        k2 = wavenumber(omega, 14.5 * MHZ, medium, PhotonLeg.TWO, DEG)
-        equal = np.all(k1m == k2)
-        report(f"criterion 7b: k2(w) == k1(-w) bitwise: {equal}")
-        assert equal
+        res = check_wavenumber_mirror()
+        report(f"criterion 7b: k2(w) - k1(-w) worst {res.observed:.1e} (exact)")
+        assert res.passed
 
     def test_pt_eigenvalues_across_plane(self):
         grid_pts = [(a, k) for a in (0.0, 0.3, 1.0, 2.5) for k in (0.0, 0.3, 1.0, 2.5)]

@@ -8,7 +8,6 @@ from biphoton_sim import (
     GridError,
     SpectralGrid,
     WaveformKind,
-    chi3,
     coincidence_counts,
     eit_absorption_loss,
     gamma12_for_absorption,
@@ -21,7 +20,8 @@ from biphoton_sim import (
     psi_uniform_spectrum,
     spectrum_to_waveform,
 )
-from biphoton_sim.params import DetectionConfig
+from biphoton_sim.dispersion import eit_denominator
+from biphoton_sim.params import C_LIGHT, DetectionConfig
 
 from conftest import MHZ, make_coupling, make_medium, make_pump
 
@@ -34,37 +34,47 @@ def small_grid(n=2 ** 9, span=20e-6):
 
 
 class TestChi3:
+    """Third-order response chi3 = scale / ((Delta_p + i gamma_up) D(omega)).
+
+    chi3 has no function of its own: its pole structure lives in the EIT
+    denominator D and its value reaches the pipelines only through kappa,
+    which at z = 0 and omega = 0 equals -i (omega0 / c) chi3(0).
+    """
+
     def test_dressed_state_poles_for_zero_dephasing(self):
         medium = make_medium(g12_mhz=0.0, g13_mhz=1e-9)
-        pump, coupling = make_pump(), make_coupling()
-        at_pole = chi3(coupling.peak_rabi / 2.0, 0.0, medium, pump, coupling, DEG)
-        off_pole = chi3(coupling.peak_rabi / 4.0, 0.0, medium, pump, coupling, DEG)
-        assert abs(at_pole) > 1e4 * abs(off_pole)
+        oc = make_coupling().peak_rabi
+        at_pole = eit_denominator(oc / 2.0, oc ** 2, medium)
+        off_pole = eit_denominator(oc / 4.0, oc ** 2, medium)
+        assert abs(at_pole) < 1e-4 * abs(off_pole)
 
     def test_pump_detuning_halves_magnitude(self):
         medium = make_medium(g14_mhz=0.003)  # gamma14 << Delta_p
         pump = make_pump(det_mhz=200.0)
         pump2 = make_pump(det_mhz=400.0)
         coupling = make_coupling(rabi_mhz=12.2)
-        v1 = chi3(0.0, 0.0, medium, pump, coupling, NONDEG)
-        v2 = chi3(0.0, 0.0, medium, pump2, coupling, NONDEG)
+        v1 = kappa(0.0, 0.0, medium, pump, coupling, NONDEG)
+        v2 = kappa(0.0, 0.0, medium, pump2, coupling, NONDEG)
         assert abs(v2) == pytest.approx(abs(v1) / 2.0, rel=1e-3)
 
     def test_high_precision_oracle_value(self):
-        # frozen from a 50-digit mpmath evaluation at omega=0, z=0 with the
-        # degenerate operating point (Delta_p = 2pi 6.8 GHz, Omega_c = 2pi
-        # 14.5 MHz, gamma12 pinned to alpha L = 0.017, upper dephasing gamma13)
+        # chi3(0) frozen from a 50-digit mpmath evaluation at omega=0, z=0
+        # with the degenerate operating point (Delta_p = 2pi 6.8 GHz,
+        # Omega_c = 2pi 14.5 MHz, gamma12 pinned to alpha L = 0.017, upper
+        # dephasing gamma13)
         medium = make_medium(od=150.0, g12_mhz=0.0039722893)
         pump, coupling = make_pump(det_mhz=6800.0), make_coupling(rabi_mhz=14.5)
-        val = chi3(0.0, 0.0, medium, pump, coupling, DEG)
-        assert val.real == pytest.approx(2.8191419361964214e-27, rel=1e-12)
-        assert val.imag == pytest.approx(-1.2437390894984212e-30, rel=1e-12)
+        chi3 = complex(2.8191419361964214e-27, -1.2437390894984212e-30)
+        expected = -1j * (medium.omega0 / C_LIGHT) * chi3
+        val = kappa(0.0, 0.0, medium, pump, coupling, DEG)
+        assert val.real == pytest.approx(expected.real, rel=1e-12)
+        assert val.imag == pytest.approx(expected.imag, rel=1e-12)
 
     def test_scale_is_linear(self):
         medium = make_medium()
         pump, coupling = make_pump(), make_coupling()
-        v1 = chi3(MHZ, 0.0, medium, pump, coupling, DEG, scale=1.0)
-        v2 = chi3(MHZ, 0.0, medium, pump, coupling, DEG, scale=3.5)
+        v1 = kappa(MHZ, 0.0, medium, pump, coupling, DEG, scale=1.0)
+        v2 = kappa(MHZ, 0.0, medium, pump, coupling, DEG, scale=3.5)
         assert v2 == pytest.approx(3.5 * v1, rel=1e-12)
 
 
@@ -73,15 +83,15 @@ class TestKappa:
         medium = make_medium()
         pump, coupling = make_pump(), make_coupling()
         omega = (np.arange(512) - 256) * (0.1 * MHZ)
-        val = kappa(omega, 0.2 * medium.length, medium, pump, coupling, DEG).value
+        val = kappa(omega, 0.2 * medium.length, medium, pump, coupling, DEG)
         mirrored = val[1:][::-1]
         assert np.all(val[1:] == mirrored)
 
     def test_flat_beams_are_position_independent(self):
         medium = make_medium(theta_deg=0.0)
         pump, coupling = make_pump(), make_coupling()
-        v0 = kappa(2.0 * MHZ, 0.0, medium, pump, coupling, DEG).value
-        v1 = kappa(2.0 * MHZ, 0.4 * medium.length, medium, pump, coupling, DEG).value
+        v0 = kappa(2.0 * MHZ, 0.0, medium, pump, coupling, DEG)
+        v1 = kappa(2.0 * MHZ, 0.4 * medium.length, medium, pump, coupling, DEG)
         assert v0 == v1
 
     def test_dressed_state_suppression_ratio(self):
@@ -89,8 +99,8 @@ class TestKappa:
         # ratio frozen from a 50-digit evaluation of the closed form
         medium = make_medium(od=150.0, g12_mhz=0.0039722893, theta_deg=0.0)
         pump, coupling = make_pump(), make_coupling(rabi_mhz=14.5)
-        center = kappa(0.0, 0.0, medium, pump, coupling, DEG).value
-        pole = kappa(coupling.peak_rabi / 2.0, 0.0, medium, pump, coupling, DEG).value
+        center = kappa(0.0, 0.0, medium, pump, coupling, DEG)
+        pole = kappa(coupling.peak_rabi / 2.0, 0.0, medium, pump, coupling, DEG)
         assert abs(pole) / abs(center) == pytest.approx(0.0013208959303597165,
                                                         rel=1e-9)
 
@@ -233,7 +243,7 @@ class TestUniformSpectrum:
         coupling = make_coupling(rabi_mhz=12.2)
         grid = small_grid(n=2 ** 10)
         spec = psi_uniform_spectrum(grid, medium, pump, coupling, DEG)
-        kap0 = kappa(0.0, 0.0, medium, pump, coupling, DEG).value
+        kap0 = kappa(0.0, 0.0, medium, pump, coupling, DEG)
         phi0 = spec[grid.n // 2] / (kap0 * medium.length)
         alpha_l = eit_absorption_loss(medium, 12.2 * MHZ)
         assert abs(phi0) == pytest.approx(math.exp(-alpha_l), rel=1e-6)

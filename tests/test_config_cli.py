@@ -269,3 +269,26 @@ class TestCli:
             digits = mantissa.replace("-", "").replace(".", "").lstrip("0")
             longest = max(longest, len(digits))
         assert longest == 9
+
+
+@pytest.mark.parametrize("argv, patch, field", [
+    (["scan"], {"numerics": [1]}, "numerics"),
+    (["scan"], {"scan": 5}, "scan"),
+    (["scan"], {"scan": {"powers_mw": ["a"]}}, "scan.powers_mw[0]"),
+    (["scan"], {"kappa_scale": "x"}, "config.kappa_scale"),
+    (["waveform"], {"numerics": {"tau_span_ns": math.nan}}, "numerics.tau_span_ns"),
+    (["scan"], {"scan": {"powers_mw": [1.0, 0.0]}}, "scan.powers_mw[1]"),
+    (["scan", "--powers=0,1"], {}, "--powers"),
+    (["scan"], {"kappa_scale": math.nan}, "config.kappa_scale"),
+    (["beat"], {"interferometer": {"reflectance": 0.5, "shift_mhz": 11.0,
+                                   "noise_counts": math.nan}},
+     "interferometer.noise_counts"),
+], ids=["numerics-list", "scan-number", "power-string", "scale-string",
+        "tau-span-nan", "power-zero", "powers-flag-zero", "scale-nan", "noise-nan"])
+def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
+    data = small_numerics(dump_config(load_preset("fig5")))
+    data.update(patch)
+    cfg = write_config(tmp_path, data)
+    code = main([argv[0], "--config", cfg, "--out", str(tmp_path / "x.csv"), *argv[1:]])
+    assert code == 2
+    assert f"{field}:" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from biphoton_sim import (
     InterferometerConfig,
     SpectralGrid,
     beat_correlation,
-    bs_output_amplitude,
     extract_beat_frequency,
     hom_residual_factor,
     psi_analytic_rect,
@@ -77,29 +76,6 @@ class TestBeatCorrelation:
         cfg = InterferometerConfig(reflectance=0.5, shift_delta=11e6)
         with pytest.warns(UserWarning, match="exchange symmetry"):
             beat_correlation(wave, cfg)
-
-
-class TestBsOutputAmplitude:
-    def test_squared_magnitude_matches_correlation(self, psi0):
-        cfg = InterferometerConfig(reflectance=0.7, shift_delta=11e6)
-        g34 = beat_correlation(psi0, cfg)
-        idx = [100, 1000, 2048, 3000, 4000]
-        for i in idx:
-            amp = bs_output_amplitude(psi0, 0.0, float(psi0.tau[i]), cfg)
-            assert abs(amp) ** 2 == pytest.approx(g34[i], rel=1e-9, abs=1e-30)
-
-    def test_global_phase_is_pure(self, psi0):
-        cfg = InterferometerConfig(reflectance=0.7, shift_delta=11e6)
-        a1 = bs_output_amplitude(psi0, 0.0, 100e-9, cfg)
-        a2 = bs_output_amplitude(psi0, 55e-9, 155e-9, cfg)  # same tau, shifted times
-        assert abs(a1) == pytest.approx(abs(a2), rel=1e-12)
-
-    def test_beat_maximum_restores_envelope(self, psi0):
-        cfg = InterferometerConfig(reflectance=0.5, shift_delta=11e6)
-        tau_max = 1.0 / (2.0 * 11e6)  # 2 pi delta tau = pi, cosine at -1
-        amp = bs_output_amplitude(psi0, 0.0, tau_max, cfg)
-        envelope = np.interp(tau_max, psi0.tau, np.abs(psi0.amplitude))
-        assert abs(amp) == pytest.approx(envelope, rel=1e-9)
 
 
 class TestVisibility:

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from biphoton_sim import (
     BeamField,
-    BeamRole,
     DetectionConfig,
     beam_profile,
     density_prefactor,
@@ -69,7 +68,7 @@ class TestDensityPrefactor:
 class TestBeamProfile:
     def _beam(self, waist=1.6e-3):
         return BeamField(wavelength=795e-9, power=1e-3, waist=waist,
-                         detuning=0.0, peak_rabi=MHZ, role=BeamRole.PUMP)
+                         detuning=0.0, peak_rabi=MHZ)
 
     def test_center(self):
         assert beam_profile(self._beam(), 0.0, math.radians(3.0)) == 1.0
