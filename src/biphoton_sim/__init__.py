@@ -48,7 +48,7 @@ from .dispersion import (
     group_delay_numeric,
     pt_mode_analysis,
 )
-from .grids import GridError, SpectralGrid, Waveform, WaveformKind, spectrum_to_waveform
+from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .interference import (
     InterferometerConfig,
     beat_correlation,
@@ -73,7 +73,7 @@ __all__ = [
     "DetectionConfig", "GenerationMode", "GridError", "InsufficientSignalError",
     "InterferometerConfig", "MediumConfig", "NumericsConfig",
     "PTModeResult", "PTRegime", "RunConfig", "ScanPoint",
-    "SpectralGrid", "Waveform", "WaveformKind",
+    "SpectralGrid", "Waveform",
     "bandwidth_from_width", "beam_profile", "beat_correlation",
     "cauchy_schwarz_factor", "chi_linear",
     "coherence_scan", "coincidence_counts", "density_prefactor", "dump_config",

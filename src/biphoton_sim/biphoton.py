@@ -31,7 +31,7 @@ from .dispersion import (
     group_delay_estimate,
     pair_wavenumbers,
 )
-from .grids import GridError, SpectralGrid, Waveform, WaveformKind, spectrum_to_waveform
+from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
 
 _CHUNK_ELEMENTS = 2 ** 21  # 32 MiB of complex128 per working array
@@ -198,7 +198,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
 
-    return spectrum_to_waveform(grid, spectrum, WaveformKind.FULL_INTEGRAL)
+    return spectrum_to_waveform(grid, spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def psi_analytic_rect(grid: SpectralGrid, medium: MediumConfig,
     dk_cp = 0.0 if pump is None else _residual_wavevector(medium, pump, coupling, mode)
     amp = (abs(kappa0) * medium.length * np.exp(-alpha_l)
            * box * np.exp(-0.5j * dk_cp * vg * tau))
-    return Waveform(tau=tau, amplitude=amp, kind=WaveformKind.ANALYTIC_RECT)
+    return Waveform(tau=tau, amplitude=amp)
 
 
 def psi_analytic_exp(alpha: float, vg: float, medium: MediumConfig,
@@ -282,8 +282,7 @@ def psi_analytic_exp(alpha: float, vg: float, medium: MediumConfig,
     tau = grid.tau
     support = (tau >= 0.0) & (tau <= medium.length / vg)
     amp = np.where(support, np.exp(-alpha * vg * np.where(support, tau, 0.0)), 0.0)
-    return Waveform(tau=tau, amplitude=amp.astype(complex),
-                    kind=WaveformKind.ANALYTIC_EXP)
+    return Waveform(tau=tau, amplitude=amp.astype(complex))
 
 
 def coincidence_counts(waveform: Waveform, det: DetectionConfig) -> np.ndarray:

@@ -39,7 +39,7 @@ from .dispersion import (
     eit_transmission,
     group_delay_estimate,
 )
-from .grids import CSV_FLOAT_FMT, GridError, WaveformKind, spectrum_to_waveform, waveform_csv_rows
+from .grids import GridError, csv_text, spectrum_to_waveform, waveform_csv_rows
 from .interference import (
     beat_correlation,
     extract_beat_frequency,
@@ -49,8 +49,6 @@ from .interference import (
 )
 from .params import GenerationMode
 from .selftest import run_selftest
-
-_FMT = CSV_FLOAT_FMT.format
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -98,10 +96,8 @@ def cmd_eit_spectrum(config_path: str, out_path: str) -> int:
     span = 4.0 * oc if oc > 0 else 2.0 * math.pi * 30e6
     omega = np.linspace(-span, span, 2001)
     trans = eit_transmission(omega, oc, cfg.medium)
-    lines = ["omega_mhz,transmission"]
-    for w, t in zip(omega, trans):
-        lines.append(f"{_FMT(w / (2e6 * math.pi))},{_FMT(t)}")
-    _write_text(out_path, "\n".join(lines) + "\n")
+    _write_text(out_path, csv_text("omega_mhz,transmission",
+                                   omega / (2e6 * math.pi), trans))
 
     alpha_l = eit_absorption_loss(cfg.medium, oc)
     t0 = float(eit_transmission(0.0, oc, cfg.medium))
@@ -125,7 +121,7 @@ def _build_waveform(cfg: RunConfig, engine: str, threads: int):
     if engine == "uniform":
         spec = psi_uniform_spectrum(grid, cfg.medium, cfg.pump, cfg.coupling,
                                     cfg.mode, scale=cfg.kappa_scale)
-        return spectrum_to_waveform(grid, spec, WaveformKind.UNIFORM_SPECTRAL)
+        return spectrum_to_waveform(grid, spec)
     if engine == "analytic":
         if cfg.mode is GenerationMode.DEGENERATE:
             k0 = kappa(0.0, 0.0, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
@@ -143,7 +139,7 @@ def cmd_waveform(config_path: str, out_path: str, engine: str = "full",
     cfg = load_config(config_path)
     wave = _build_waveform(cfg, engine, threads)
     counts = coincidence_counts(wave, cfg.detection)
-    _write_text(out_path, "\n".join(waveform_csv_rows(wave, counts)) + "\n")
+    _write_text(out_path, waveform_csv_rows(wave, counts))
 
     report = extract_coherence_time(counts, wave.tau,
                                     floor=cfg.detection.accidental_floor)
@@ -165,16 +161,10 @@ def cmd_beat(config_path: str, out_path: str, threads: int = 0) -> int:
         raise ConfigError("missing required section for the beat command",
                           "interferometer")
     itf = cfg.interferometer
-    grid = cfg.numerics.grid()
-    wave = psi_full(grid, cfg.numerics.z_panels, cfg.medium, cfg.pump,
-                    cfg.coupling, cfg.mode, scale=cfg.kappa_scale, threads=threads)
+    wave = _build_waveform(cfg, "full", threads)
     envelope = wave.intensity
     g34 = beat_correlation(wave, itf)
-
-    lines = ["tau_ns,g34,envelope"]
-    for t, g, e in zip(wave.tau, g34, envelope):
-        lines.append(f"{_FMT(t * 1e9)},{_FMT(g)},{_FMT(e)}")
-    _write_text(out_path, "\n".join(lines) + "\n")
+    _write_text(out_path, csv_text("tau_ns,g34,envelope", wave.tau * 1e9, g34, envelope))
 
     beat_hz = extract_beat_frequency(wave.tau, g34, envelope, itf.reflectance)
     v0 = visibility_ideal(itf.reflectance)
@@ -211,11 +201,10 @@ def cmd_scan(config_path: str, out_path: str, powers_mw: list[float] | None = No
                             z_panels=cfg.numerics.z_panels,
                             include_full=include_full,
                             scale=cfg.kappa_scale, threads=threads)
-    lines = ["x_gamma13sq_over_omegac_sq,t_coh_formula_ns,t_coh_full_ns"]
-    for p in points:
-        full = "nan" if p.t_coh_full is None else _FMT(p.t_coh_full * 1e9)
-        lines.append(f"{_FMT(p.x)},{_FMT(p.t_coh_formula * 1e9)},{full}")
-    _write_text(out_path, "\n".join(lines) + "\n")
+    _write_text(out_path, csv_text(
+        "x_gamma13sq_over_omegac_sq,t_coh_formula_ns,t_coh_full_ns",
+        [p.x for p in points], [p.t_coh_formula * 1e9 for p in points],
+        [float("nan") if p.t_coh_full is None else p.t_coh_full * 1e9 for p in points]))
 
     _write_sidecar(out_path, {
         "n_points": len(points),

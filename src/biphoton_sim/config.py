@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from importlib import resources
 
 from .grids import SpectralGrid
@@ -73,8 +73,50 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# The file format: one table for parsing, validation and dumping
 # ---------------------------------------------------------------------------
+
+_BEAM = (
+    ("wavelength_nm", "wavelength", 1e-9),
+    ("power_mw", "power", 1e-3),
+    ("waist_mm", "waist", 1e-3),
+    ("detuning_mhz", "detuning", MHZ),
+    ("peak_rabi_mhz", "peak_rabi", MHZ),
+)
+
+# section -> (dataclass, (json key, attribute, SI factor) per field); a factor
+# of None marks a JSON integer, stored as is
+SECTIONS = {
+    "medium": (MediumConfig, (
+        ("od", "od", 1.0),
+        ("length_mm", "length", 1e-3),
+        ("gamma12_mhz", "gamma12", MHZ),
+        ("gamma13_mhz", "gamma13", MHZ),
+        ("gamma14_mhz", "gamma14", MHZ),
+        ("theta_deg", "theta", math.pi / 180.0),  # == math.radians, bitwise
+        ("lambda0_nm", "lambda0", 1e-9),
+    )),
+    "pump": (BeamField, _BEAM),
+    "coupling": (BeamField, _BEAM),
+    "detection": (DetectionConfig, (
+        ("duty_cycle", "duty_cycle", 1.0),
+        ("joint_efficiency", "joint_efficiency", 1.0),
+        ("bin_width_ns", "bin_width", 1e-9),
+        ("collection_time_s", "collection_time", 1.0),
+        ("accidental_floor", "accidental_floor", 1.0),
+    )),
+    "numerics": (NumericsConfig, (
+        ("n_omega", "n_omega", None),
+        ("z_panels", "z_panels", None),
+        ("tau_span_ns", "tau_span", 1e-9),
+    )),
+    "interferometer": (InterferometerConfig, (
+        ("reflectance", "reflectance", 1.0),
+        ("shift_mhz", "shift_delta", 1e6),  # linear Hz, not angular
+        ("noise_counts", "noise_counts", 1.0),
+    )),
+}
+
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
@@ -82,9 +124,12 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
-def _object(val, where: str) -> dict:
+def _object(val, where: str, known) -> dict:
     if not isinstance(val, dict):
         raise ConfigError(f"expected an object, got {val!r}", where)
+    for key in val:
+        if key not in known:
+            raise ConfigError("unknown field", f"{where}.{key}")
     return val
 
 
@@ -94,15 +139,35 @@ def _finite(val, where: str) -> float:
     return float(val)
 
 
-def _number(section: dict, key: str, where: str, default: float | None = None) -> float:
-    if default is not None and key not in section:
-        return default
-    return _finite(_require(section, key, where), f"{where}.{key}")
+def _section(name: str, obj):
+    """Build one section's dataclass from its JSON object, converting to SI."""
+    cls, fields = SECTIONS[name]
+    sec = _object(obj, name, [key for key, _, _ in fields])
+    has_default = {f.name for f in dataclass_fields(cls) if f.default is not MISSING}
+    kwargs = {}
+    for key, attr, factor in fields:
+        where = f"{name}.{key}"
+        if key not in sec:
+            if attr in has_default:
+                continue
+            raise ConfigError("missing required field", where)
+        val = sec[key]
+        if factor is not None:
+            kwargs[attr] = _finite(val, where) * factor
+        elif isinstance(val, int) and not isinstance(val, bool):
+            kwargs[attr] = val
+        else:
+            raise ConfigError(f"expected an integer, got {val!r}", where)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc), name) from None
 
 
-def _build(data: dict) -> RunConfig:
+def _build(data) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
+    _object(data, "config", ("mode", *SECTIONS, "scan", "kappa_scale"))
 
     mode_raw = _require(data, "mode", "config")
     try:
@@ -112,88 +177,27 @@ def _build(data: dict) -> RunConfig:
             f"must be 'degenerate' or 'nondegenerate', got {mode_raw!r}",
             "config.mode") from None
 
-    med = _object(_require(data, "medium", "config"), "medium")
-    try:
-        medium = MediumConfig(
-            od=_number(med, "od", "medium"),
-            length=_number(med, "length_mm", "medium") * 1e-3,
-            gamma12=_number(med, "gamma12_mhz", "medium") * MHZ,
-            gamma13=_number(med, "gamma13_mhz", "medium") * MHZ,
-            gamma14=_number(med, "gamma14_mhz", "medium") * MHZ,
-            theta=math.radians(_number(med, "theta_deg", "medium")),
-            lambda0=_number(med, "lambda0_nm", "medium") * 1e-9,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "medium") from None
-
-    def beam(section_name: str) -> BeamField:
-        sec = _object(_require(data, section_name, "config"), section_name)
-        try:
-            return BeamField(
-                wavelength=_number(sec, "wavelength_nm", section_name) * 1e-9,
-                power=_number(sec, "power_mw", section_name) * 1e-3,
-                waist=_number(sec, "waist_mm", section_name) * 1e-3,
-                detuning=_number(sec, "detuning_mhz", section_name) * MHZ,
-                peak_rabi=_number(sec, "peak_rabi_mhz", section_name) * MHZ,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), section_name) from None
-
-    pump = beam("pump")
-    coupling = beam("coupling")
-
-    det = _object(_require(data, "detection", "config"), "detection")
-    try:
-        detection = DetectionConfig(
-            duty_cycle=_number(det, "duty_cycle", "detection"),
-            joint_efficiency=_number(det, "joint_efficiency", "detection"),
-            bin_width=_number(det, "bin_width_ns", "detection") * 1e-9,
-            collection_time=_number(det, "collection_time_s", "detection"),
-            accidental_floor=_number(det, "accidental_floor", "detection"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "detection") from None
-
-    num = _object(data.get("numerics", {}), "numerics")
-    tau_span_ns = _number(num, "tau_span_ns", "numerics", 80000.0)
-    try:
-        numerics = NumericsConfig(
-            n_omega=int(num.get("n_omega", 16384)),
-            z_panels=int(num.get("z_panels", 512)),
-            tau_span=tau_span_ns * 1e-9,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), "numerics") from None
-
-    interferometer = None
+    sections = {name: _section(name, _require(data, name, "config"))
+                for name in ("medium", "pump", "coupling", "detection")}
+    sections["numerics"] = _section("numerics", data.get("numerics", {}))
     if "interferometer" in data:
-        itf = _object(data["interferometer"], "interferometer")
-        try:
-            interferometer = InterferometerConfig(
-                reflectance=_number(itf, "reflectance", "interferometer"),
-                shift_delta=_number(itf, "shift_mhz", "interferometer") * 1e6,
-                noise_counts=_number(itf, "noise_counts", "interferometer", 0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), "interferometer") from None
+        sections["interferometer"] = _section("interferometer", data["interferometer"])
 
     scan_powers = None
     if "scan" in data:
-        powers = _object(data["scan"], "scan").get("powers_mw")
+        powers = _object(data["scan"], "scan", ("powers_mw",)).get("powers_mw")
         if powers is not None:
             if not isinstance(powers, list) or len(powers) < 1:
-                raise ConfigError("powers_mw must be a non-empty list", "scan")
+                raise ConfigError("must be a non-empty list", "scan.powers_mw")
             scan_powers = tuple(
                 check_power_mw(p, f"scan.powers_mw[{i}]") * 1e-3
                 for i, p in enumerate(powers))
 
-    kappa_scale = _number(data, "kappa_scale", "config", 1.0)
+    kappa_scale = _finite(data.get("kappa_scale", 1.0), "config.kappa_scale")
     if kappa_scale <= 0:
         raise ConfigError("must be > 0", "config.kappa_scale")
 
-    return RunConfig(mode=mode, medium=medium, pump=pump, coupling=coupling,
-                     detection=detection, numerics=numerics,
-                     interferometer=interferometer, scan_powers=scan_powers,
+    return RunConfig(mode=mode, **sections, scan_powers=scan_powers,
                      kappa_scale=kappa_scale)
 
 
@@ -226,52 +230,17 @@ def load_config(path: str) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> dict:
     """Serialize a RunConfig back to its JSON object form (unit round trip)."""
-    data = {
-        "mode": cfg.mode.value,
-        "medium": {
-            "od": cfg.medium.od,
-            "length_mm": cfg.medium.length * 1e3,
-            "gamma12_mhz": cfg.medium.gamma12 / MHZ,
-            "gamma13_mhz": cfg.medium.gamma13 / MHZ,
-            "gamma14_mhz": cfg.medium.gamma14 / MHZ,
-            "theta_deg": math.degrees(cfg.medium.theta),
-            "lambda0_nm": cfg.medium.lambda0 * 1e9,
-        },
-        "pump": _dump_beam(cfg.pump),
-        "coupling": _dump_beam(cfg.coupling),
-        "detection": {
-            "duty_cycle": cfg.detection.duty_cycle,
-            "joint_efficiency": cfg.detection.joint_efficiency,
-            "bin_width_ns": cfg.detection.bin_width * 1e9,
-            "collection_time_s": cfg.detection.collection_time,
-            "accidental_floor": cfg.detection.accidental_floor,
-        },
-        "numerics": {
-            "n_omega": cfg.numerics.n_omega,
-            "z_panels": cfg.numerics.z_panels,
-            "tau_span_ns": cfg.numerics.tau_span * 1e9,
-        },
-        "kappa_scale": cfg.kappa_scale,
-    }
-    if cfg.interferometer is not None:
-        data["interferometer"] = {
-            "reflectance": cfg.interferometer.reflectance,
-            "shift_mhz": cfg.interferometer.shift_delta / 1e6,
-            "noise_counts": cfg.interferometer.noise_counts,
-        }
+    data = {"mode": cfg.mode.value}
+    for name, (_, fields) in SECTIONS.items():
+        obj = getattr(cfg, name)
+        if obj is not None:
+            data[name] = {key: getattr(obj, attr) if factor is None
+                          else getattr(obj, attr) / factor
+                          for key, attr, factor in fields}
+    data["kappa_scale"] = cfg.kappa_scale
     if cfg.scan_powers is not None:
         data["scan"] = {"powers_mw": [p * 1e3 for p in cfg.scan_powers]}
     return data
-
-
-def _dump_beam(beam: BeamField) -> dict:
-    return {
-        "wavelength_nm": beam.wavelength * 1e9,
-        "power_mw": beam.power * 1e3,
-        "waist_mm": beam.waist * 1e3,
-        "detuning_mhz": beam.detuning / MHZ,
-        "peak_rabi_mhz": beam.peak_rabi / MHZ,
-    }
 
 
 def _preset_text(name: str) -> str:

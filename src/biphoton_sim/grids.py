@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
-
-CSV_FLOAT_FMT = "{:.9g}"
 
 
 class GridError(ValueError):
@@ -17,13 +14,6 @@ class GridError(ValueError):
     def __init__(self, message: str, suggested_n_omega: int | None = None):
         super().__init__(message)
         self.suggested_n_omega = suggested_n_omega
-
-
-class WaveformKind(Enum):
-    FULL_INTEGRAL = "full_integral"
-    UNIFORM_SPECTRAL = "uniform_spectral"
-    ANALYTIC_RECT = "analytic_rect"
-    ANALYTIC_EXP = "analytic_exp"
 
 
 @dataclass(frozen=True)
@@ -81,11 +71,10 @@ class SpectralGrid:
 
 @dataclass(frozen=True)
 class Waveform:
-    """Relative-time joint amplitude psi(tau) with its provenance tag."""
+    """Relative-time joint amplitude psi(tau) on a uniform time grid."""
 
     tau: np.ndarray = field(repr=False)
     amplitude: np.ndarray = field(repr=False)
-    kind: WaveformKind
 
     def __post_init__(self) -> None:
         if len(self.tau) != len(self.amplitude):
@@ -99,8 +88,7 @@ class Waveform:
         return np.abs(self.amplitude) ** 2
 
 
-def spectrum_to_waveform(grid: SpectralGrid, spectrum: np.ndarray,
-                         kind: WaveformKind) -> Waveform:
+def spectrum_to_waveform(grid: SpectralGrid, spectrum: np.ndarray) -> Waveform:
     """Transform a detuning-domain amplitude to the relative-time domain.
 
     Realizes psi(tau) = (1/2pi) * integral d omega e^{-i omega tau} S(omega)
@@ -116,14 +104,32 @@ def spectrum_to_waveform(grid: SpectralGrid, spectrum: np.ndarray,
         raise ValueError("spectrum length does not match grid")
     shifted = np.fft.ifftshift(spectrum)
     psi = np.fft.fftshift(np.fft.fft(shifted)) * (grid.d_omega / (2.0 * math.pi))
-    return Waveform(tau=grid.tau, amplitude=psi, kind=kind)
+    return Waveform(tau=grid.tau, amplitude=psi)
 
 
-def waveform_csv_rows(wave: Waveform, cc_counts: np.ndarray):
-    """Yield the serialization rows: tau_ns, re_psi, im_psi, abs2_psi, cc_counts."""
+# rows per formatting pass: few enough that the temporary Python floats of a
+# pass stay small next to the text itself
+_CSV_BLOCK_ROWS = 1024
+
+
+def csv_text(header: str, *columns) -> str:
+    """CSV text: the header line, then one row per index of the equal-length columns.
+
+    Every value is written with ``%.9g`` (nine significant digits, ``nan``
+    and ``inf`` as such), one ``%`` pass over a row template per block of rows.
+    """
+    table = np.column_stack(columns)
+    row = ",".join(["%.9g"] * len(columns)) + "\n"
+    parts = [header + "\n"]
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
+def waveform_csv_rows(wave: Waveform, cc_counts: np.ndarray) -> str:
+    """The waveform CSV text: tau_ns, re_psi, im_psi, abs2_psi, cc_counts."""
     if len(cc_counts) != len(wave.tau):
         raise ValueError("cc_counts length does not match waveform")
-    yield "tau_ns,re_psi,im_psi,abs2_psi,cc_counts"
-    f = CSV_FLOAT_FMT.format
-    for t, a, cc in zip(wave.tau, wave.amplitude, cc_counts):
-        yield ",".join((f(t * 1e9), f(a.real), f(a.imag), f(abs(a) ** 2), f(cc)))
+    return csv_text("tau_ns,re_psi,im_psi,abs2_psi,cc_counts", wave.tau * 1e9,
+                    wave.amplitude.real, wave.amplitude.imag, wave.intensity, cc_counts)

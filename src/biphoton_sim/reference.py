@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import SpectralGrid, Waveform, WaveformKind
+from .grids import SpectralGrid, Waveform
 from .params import C_LIGHT, BeamField, GenerationMode, MediumConfig
 
 
@@ -76,4 +76,4 @@ def psi_reference(grid: SpectralGrid, z_points: int, medium: MediumConfig,
     for m, t in enumerate(tau):
         psi[m] = np.sum(spectrum * np.exp(-1j * grid.omega * t))
     psi *= grid.d_omega / (2.0 * np.pi)
-    return Waveform(tau=tau, amplitude=psi, kind=WaveformKind.FULL_INTEGRAL)
+    return Waveform(tau=tau, amplitude=psi)

@@ -24,7 +24,7 @@ from .biphoton import (
     psi_uniform_spectrum,
 )
 from .dispersion import PTRegime, eit_denominator, pair_wavenumbers, pt_mode_analysis
-from .grids import SpectralGrid, spectrum_to_waveform, WaveformKind
+from .grids import SpectralGrid, spectrum_to_waveform
 from .params import BeamField, GenerationMode, MediumConfig
 
 MHZ = 2.0 * math.pi * 1e6
@@ -99,7 +99,7 @@ def check_parseval() -> CheckResult:
     grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
     spec = psi_uniform_spectrum(grid, medium, pump, coupling,
                                 GenerationMode.DEGENERATE)
-    wave = spectrum_to_waveform(grid, spec, WaveformKind.UNIFORM_SPECTRAL)
+    wave = spectrum_to_waveform(grid, spec)
     e_tau = np.sum(np.abs(wave.amplitude) ** 2) * grid.d_tau
     e_omega = np.sum(np.abs(spec) ** 2) * grid.d_omega / (2.0 * math.pi)
     rel = float(abs(e_tau - e_omega) / e_omega)
@@ -158,7 +158,7 @@ def check_uniform_route() -> CheckResult:
     spec = psi_uniform_spectrum(grid, medium, pump, coupling,
                                 GenerationMode.DEGENERATE)
     full = psi_full(grid, 256, medium, pump, coupling, GenerationMode.DEGENERATE)
-    uni = spectrum_to_waveform(grid, spec, WaveformKind.UNIFORM_SPECTRAL)
+    uni = spectrum_to_waveform(grid, spec)
     rel = float(np.linalg.norm(full.amplitude - uni.amplitude)
                 / np.linalg.norm(uni.amplitude))
     return CheckResult("biphoton", "uniform spectral route vs full integral",

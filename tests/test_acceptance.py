@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from biphoton_sim import (
-    GenerationMode,
     InterferometerConfig,
-    SpectralGrid,
     beat_correlation,
     cauchy_schwarz_factor,
     coherence_scan,
@@ -24,21 +22,18 @@ from biphoton_sim import (
     group_delay_estimate,
     hom_residual_factor,
     load_preset,
-    psi_analytic_rect,
-    psi_full,
-    psi_reference,
-    psi_uniform_spectrum,
     pt_mode_analysis,
-    spectrum_to_waveform,
     visibility_ideal,
 )
 from biphoton_sim.dispersion import PTRegime
-from biphoton_sim.grids import WaveformKind
-from biphoton_sim.selftest import check_kappa_symmetry, check_wavenumber_mirror, run_selftest
-
-from conftest import make_coupling, make_medium, make_pump
-
-DEG = GenerationMode.DEGENERATE
+from biphoton_sim.selftest import (
+    check_kappa_symmetry,
+    check_parseval,
+    check_rect_limit,
+    check_reference_agreement,
+    check_wavenumber_mirror,
+    run_selftest,
+)
 
 
 def report(line: str) -> None:
@@ -167,43 +162,19 @@ class TestCriterion5InterferenceSuite:
 
 class TestCriterion6OracleEquivalence:
     def test_full_vs_trapezoid_reference(self):
-        medium = make_medium()
-        pump, coupling = make_pump(), make_coupling()
-        grid = SpectralGrid.from_numerics(2 ** 9, 20e-6)
-        fast = psi_full(grid, 128, medium, pump, coupling, DEG)
-        slow = psi_reference(grid, 129, medium, pump, coupling, DEG)
-        rel = (np.linalg.norm(fast.amplitude - slow.amplitude)
-               / np.linalg.norm(slow.amplitude))
-        report(f"criterion 6a: full vs trapezoid reference {rel:.2e} (< 1%)")
-        assert rel < 0.01
+        res = check_reference_agreement()
+        report(f"criterion 6a: full vs trapezoid reference {res.observed:.2e} (< 1%)")
+        assert res.passed
 
     def test_full_vs_analytic_rect_group_delay_regime(self):
-        medium = make_medium(od=800.0, g12_mhz=0.0, theta_deg=0.0)
-        pump = make_pump(det_mhz=0.0, waist=1e3)
-        coupling = make_coupling(rabi_mhz=20.0, waist=1e3)
-        grid = SpectralGrid.from_numerics(2 ** 14, 80e-6)
-        full = psi_full(grid, 256, medium, pump, coupling, DEG, threads=4)
-        rect = psi_analytic_rect(grid, medium, coupling, DEG, kappa0=1.0, pump=pump)
-        delay = group_delay_estimate(medium, coupling.peak_rabi)
-        inner = np.abs(grid.tau) <= 0.9 * delay  # exclude 5% edge bands
-        a = np.abs(full.amplitude[inner])
-        b = np.abs(rect.amplitude[inner])
-        s = np.dot(a, b) / np.dot(b, b)
-        rel = math.sqrt(np.mean((a - s * b) ** 2) / np.mean((s * b) ** 2))
-        report(f"criterion 6b: full vs analytic rectangle {rel:.1%} (< 3% RMS)")
-        assert rel < 0.03
+        res = check_rect_limit()
+        report(f"criterion 6b: full vs analytic rectangle {res.observed:.1%} (< 3% RMS)")
+        assert res.passed
 
     def test_parseval(self):
-        medium = make_medium()
-        pump, coupling = make_pump(), make_coupling()
-        grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
-        spec = psi_uniform_spectrum(grid, medium, pump, coupling, DEG)
-        wave = spectrum_to_waveform(grid, spec, WaveformKind.UNIFORM_SPECTRAL)
-        e_tau = np.sum(np.abs(wave.amplitude) ** 2) * grid.d_tau
-        e_omega = np.sum(np.abs(spec) ** 2) * grid.d_omega / (2.0 * math.pi)
-        rel = abs(e_tau - e_omega) / e_omega
-        report(f"criterion 6c: Parseval deviation {rel:.2e} (< 1e-6)")
-        assert rel < 1e-6
+        res = check_parseval()
+        report(f"criterion 6c: Parseval deviation {res.observed:.2e} (< 1e-6)")
+        assert res.passed
 
     def test_selftest_runtime(self):
         start = time.perf_counter()

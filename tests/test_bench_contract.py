@@ -2,8 +2,9 @@
 
 ``perfbench/spans.py`` rebinds functions by (module, attribute) and the run
 calls ``cli.load_config`` and ``cli.psi_full`` directly, so a rename there
-breaks the benchmark without failing any other test.  The benchmark files are
-only read here (parsed, not imported).
+breaks the benchmark without failing any other test; likewise a stricter
+config parser that refused the frozen ``perfbench/inputs``.  The benchmark
+files are only read here (parsed, not imported).
 """
 
 import ast
@@ -11,7 +12,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def traced_targets():
@@ -46,3 +48,12 @@ def test_psi_full_parameters_bound_by_name():
     # Tracer.count_cells binds grid and z_panels; the run passes scale and threads
     for name in ("grid", "z_panels", "scale", "threads"):
         assert name in params
+
+
+def test_benchmark_inputs_parse_strictly():
+    from biphoton_sim.config import parse_config
+
+    inputs = sorted((PERFBENCH / "inputs").glob("*.json"))
+    assert len(inputs) == 10
+    for path in inputs:
+        parse_config(path.read_text(encoding="utf-8"))

@@ -7,7 +7,6 @@ from biphoton_sim import (
     GenerationMode,
     GridError,
     SpectralGrid,
-    WaveformKind,
     coincidence_counts,
     eit_absorption_loss,
     gamma12_for_absorption,
@@ -122,7 +121,7 @@ class TestSpectralTransform:
         rng = np.random.default_rng(7)
         grid = small_grid(n=2 ** 8, span=4e-6)
         spec = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
-        wave = spectrum_to_waveform(grid, spec, WaveformKind.UNIFORM_SPECTRAL)
+        wave = spectrum_to_waveform(grid, spec)
         direct = np.array([
             np.sum(spec * np.exp(-1j * grid.omega * t)) for t in grid.tau
         ]) * grid.d_omega / (2.0 * math.pi)
@@ -133,7 +132,7 @@ class TestSpectralTransform:
         pump, coupling = make_pump(), make_coupling()
         grid = small_grid(n=2 ** 10)
         spec = psi_uniform_spectrum(grid, medium, pump, coupling, DEG)
-        wave = spectrum_to_waveform(grid, spec, WaveformKind.UNIFORM_SPECTRAL)
+        wave = spectrum_to_waveform(grid, spec)
         e_tau = np.sum(np.abs(wave.amplitude) ** 2) * grid.d_tau
         e_omega = np.sum(np.abs(spec) ** 2) * grid.d_omega / (2.0 * math.pi)
         assert abs(e_tau - e_omega) / e_omega < 1e-6
@@ -229,7 +228,7 @@ class TestUniformSpectrum:
         pump, coupling = make_pump(), make_coupling()
         grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
         spec = psi_uniform_spectrum(grid, medium, pump, coupling, DEG)
-        uni = spectrum_to_waveform(grid, spec, WaveformKind.UNIFORM_SPECTRAL)
+        uni = spectrum_to_waveform(grid, spec)
         full = psi_full(grid, 256, medium, pump, coupling, DEG)
         rel = (np.linalg.norm(full.amplitude - uni.amplitude)
                / np.linalg.norm(uni.amplitude))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from biphoton_sim import (
     ConfigError,
@@ -12,7 +13,7 @@ from biphoton_sim import (
     parse_config,
 )
 from biphoton_sim.cli import main
-from biphoton_sim.config import PRESET_NAMES
+from biphoton_sim.config import PRESET_NAMES, SECTIONS
 
 from conftest import MHZ
 
@@ -70,8 +71,16 @@ class TestConfig:
     def test_missing_field_names_the_path(self):
         data = dump_config(load_preset("fig2c"))
         del data["medium"]["od"]
-        with pytest.raises(ConfigError, match="medium.od"):
+        with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(data))
+        assert str(info.value) == "medium.od: missing required field"
+
+    def test_unknown_field_names_the_path(self):
+        data = dump_config(load_preset("fig2c"))
+        data["medium"]["odd"] = 150.0
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(data))
+        assert str(info.value) == "medium.odd: unknown field"
 
     def test_invalid_value_names_the_section(self):
         data = dump_config(load_preset("fig2c"))
@@ -283,12 +292,53 @@ class TestCli:
     (["beat"], {"interferometer": {"reflectance": 0.5, "shift_mhz": 11.0,
                                    "noise_counts": math.nan}},
      "interferometer.noise_counts"),
+    (["waveform"], {"numerics": {"n_omega": 4096.9}}, "numerics.n_omega"),
+    (["waveform"], {"numerics": {"n_omega": "4096"}}, "numerics.n_omega"),
+    (["waveform"], {"numerics": {"n_omega": True}}, "numerics.n_omega"),
+    (["waveform"], {"numerics": {"n_omega": math.inf}}, "numerics.n_omega"),
+    (["waveform"], {"numerik": {"n_omega": 4096}}, "config.numerik"),
+    (["waveform"], {"medium": {**dump_config(load_preset("fig5"))["medium"], "odd": 1.0}},
+     "medium.odd"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
-        "tau-span-nan", "power-zero", "powers-flag-zero", "scale-nan", "noise-nan"])
+        "tau-span-nan", "power-zero", "powers-flag-zero", "scale-nan", "noise-nan",
+        "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
+        "unknown-section", "unknown-field"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     data = small_numerics(dump_config(load_preset("fig5")))
     data.update(patch)
     cfg = write_config(tmp_path, data)
     code = main([argv[0], "--config", cfg, "--out", str(tmp_path / "x.csv"), *argv[1:]])
     assert code == 2
-    assert f"{field}:" in capsys.readouterr().err
+    # the field path leads the message once, never behind a section prefix
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+DELETE = object()
+KNOWN_KEYS = sorted({"mode", "scan", "powers_mw", "kappa_scale", *SECTIONS,
+                     *(key for _, fields in SECTIONS.values() for key, _, _ in fields)})
+MUTATIONS = st.lists(st.tuples(
+    st.sampled_from([None, *SECTIONS, "scan"]),
+    st.sampled_from(KNOWN_KEYS) | st.text(max_size=6),
+    st.just(DELETE) | st.floats() | st.integers() | st.text(max_size=4) | st.booleans()
+    | st.none() | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(PRESET_NAMES), mutations=MUTATIONS)
+@example(name="fig4b", mutations=[("numerics", "n_omega", math.inf)])
+def test_mutated_preset_parses_or_raises_config_error(name, mutations):
+    doc = dump_config(load_preset(name))
+    for section, key, value in mutations:
+        target = doc if section is None else doc.setdefault(section, {})
+        if not isinstance(target, dict):
+            continue
+        if value is DELETE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError:
+        pass

@@ -69,10 +69,9 @@ class TestBeatCorrelation:
 
     def test_warns_on_asymmetric_input(self, psi0):
         lopsided = np.where(psi0.tau > 0, 2.0, 1.0) * psi0.amplitude
-        from biphoton_sim import Waveform, WaveformKind
+        from biphoton_sim import Waveform
 
-        wave = Waveform(tau=psi0.tau, amplitude=lopsided,
-                        kind=WaveformKind.ANALYTIC_RECT)
+        wave = Waveform(tau=psi0.tau, amplitude=lopsided)
         cfg = InterferometerConfig(reflectance=0.5, shift_delta=11e6)
         with pytest.warns(UserWarning, match="exchange symmetry"):
             beat_correlation(wave, cfg)
