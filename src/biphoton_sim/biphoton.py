@@ -19,6 +19,7 @@ is dropped from every route.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -34,7 +35,10 @@ from .dispersion import (
 from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
 
-_CHUNK_ELEMENTS = 2 ** 21  # 32 MiB of complex128 per working array
+# complex128 elements (32 MiB) per full-z working array of one psi_full chunk;
+# chunks are counted in row pairs, two full-z rows each, so that no working
+# array grows past this
+_CHUNK_ELEMENTS = 2 ** 21
 
 
 def _upper_dephasing(medium: MediumConfig, mode: GenerationMode) -> float:
@@ -107,27 +111,54 @@ def _residual_wavevector(medium: MediumConfig, pump: BeamField,
     return drive_carrier_offset(pump, coupling, mode) / C_LIGHT * np.cos(medium.theta)
 
 
-def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) -> None:
-    """Reject grids that cannot resolve the transparency window.
+def _next_pow2(x: float) -> int:
+    return 1 << max(int(np.ceil(np.log2(x))), 1)
 
-    Requires the grid half-span to cover at least eight EIT linewidth proxies;
-    a finer tau step (larger n_omega at fixed span) widens the grid.
+
+def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) -> None:
+    """Reject grids that cannot resolve the transparency window or hold the waveform.
+
+    Requires the grid half-span to cover at least eight EIT linewidth proxies
+    (a finer tau step, i.e. larger n_omega at fixed span, widens the grid),
+    and the tau window 2 pi / d_omega to span at least four group delays, so
+    the group-delay support |tau| <= L/V_g cannot wrap around the periodic
+    window of the FFT.
     """
     proxy = eit_bandwidth_proxy(medium, coupling.peak_rabi)
     needed = 8.0 * proxy
+    tau_span = 2.0 * np.pi / grid.d_omega
     if grid.omega_max < needed:
-        tau_span = 2.0 * np.pi / grid.d_omega
-        n_min = needed * tau_span / np.pi
-        n_pow2 = 1 << max(int(np.ceil(np.log2(n_min))), 1)
+        n_pow2 = _next_pow2(needed * tau_span / np.pi)
         raise GridError(
             f"grid half-span {grid.omega_max:.3e} rad/s is below 8 EIT linewidths "
             f"({needed:.3e} rad/s); increase n_omega to at least {n_pow2}",
+            suggested_n_omega=n_pow2)
+    span_needed = 4.0 * group_delay_estimate(medium, coupling.peak_rabi)
+    if tau_span < span_needed:
+        span_ns = math.ceil(span_needed * 1e9)
+        n_pow2 = _next_pow2(grid.n * span_ns * 1e-9 / tau_span)
+        raise GridError(
+            f"tau window {tau_span * 1e9:.6g} ns is below 4 group delays "
+            f"({span_needed * 1e9:.6g} ns); increase numerics.tau_span_ns to at least "
+            f"{span_ns} and n_omega to at least {n_pow2} to keep the detuning span",
             suggested_n_omega=n_pow2)
 
 
 # ---------------------------------------------------------------------------
 # Full double integral
 # ---------------------------------------------------------------------------
+
+def _cumulative_trapezoid(q_half: np.ndarray, h: float, out: np.ndarray) -> None:
+    """Running trapezoid integral from z = -L/2 of rows that are even in z.
+
+    ``q_half`` holds the rows on the z >= 0 nodes; the increments of an even
+    row are mirror images, so only the z >= 0 ones are formed.  ``out``
+    receives the integral on every node of the full grid.
+    """
+    inc = 0.5 * (q_half[:, 1:] + q_half[:, :-1]) * h
+    out[:, 0] = 0.0
+    np.cumsum(np.concatenate([inc[:, ::-1], inc], axis=1), axis=1, out=out[:, 1:])
+
 
 def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
              pump: BeamField, coupling: BeamField, mode: GenerationMode,
@@ -144,9 +175,21 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     evaluated with composite-Simpson weights over cumulative-trapezoid phase
     integrals on a shared z grid; the detuning integral
     (1/2pi) int d omega e^{-i omega tau} S(omega) is an FFT on the paired
-    grids.  Results are deterministic and independent of ``threads``: the
-    detuning axis is split into fixed-size chunks whose outputs land in
-    disjoint slices.
+    grids.
+
+    The integrand is built from its two mirror symmetries.  The z grid,
+    Omega_c^2(z) and the drive envelope are exact mirrors about z = 0, so
+    D(+omega), D(-omega), the wavenumbers and kappa are evaluated on the
+    z >= 0 columns only and reflected.  Grid rows i and n - i hold +omega and
+    -omega (row n/2 is omega = 0, row 0 has no mirror on the grid): one pair
+    of EIT denominators feeds both rows, kappa is even in omega, and in the
+    degenerate scheme the -omega row's wavenumbers are the +omega row's pair
+    swapped, so both rows share their cumulative phases.  Every value equals
+    the direct per-row evaluation bit for bit.
+
+    Results are deterministic and independent of ``threads``: the row pairs
+    are split into fixed-size chunks, each evaluated as one block of at
+    least two rows, whose outputs land in disjoint slices of the spectrum.
     """
     if z_panels < 64:
         raise ValueError(f"z_panels must be >= 64, got {z_panels}")
@@ -163,33 +206,62 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     simpson[2:-1:2] = 2.0
     simpson *= h / 3.0
 
-    gp = beam_profile(pump, z, medium.theta)
-    gc = beam_profile(coupling, z, medium.theta)
+    z_half = z[m // 2:]
+    gp = beam_profile(pump, z_half, medium.theta)
+    gc = beam_profile(coupling, z_half, medium.theta)
     oc_sq = (coupling.peak_rabi * gc) ** 2
     envelope = gp * gc
     delta0 = _residual_wavevector(medium, pump, coupling, mode)
 
     n = grid.n
+    half = n // 2
     spectrum = np.empty(n, dtype=complex)
-    chunk = max(1, _CHUNK_ELEMENTS // (m + 1))
+    # Representative rows: 0 and n/2 stand only for themselves and come first,
+    # so they share a block; row i in 1 .. n/2-1 also stands for row n - i.
+    reps = np.r_[0, half, 1:half]
+    # At least two representatives per chunk: a one-row block would take a
+    # different BLAS path in the final matvec and change the result bits.
+    chunk = max(2, _CHUNK_ELEMENTS // (2 * (m + 1)))
 
     def fill(start: int) -> None:
-        om = grid.omega[start:start + chunk][:, None]
-        d_plus = eit_denominator(om, oc_sq[None, :], medium)
-        d_minus = eit_denominator(-om, oc_sq[None, :], medium)
+        idx = reps[start:start + chunk]
+        paired = (idx > 0) & (idx < half)
+        rows = np.concatenate([idx, n - idx[paired]])
+        om = grid.omega[idx][:, None]
+        d_plus = eit_denominator(om, oc_sq, medium)
+        d_minus = eit_denominator(-om, oc_sq, medium)
         q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
-        kap = _coupling(d_plus, d_minus, envelope[None, :], medium, pump, mode, scale)
-        del d_plus, d_minus  # free both before the phase stage's arrays exist
-        inc1 = 0.5 * (q1[:, 1:] + q1[:, :-1]) * h
-        inc2 = 0.5 * (q2[:, 1:] + q2[:, :-1]) * h
-        cum1 = np.concatenate(
-            [np.zeros((om.shape[0], 1), complex), np.cumsum(inc1, axis=1)], axis=1)
-        cum2 = np.concatenate(
-            [np.zeros((om.shape[0], 1), complex), np.cumsum(inc2, axis=1)], axis=1)
-        phase = np.exp(1j * ((cum1[:, -1:] - cum1) + cum2 + z[None, :] * delta0))
-        spectrum[start:start + chunk] = (kap * phase) @ simpson
+        kap = _coupling(d_plus, d_minus, envelope, medium, pump, mode, scale)
+        k = len(idx)
+        cum1 = np.empty((len(rows), m + 1), complex)
+        cum2 = np.empty_like(cum1)
+        _cumulative_trapezoid(q1, h, cum1[:k])
+        _cumulative_trapezoid(q2, h, cum2[:k])
+        if mode is GenerationMode.DEGENERATE:
+            # the -omega row sees photon 1 and photon 2 exchanged
+            cum1[k:] = cum2[:k][paired]
+            cum2[k:] = cum1[:k][paired]
+        else:
+            q1, q2 = pair_wavenumbers(-om[paired], d_minus[paired], d_plus[paired],
+                                      medium, mode)
+            _cumulative_trapezoid(q1, h, cum1[k:])
+            _cumulative_trapezoid(q2, h, cum2[k:])
+        del d_plus, d_minus, q1, q2
+        # built in place to keep one argument array alive; the additions
+        # round as in the chained expression
+        arg = cum1[:, -1:] - cum1
+        arg += cum2
+        arg += z * delta0
+        del cum1, cum2
+        # a named phase array keeps numpy from multiplying into the exp
+        # temporary in place, which rounds differently
+        phase = np.exp(1j * arg)
+        del arg
+        kap = np.concatenate([kap, kap[paired]])  # kappa is even in omega
+        kap = np.concatenate([kap[:, :0:-1], kap], axis=1)  # and in z
+        spectrum[rows] = (kap * phase) @ simpson
 
-    starts = range(0, n, chunk)
+    starts = range(0, len(reps), chunk)
     if threads == 1:
         for s in starts:
             fill(s)

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .analysis import coherence_scan, extract_coherence_time
 from .biphoton import (
+    check_grid,
     coincidence_counts,
     kappa,
     psi_analytic_exp,
@@ -52,16 +53,19 @@ from .selftest import run_selftest
 
 
 def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("BIPHOTON_SIM_THREADS")
-    if env is not None:
+    field = "--threads"
+    if value is None:
+        field = "BIPHOTON_SIM_THREADS"
+        env = os.environ.get(field)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
-            raise ConfigError(
-                f"BIPHOTON_SIM_THREADS must be an integer, got {env!r}") from None
-    return 0
+            raise ConfigError(f"must be an integer, got {env!r}", field) from None
+    if value < 0:
+        raise ConfigError(f"must be >= 0, got {value}", field)
+    return value
 
 
 def _write_text(path: str, text: str) -> None:
@@ -119,6 +123,7 @@ def _build_waveform(cfg: RunConfig, engine: str, threads: int):
                         cfg.coupling, cfg.mode, scale=cfg.kappa_scale,
                         threads=threads)
     if engine == "uniform":
+        check_grid(grid, cfg.medium, cfg.coupling)
         spec = psi_uniform_spectrum(grid, cfg.medium, cfg.pump, cfg.coupling,
                                     cfg.mode, scale=cfg.kappa_scale)
         return spectrum_to_waveform(grid, spec)

@@ -21,7 +21,8 @@ class SpectralGrid:
     """Uniform detuning grid, symmetric about zero, length a power of two.
 
     ``omega[i] = (i - n/2) * d_omega``, so every positive frequency has its
-    mirror on the grid (the single extreme negative point excepted).  The
+    exact mirror on the grid (the single extreme negative point excepted);
+    :func:`biphoton_sim.biphoton.psi_full` relies on it.  The
     conjugate time grid has step ``d_tau = 2 pi / (n * d_omega)`` and is built
     the same way, which fixes the transform convention of
     :func:`spectrum_to_waveform`.
@@ -39,6 +40,8 @@ class SpectralGrid:
             raise ValueError("grid spacing is not uniform")
         if self.omega[n // 2] != 0.0:
             raise ValueError("grid must contain omega = 0 at index n/2")
+        if not np.array_equal(self.omega[:0:-1], -self.omega[1:]):
+            raise ValueError("grid must be mirror-symmetric: omega[n - i] == -omega[i]")
 
     @classmethod
     def from_numerics(cls, n_omega: int, tau_span: float) -> "SpectralGrid":

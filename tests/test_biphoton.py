@@ -19,8 +19,9 @@ from biphoton_sim import (
     psi_uniform_spectrum,
     spectrum_to_waveform,
 )
-from biphoton_sim.dispersion import eit_denominator
-from biphoton_sim.params import C_LIGHT, DetectionConfig
+from biphoton_sim import biphoton
+from biphoton_sim.dispersion import eit_denominator, pair_wavenumbers
+from biphoton_sim.params import C_LIGHT, DetectionConfig, beam_profile
 
 from conftest import MHZ, make_coupling, make_medium, make_pump
 
@@ -110,6 +111,10 @@ class TestSpectralTransform:
             SpectralGrid.from_numerics(1000, 20e-6)  # not a power of two
         with pytest.raises(ValueError):
             SpectralGrid.from_numerics(1024, -1.0)
+        omega = SpectralGrid.from_numerics(8, 1e-6).omega.copy()
+        omega[5] *= 1.0 + 1e-12  # uniform to 1e-9, but no longer an exact mirror
+        with pytest.raises(ValueError, match="mirror"):
+            SpectralGrid(omega=omega, d_omega=omega[5] - omega[4])
 
     def test_tau_grid_relation(self):
         grid = small_grid(n=2 ** 10, span=20e-6)
@@ -220,6 +225,65 @@ class TestPsiFull:
             rep = extract_coherence_time(wave.intensity, wave.tau)
             widths.append(rep.e_inverse_width)
         assert widths[0] > widths[1] > widths[2]
+
+
+def direct_spectrum(grid, m, medium, pump, coupling, mode):
+    """S(omega) evaluated row by row over the full z grid, with no symmetry used.
+
+    The same formulas and operation order as psi_full, all rows in one block,
+    so psi_full's mirrored, paired and chunked evaluation must match it bit
+    for bit.
+    """
+    h = medium.length / m
+    z = (np.arange(m + 1) - m / 2.0) * h
+    simpson = np.ones(m + 1)
+    simpson[1:-1:2] = 4.0
+    simpson[2:-1:2] = 2.0
+    simpson *= h / 3.0
+    gp = beam_profile(pump, z, medium.theta)
+    gc = beam_profile(coupling, z, medium.theta)
+    oc_sq = (coupling.peak_rabi * gc) ** 2
+    om = grid.omega[:, None]
+    d_plus = eit_denominator(om, oc_sq[None, :], medium)
+    d_minus = eit_denominator(-om, oc_sq[None, :], medium)
+    q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
+    kap = biphoton._coupling(d_plus, d_minus, (gp * gc)[None, :], medium, pump, mode, 1.0)
+    cum1, cum2 = (np.concatenate([np.zeros((grid.n, 1), complex),
+                                  np.cumsum(0.5 * (q[:, 1:] + q[:, :-1]) * h, axis=1)],
+                                 axis=1)
+                  for q in (q1, q2))
+    delta0 = biphoton._residual_wavevector(medium, pump, coupling, mode)
+    phase = np.exp(1j * ((cum1[:, -1:] - cum1) + cum2 + z[None, :] * delta0))
+    return (kap * phase) @ simpson
+
+
+class TestPsiFullMirrorEvaluation:
+    M = 128
+
+    @pytest.fixture(scope="class", params=[DEG, NONDEG], ids=["degenerate", "nondegenerate"])
+    def case(self, request):
+        # theta = 3 deg and finite waists make the drive envelopes z-dependent;
+        # the degenerate pump offset gives a nonzero residual wavevector
+        medium = make_medium(od=88.0, g12_mhz=0.2, theta_deg=3.0)
+        pump = make_pump(waist=1.6e-3)
+        coupling = make_coupling(waist=2.3e-3)
+        mode = request.param
+        assert mode is NONDEG or biphoton._residual_wavevector(medium, pump, coupling,
+                                                               mode) != 0.0
+        grid = small_grid(n=2 ** 9)
+        spectrum = direct_spectrum(grid, self.M, medium, pump, coupling, mode)
+        return grid, medium, pump, coupling, mode, spectrum_to_waveform(grid, spectrum).amplitude
+
+    # 2, 4 and 64 row pairs per chunk divide the 257 representative rows
+    # (rows 0 .. n/2) with one left over, 5 with two; 1 asks for one-row
+    # blocks; 10 ** 6 is one chunk
+    @pytest.mark.parametrize("pairs", [1, 2, 4, 5, 64, 10 ** 6])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_bitwise_equal_to_direct_evaluation(self, case, monkeypatch, pairs, threads):
+        grid, medium, pump, coupling, mode, expected = case
+        monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", pairs * 2 * (self.M + 1))
+        wave = psi_full(grid, self.M, medium, pump, coupling, mode, threads=threads)
+        assert np.array_equal(wave.amplitude.view(np.uint64), expected.view(np.uint64))
 
 
 class TestUniformSpectrum:

@@ -259,6 +259,29 @@ class TestCli:
         assert main(["waveform", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 4
 
+    @pytest.mark.parametrize("engine", ["full", "uniform"])
+    def test_tau_window_shorter_than_group_delay_exits_4(self, tmp_path, capsys, engine):
+        # OD 5000 gives a 45 us formula coherence time; a 4 us window used to
+        # report the whole window as the width
+        data = dump_config(load_preset("fig3d"))
+        data["medium"]["od"] = 5000.0
+        data["numerics"]["tau_span_ns"] = 4000.0
+        cfg = write_config(tmp_path, data)
+        assert main(["waveform", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--engine", engine]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerics error: tau window 4000 ns is below 4 group delays")
+        assert "increase numerics.tau_span_ns to at least 90838" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_threads_env_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BIPHOTON_SIM_THREADS", "-3")
+        data = small_numerics(dump_config(load_preset("fig3d")))
+        cfg = write_config(tmp_path, data)
+        assert main(["waveform", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: BIPHOTON_SIM_THREADS: must be >= 0, got -3\n")
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIPHOTON_SIM_THREADS", "2")
         data = small_numerics(dump_config(load_preset("fig3d")))
@@ -299,10 +322,12 @@ class TestCli:
     (["waveform"], {"numerik": {"n_omega": 4096}}, "config.numerik"),
     (["waveform"], {"medium": {**dump_config(load_preset("fig5"))["medium"], "odd": 1.0}},
      "medium.odd"),
+    (["waveform", "--threads", "-3"], {}, "--threads"),
+    (["eit-spectrum", "--threads=-1"], {}, "--threads"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "scale-nan", "noise-nan",
         "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
-        "unknown-section", "unknown-field"])
+        "unknown-section", "unknown-field", "threads-negative", "threads-negative-spectrum"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     data = small_numerics(dump_config(load_preset("fig5")))
     data.update(patch)
