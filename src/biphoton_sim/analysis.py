@@ -182,15 +182,14 @@ class ScanPoint:
 def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
                    coupling: BeamField, mode: GenerationMode,
                    grid: SpectralGrid | None = None, z_panels: int = 512,
-                   include_full: bool = False,
                    scale: float = 1.0, threads: int = 1) -> list[ScanPoint]:
     """Coherence time versus coupling power at fixed optical depth.
 
     Each power maps to a Rabi frequency through the sqrt(P)/w0 scaling
     against the reference coupling beam; the formula column is the group-delay
     coherence time 2L/V_g = (4 gamma13/|Omega_c|^2) OD, linear in
-    x = gamma13^2/|Omega_c|^2 with slope 4 OD / gamma13.  With
-    ``include_full`` the 1/e width of the full waveform is extracted as well.
+    x = gamma13^2/|Omega_c|^2 with slope 4 OD / gamma13.  Given a ``grid``,
+    the 1/e width of the full waveform on it is extracted as well.
     """
     points: list[ScanPoint] = []
     for power in coupling_powers:
@@ -201,9 +200,7 @@ def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
         x = (medium.gamma13 / omega_c) ** 2
         t_formula = 2.0 * group_delay_estimate(medium, omega_c)
         t_full = None
-        if include_full:
-            if grid is None:
-                raise ValueError("include_full requires a spectral grid")
+        if grid is not None:
             scan_coupling = replace(coupling, power=power, peak_rabi=omega_c)
             wave = psi_full(grid, z_panels, medium, pump, scan_coupling, mode,
                             scale=scale, threads=threads)

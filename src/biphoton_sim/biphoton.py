@@ -262,6 +262,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         spectrum[rows] = (kap * phase) @ simpson
 
     starts = range(0, len(reps), chunk)
+    # kept serial: a one-worker pool raises the CLI's peak RSS (fig2d 168 -> 200 MB)
     if threads == 1:
         for s in starts:
             fill(s)

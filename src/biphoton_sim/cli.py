@@ -8,6 +8,10 @@ beat           two-photon beating trace behind the interferometer
 scan           coherence time versus coupling power
 selftest       oracle-equivalence and invariant suite
 
+``main`` loads the config once, calls the subcommand's handler and only then
+writes the CSV and its sidecar (same path, ``.json`` suffix), so a failed run
+leaves no output.  Every waveform engine runs behind the same grid check.
+
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
 """
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import coherence_scan, extract_coherence_time
+from .analysis import InsufficientSignalError, coherence_scan, extract_coherence_time
 from .biphoton import (
     check_grid,
     coincidence_counts,
@@ -35,11 +39,7 @@ from .biphoton import (
     psi_uniform_spectrum,
 )
 from .config import ConfigError, RunConfig, check_power_mw, load_config
-from .dispersion import (
-    eit_absorption_loss,
-    eit_transmission,
-    group_delay_estimate,
-)
+from .dispersion import eit_absorption_loss, eit_transmission, group_delay_estimate
 from .grids import GridError, csv_text, spectrum_to_waveform, waveform_csv_rows
 from .interference import (
     beat_correlation,
@@ -68,115 +68,88 @@ def _resolve_threads(value: int | None) -> int:
     return value
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _analytic(cfg: RunConfig, grid, threads: int):
+    if cfg.mode is GenerationMode.DEGENERATE:
+        k0 = kappa(0.0, 0.0, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
+                   scale=cfg.kappa_scale)
+        return psi_analytic_rect(grid, cfg.medium, cfg.coupling, cfg.mode,
+                                 kappa0=k0, pump=cfg.pump)
+    alpha = eit_absorption_loss(cfg.medium, cfg.coupling.peak_rabi) / cfg.medium.length
+    vg = cfg.medium.length / group_delay_estimate(cfg.medium, cfg.coupling.peak_rabi)
+    return psi_analytic_exp(alpha, vg, cfg.medium, grid)
 
 
-def _sidecar_path(out_path: str) -> Path:
-    return Path(out_path).with_suffix(".json")
-
-
-def _write_sidecar(out_path: str, payload: dict) -> None:
-    _write_text(str(_sidecar_path(out_path)),
-                json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _coherence_payload(report) -> dict:
-    return {
-        "e_inverse_width_ns": report.e_inverse_width * 1e9,
-        "exp_tau_ns": None if report.exp_tau is None else report.exp_tau * 1e9,
-        "fit_rmse": report.fit_rmse,
-        "method": report.method.value,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_eit_spectrum(config_path: str, out_path: str) -> int:
-    cfg = load_config(config_path)
-    oc = cfg.coupling.peak_rabi
-    span = 4.0 * oc if oc > 0 else 2.0 * math.pi * 30e6
-    omega = np.linspace(-span, span, 2001)
-    trans = eit_transmission(omega, oc, cfg.medium)
-    _write_text(out_path, csv_text("omega_mhz,transmission",
-                                   omega / (2e6 * math.pi), trans))
-
-    alpha_l = eit_absorption_loss(cfg.medium, oc)
-    t0 = float(eit_transmission(0.0, oc, cfg.medium))
-    _write_sidecar(out_path, {
-        "alpha_l": alpha_l,
-        "resonance_transmission": t0,
-        # both reported: T(0) = exp(-2 alpha L) here, while exp(-alpha L) is
-        # the field-amplitude factor often quoted alongside
-        "exp_minus_alpha_l": math.exp(-alpha_l),
-        "group_delay_ns": group_delay_estimate(cfg.medium, oc) * 1e9 if oc > 0 else None,
-    })
-    return 0
+# waveform engines: (cfg, grid, threads) -> Waveform
+ENGINES = {
+    "full": lambda cfg, grid, threads: psi_full(
+        grid, cfg.numerics.z_panels, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
+        scale=cfg.kappa_scale, threads=threads),
+    "uniform": lambda cfg, grid, threads: spectrum_to_waveform(grid, psi_uniform_spectrum(
+        grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode, scale=cfg.kappa_scale)),
+    "analytic": _analytic,
+}
 
 
 def _build_waveform(cfg: RunConfig, engine: str, threads: int):
     grid = cfg.numerics.grid()
-    if engine == "full":
-        return psi_full(grid, cfg.numerics.z_panels, cfg.medium, cfg.pump,
-                        cfg.coupling, cfg.mode, scale=cfg.kappa_scale,
-                        threads=threads)
-    if engine == "uniform":
-        check_grid(grid, cfg.medium, cfg.coupling)
-        spec = psi_uniform_spectrum(grid, cfg.medium, cfg.pump, cfg.coupling,
-                                    cfg.mode, scale=cfg.kappa_scale)
-        return spectrum_to_waveform(grid, spec)
-    if engine == "analytic":
-        if cfg.mode is GenerationMode.DEGENERATE:
-            k0 = kappa(0.0, 0.0, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
-                       scale=cfg.kappa_scale)
-            return psi_analytic_rect(grid, cfg.medium, cfg.coupling, cfg.mode,
-                                     kappa0=k0, pump=cfg.pump)
-        alpha = eit_absorption_loss(cfg.medium, cfg.coupling.peak_rabi) / cfg.medium.length
-        vg = cfg.medium.length / group_delay_estimate(cfg.medium, cfg.coupling.peak_rabi)
-        return psi_analytic_exp(alpha, vg, cfg.medium, grid)
-    raise ConfigError(f"unknown engine {engine!r}; use full, uniform, or analytic")
+    check_grid(grid, cfg.medium, cfg.coupling)
+    return ENGINES[engine](cfg, grid, threads)
 
 
-def cmd_waveform(config_path: str, out_path: str, engine: str = "full",
-                 threads: int = 0) -> int:
-    cfg = load_config(config_path)
-    wave = _build_waveform(cfg, engine, threads)
-    counts = coincidence_counts(wave, cfg.detection)
-    _write_text(out_path, waveform_csv_rows(wave, counts))
+# ---------------------------------------------------------------------------
+# Dataset handlers: (cfg, args, threads) -> (csv_text, sidecar payload)
+# ---------------------------------------------------------------------------
 
-    report = extract_coherence_time(counts, wave.tau,
-                                    floor=cfg.detection.accidental_floor)
+def _eit_spectrum(cfg: RunConfig, args, threads: int):
     oc = cfg.coupling.peak_rabi
-    payload = _coherence_payload(report)
-    payload.update({
-        "engine": engine,
-        "alpha_l": eit_absorption_loss(cfg.medium, oc),
-        "group_delay_ns": group_delay_estimate(cfg.medium, oc) * 1e9,
-        "coherence_formula_ns": 2.0 * group_delay_estimate(cfg.medium, oc) * 1e9,
-    })
-    _write_sidecar(out_path, payload)
-    return 0
+    span = 4.0 * oc if oc > 0 else 2.0 * math.pi * 30e6
+    omega = np.linspace(-span, span, 2001)
+    trans = eit_transmission(omega, oc, cfg.medium)
+    alpha_l = eit_absorption_loss(cfg.medium, oc)
+    return csv_text("omega_mhz,transmission", omega / (2e6 * math.pi), trans), {
+        "alpha_l": alpha_l,
+        "resonance_transmission": float(eit_transmission(0.0, oc, cfg.medium)),
+        # both reported: T(0) = exp(-2 alpha L) here, while exp(-alpha L) is
+        # the field-amplitude factor often quoted alongside
+        "exp_minus_alpha_l": math.exp(-alpha_l),
+        "group_delay_ns": group_delay_estimate(cfg.medium, oc) * 1e9 if oc > 0 else None,
+    }
 
 
-def cmd_beat(config_path: str, out_path: str, threads: int = 0) -> int:
-    cfg = load_config(config_path)
-    if cfg.interferometer is None:
+def _waveform(cfg: RunConfig, args, threads: int):
+    wave = _build_waveform(cfg, args.engine, threads)
+    counts = coincidence_counts(wave, cfg.detection)
+    text = waveform_csv_rows(wave, counts)
+    try:
+        report = extract_coherence_time(counts, wave.tau, floor=cfg.detection.accidental_floor)
+    except InsufficientSignalError as exc:
+        raise ConfigError(str(exc), "detection.accidental_floor") from None
+    delay = group_delay_estimate(cfg.medium, cfg.coupling.peak_rabi)
+    return text, {
+        "e_inverse_width_ns": report.e_inverse_width * 1e9,
+        "exp_tau_ns": None if report.exp_tau is None else report.exp_tau * 1e9,
+        "fit_rmse": report.fit_rmse,
+        "method": report.method.value,
+        "engine": args.engine,
+        "alpha_l": eit_absorption_loss(cfg.medium, cfg.coupling.peak_rabi),
+        "group_delay_ns": delay * 1e9,
+        "coherence_formula_ns": 2.0 * delay * 1e9,
+    }
+
+
+def _beat(cfg: RunConfig, args, threads: int):
+    itf = cfg.interferometer
+    if itf is None:
         raise ConfigError("missing required section for the beat command",
                           "interferometer")
-    itf = cfg.interferometer
     wave = _build_waveform(cfg, "full", threads)
     envelope = wave.intensity
     g34 = beat_correlation(wave, itf)
-    _write_text(out_path, csv_text("tau_ns,g34,envelope", wave.tau * 1e9, g34, envelope))
-
     beat_hz = extract_beat_frequency(wave.tau, g34, envelope, itf.reflectance)
-    v0 = visibility_ideal(itf.reflectance)
     payload = {
         "beat_frequency_mhz": beat_hz / 1e6,
         "fft_bin_mhz": 1.0 / (len(wave.tau) * (wave.tau[1] - wave.tau[0])) / 1e6,
-        "v0": v0,
+        "v0": visibility_ideal(itf.reflectance),
         "hom_residual_factor": hom_residual_factor(itf.reflectance),
     }
     if itf.noise_counts > 0:
@@ -185,15 +158,18 @@ def cmd_beat(config_path: str, out_path: str, threads: int = 0) -> int:
         cc = scale * g34
         payload["visibility_with_noise"] = visibility_with_noise(
             itf.reflectance, itf.noise_counts, float(cc.max()), float(cc.min()))
-    _write_sidecar(out_path, payload)
-    return 0
+    return csv_text("tau_ns,g34,envelope", wave.tau * 1e9, g34, envelope), payload
 
 
-def cmd_scan(config_path: str, out_path: str, powers_mw: list[float] | None = None,
-             include_full: bool = False, threads: int = 0) -> int:
-    cfg = load_config(config_path)
-    if powers_mw is not None:
-        powers = [p * 1e-3 for p in powers_mw]
+def _scan(cfg: RunConfig, args, threads: int):
+    if args.powers is not None:
+        try:
+            values = [float(tok) for tok in args.powers.split(",") if tok]
+        except ValueError:
+            raise ConfigError(
+                f"--powers must be comma-separated numbers, got {args.powers!r}"
+            ) from None
+        powers = [check_power_mw(p, "--powers") * 1e-3 for p in values]
     elif cfg.scan_powers is not None:
         powers = list(cfg.scan_powers)
     else:
@@ -202,31 +178,28 @@ def cmd_scan(config_path: str, out_path: str, powers_mw: list[float] | None = No
         raise ConfigError(f"need at least 2 power points, got {len(powers)}")
 
     points = coherence_scan(powers, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
-                            grid=cfg.numerics.grid() if include_full else None,
+                            grid=cfg.numerics.grid() if args.full else None,
                             z_panels=cfg.numerics.z_panels,
-                            include_full=include_full,
                             scale=cfg.kappa_scale, threads=threads)
-    _write_text(out_path, csv_text(
+    return csv_text(
         "x_gamma13sq_over_omegac_sq,t_coh_formula_ns,t_coh_full_ns",
         [p.x for p in points], [p.t_coh_formula * 1e9 for p in points],
-        [float("nan") if p.t_coh_full is None else p.t_coh_full * 1e9 for p in points]))
-
-    _write_sidecar(out_path, {
+        [float("nan") if p.t_coh_full is None else p.t_coh_full * 1e9 for p in points],
+    ), {
         "n_points": len(points),
         "t_coh_formula_first_us": points[0].t_coh_formula * 1e6,
         "t_coh_formula_last_us": points[-1].t_coh_formula * 1e6,
         "slope_s": 4.0 * cfg.medium.od / cfg.medium.gamma13,
-    })
-    return 0
+    }
 
 
-def cmd_selftest() -> int:
-    return run_selftest()
+DATASETS = {
+    "eit-spectrum": (_eit_spectrum, "transparency spectrum"),
+    "waveform": (_waveform, "joint-amplitude waveform"),
+    "beat": (_beat, "two-photon beating trace"),
+    "scan": (_scan, "coherence time vs coupling power"),
+}
 
-
-# ---------------------------------------------------------------------------
-# Argument parsing and dispatch
-# ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -235,26 +208,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    dataset = {}
+    for name, (run, help_text) in DATASETS.items():
+        p = dataset[name] = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True,
                        help="configuration file path or preset name")
         p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--threads", type=int, default=None,
                        help="worker threads, 0 = auto "
                             "(BIPHOTON_SIM_THREADS as fallback)")
-
-    common(sub.add_parser("eit-spectrum", help="transparency spectrum"))
-    p_wave = sub.add_parser("waveform", help="joint-amplitude waveform")
-    common(p_wave)
-    p_wave.add_argument("--engine", choices=("full", "uniform", "analytic"),
-                        default="full")
-    common(sub.add_parser("beat", help="two-photon beating trace"))
-    p_scan = sub.add_parser("scan", help="coherence time vs coupling power")
-    common(p_scan)
-    p_scan.add_argument("--powers", type=str, default=None,
-                        help="comma-separated coupling powers in mW")
-    p_scan.add_argument("--full", action="store_true",
-                        help="also extract widths from full waveforms")
+    dataset["waveform"].add_argument("--engine", choices=tuple(ENGINES), default="full")
+    dataset["scan"].add_argument("--powers", type=str, default=None,
+                                 help="comma-separated coupling powers in mW")
+    dataset["scan"].add_argument("--full", action="store_true",
+                                 help="also extract widths from full waveforms")
     sub.add_parser("selftest", help="run the invariant suite")
     return parser
 
@@ -263,28 +231,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            return cmd_selftest()
+            return run_selftest()
         threads = _resolve_threads(args.threads)
-        if args.command == "eit-spectrum":
-            return cmd_eit_spectrum(args.config, args.out)
-        if args.command == "waveform":
-            return cmd_waveform(args.config, args.out, engine=args.engine,
-                                threads=threads)
-        if args.command == "beat":
-            return cmd_beat(args.config, args.out, threads=threads)
-        if args.command == "scan":
-            powers = None
-            if args.powers is not None:
-                try:
-                    values = [float(tok) for tok in args.powers.split(",") if tok]
-                except ValueError:
-                    raise ConfigError(
-                        f"--powers must be comma-separated numbers, got {args.powers!r}"
-                    ) from None
-                powers = [check_power_mw(p, "--powers") for p in values]
-            return cmd_scan(args.config, args.out, powers_mw=powers,
-                            include_full=args.full, threads=threads)
-        raise AssertionError(f"unhandled command {args.command}")
+        cfg = load_config(args.config)
+        text, sidecar = args.run(cfg, args, threads)
+        out = Path(args.out)
+        out.write_text(text, encoding="utf-8")
+        out.with_suffix(".json").write_text(
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return 0
     except GridError as exc:
         print(f"numerics error: {exc}", file=sys.stderr)
         return 4

@@ -128,7 +128,7 @@ class TestCoherenceScan:
         grid = SpectralGrid.from_numerics(2 ** 13, 40e-6)
         points = coherence_scan([2.3e-3], medium, make_pump(), make_coupling(),
                                 GenerationMode.DEGENERATE, grid=grid,
-                                z_panels=128, include_full=True, threads=2)
+                                z_panels=128, threads=2)
         p = points[0]
         assert p.t_coh_full == pytest.approx(p.t_coh_formula, rel=0.10)
 

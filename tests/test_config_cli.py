@@ -259,7 +259,7 @@ class TestCli:
         assert main(["waveform", "--config", cfg,
                      "--out", str(tmp_path / "x.csv")]) == 4
 
-    @pytest.mark.parametrize("engine", ["full", "uniform"])
+    @pytest.mark.parametrize("engine", ["full", "uniform", "analytic"])
     def test_tau_window_shorter_than_group_delay_exits_4(self, tmp_path, capsys, engine):
         # OD 5000 gives a 45 us formula coherence time; a 4 us window used to
         # report the whole window as the width
@@ -324,10 +324,14 @@ class TestCli:
      "medium.odd"),
     (["waveform", "--threads", "-3"], {}, "--threads"),
     (["eit-spectrum", "--threads=-1"], {}, "--threads"),
+    (["waveform", "--engine", "uniform"],
+     {"detection": {**dump_config(load_preset("fig5"))["detection"], "accidental_floor": 1e9}},
+     "detection.accidental_floor"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "scale-nan", "noise-nan",
         "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
-        "unknown-section", "unknown-field", "threads-negative", "threads-negative-spectrum"])
+        "unknown-section", "unknown-field", "threads-negative", "threads-negative-spectrum",
+        "floor-swamps-signal"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     data = small_numerics(dump_config(load_preset("fig5")))
     data.update(patch)
@@ -336,6 +340,7 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch
     assert code == 2
     # the field path leads the message once, never behind a section prefix
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
 DELETE = object()
