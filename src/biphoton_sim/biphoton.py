@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -35,10 +36,18 @@ from .dispersion import (
 from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
 
-# complex128 elements (32 MiB) per full-z working array of one psi_full chunk;
+# complex128 elements (1 MiB) per full-z working array of one psi_full chunk;
 # chunks are counted in row pairs, two full-z rows each, so that no working
-# array grows past this
-_CHUNK_ELEMENTS = 2 ** 21
+# array grows past this and a worker's arrays stay cache-sized
+_CHUNK_ELEMENTS = 2 ** 16
+# With several workers each chunk holds this many times as many elements.
+# Every numpy call of a chunk hands the GIL from one worker to the other, and
+# a worker that has to wait for it leaves its core idle for a busy VM host to
+# give away: on a shared 2-core VM, fig5 at 2 threads lost three to four
+# times as much CPU time to the host as two single-threaded processes, and
+# its wall time varied accordingly.  Chunks 4x larger cut the waits from
+# about 530 to 90 per call, at the same speed.
+_SHARED_CHUNK_FACTOR = 4
 
 
 def _upper_dephasing(medium: MediumConfig, mode: GenerationMode) -> float:
@@ -152,12 +161,18 @@ def _cumulative_trapezoid(q_half: np.ndarray, h: float, out: np.ndarray) -> None
     """Running trapezoid integral from z = -L/2 of rows that are even in z.
 
     ``q_half`` holds the rows on the z >= 0 nodes; the increments of an even
-    row are mirror images, so only the z >= 0 ones are formed.  ``out``
-    receives the integral on every node of the full grid.
+    row are mirror images, so only the z >= 0 ones are formed, and mirrored.
+    ``out`` receives the increments and then, summed in place, the integral
+    on every node of the full grid.
     """
-    inc = 0.5 * (q_half[:, 1:] + q_half[:, :-1]) * h
+    inc = out[:, 1:]
+    right = inc[:, inc.shape[1] // 2:]
+    np.add(q_half[:, 1:], q_half[:, :-1], out=right)
+    np.multiply(0.5, right, out=right)
+    np.multiply(right, h, out=right)
+    inc[:, :right.shape[1]] = right[:, ::-1]
     out[:, 0] = 0.0
-    np.cumsum(np.concatenate([inc[:, ::-1], inc], axis=1), axis=1, out=out[:, 1:])
+    np.cumsum(inc, axis=1, out=inc)
 
 
 def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
@@ -182,14 +197,24 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     D(+omega), D(-omega), the wavenumbers and kappa are evaluated on the
     z >= 0 columns only and reflected.  Grid rows i and n - i hold +omega and
     -omega (row n/2 is omega = 0, row 0 has no mirror on the grid): one pair
-    of EIT denominators feeds both rows, kappa is even in omega, and in the
+    of EIT denominators feeds both rows and kappa is even in omega.  In the
     degenerate scheme the -omega row's wavenumbers are the +omega row's pair
-    swapped, so both rows share their cumulative phases.  Every value equals
-    the direct per-row evaluation bit for bit.
+    swapped, so both rows share their cumulative phases; in the
+    nondegenerate scheme q2 = -omega/c is odd in omega, so the -omega row's
+    photon-2 phase is the +omega row's negated.  Every value equals the
+    direct per-row evaluation bit for bit.
 
-    Results are deterministic and independent of ``threads``: the row pairs
-    are split into fixed-size chunks, each evaluated as one block of at
-    least two rows, whose outputs land in disjoint slices of the spectrum.
+    The row pairs are split into fixed-size chunks of at most
+    ``_CHUNK_ELEMENTS`` cells per full-z array (``_SHARED_CHUNK_FACTOR``
+    times as many when several workers share them), which the workers claim
+    one at a time.  Each worker allocates its two full-z working arrays
+    once; a chunk forms its increments and cumulative phases in them, turns
+    those into the phase factors in place and multiplies kappa into its two
+    z halves there.  No chunk allocates a full-z array, so the working set
+    stays small and no chunk faults in fresh pages.  Results are
+    deterministic and independent of ``threads``: every chunk is evaluated
+    the same way whichever worker runs it, whatever its size, and its outputs
+    land in a disjoint slice of the spectrum.
     """
     if z_panels < 64:
         raise ValueError(f"z_panels must be >= 64, got {z_panels}")
@@ -199,6 +224,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
 
     L = medium.length
     m = z_panels
+    mh = m // 2
     h = L / m
     z = (np.arange(m + 1) - m / 2.0) * h  # symmetric by construction
     simpson = np.ones(m + 1)
@@ -206,70 +232,86 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     simpson[2:-1:2] = 2.0
     simpson *= h / 3.0
 
-    z_half = z[m // 2:]
+    z_half = z[mh:]
     gp = beam_profile(pump, z_half, medium.theta)
     gc = beam_profile(coupling, z_half, medium.theta)
     oc_sq = (coupling.peak_rabi * gc) ** 2
     envelope = gp * gc
-    delta0 = _residual_wavevector(medium, pump, coupling, mode)
+    z_phase = z * _residual_wavevector(medium, pump, coupling, mode)
 
     n = grid.n
     half = n // 2
     spectrum = np.empty(n, dtype=complex)
     # Representative rows: 0 and n/2 stand only for themselves and come first,
-    # so they share a block; row i in 1 .. n/2-1 also stands for row n - i.
+    # so they share the first chunk; row i in 1 .. n/2-1 also stands for row
+    # n - i.
     reps = np.r_[0, half, 1:half]
+    workers = threads if threads > 0 else min(8, os.cpu_count() or 1)
+    cells = _CHUNK_ELEMENTS * (_SHARED_CHUNK_FACTOR if workers > 1 else 1)
     # At least two representatives per chunk: a one-row block would take a
     # different BLAS path in the final matvec and change the result bits.
-    chunk = max(2, _CHUNK_ELEMENTS // (2 * (m + 1)))
+    chunk = max(2, cells // (2 * (m + 1)))
 
-    def fill(start: int) -> None:
-        idx = reps[start:start + chunk]
-        paired = (idx > 0) & (idx < half)
-        rows = np.concatenate([idx, n - idx[paired]])
-        om = grid.omega[idx][:, None]
-        d_plus = eit_denominator(om, oc_sq, medium)
-        d_minus = eit_denominator(-om, oc_sq, medium)
-        q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
-        kap = _coupling(d_plus, d_minus, envelope, medium, pump, mode, scale)
-        k = len(idx)
-        cum1 = np.empty((len(rows), m + 1), complex)
-        cum2 = np.empty_like(cum1)
-        _cumulative_trapezoid(q1, h, cum1[:k])
-        _cumulative_trapezoid(q2, h, cum2[:k])
-        if mode is GenerationMode.DEGENERATE:
-            # the -omega row sees photon 1 and photon 2 exchanged
-            cum1[k:] = cum2[:k][paired]
-            cum2[k:] = cum1[:k][paired]
-        else:
-            q1, q2 = pair_wavenumbers(-om[paired], d_minus[paired], d_plus[paired],
-                                      medium, mode)
-            _cumulative_trapezoid(q1, h, cum1[k:])
-            _cumulative_trapezoid(q2, h, cum2[k:])
-        del d_plus, d_minus, q1, q2
-        # built in place to keep one argument array alive; the additions
-        # round as in the chained expression
-        arg = cum1[:, -1:] - cum1
-        arg += cum2
-        arg += z * delta0
-        del cum1, cum2
-        # a named phase array keeps numpy from multiplying into the exp
-        # temporary in place, which rounds differently
-        phase = np.exp(1j * arg)
-        del arg
-        kap = np.concatenate([kap, kap[paired]])  # kappa is even in omega
-        kap = np.concatenate([kap[:, :0:-1], kap], axis=1)  # and in z
-        spectrum[rows] = (kap * phase) @ simpson
+    def run_chunks(starts) -> None:
+        # the worker's full-z working arrays, sized for the largest chunk
+        work = np.empty((2, 2 * min(chunk, len(reps)), m + 1), complex)
+        # The chunk body stays inline: a chunk's z >= 0 arrays stay bound until
+        # the next chunk rebinds their names, so they are freed inside the heap
+        # and reused.  Freed on return from a per-chunk function, they left
+        # the heap top free, the allocator gave it back to the system and every
+        # chunk faulted it in again (fig3d: 78k minor faults instead of 2.1k).
+        for start in starts:
+            idx = reps[start:start + chunk]
+            k = len(idx)
+            lo = 2 if start == 0 else 0  # leading rows without a mirror
+            r = 2 * k - lo
+            rows = np.concatenate([idx, n - idx[lo:]])
+            om = grid.omega[idx][:, None]
+            d_plus = eit_denominator(om, oc_sq, medium)
+            d_minus = eit_denominator(-om, oc_sq, medium)
+            q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
+            kap = _coupling(d_plus, d_minus, envelope, medium, pump, mode, scale)
+            cum1, cum2 = work[:, :r]
+            _cumulative_trapezoid(q1, h, cum1[:k])
+            _cumulative_trapezoid(q2, h, cum2[:k])
+            if mode is GenerationMode.DEGENERATE:
+                # the -omega row sees photon 1 and photon 2 exchanged
+                cum1[k:] = cum2[lo:k]
+                cum2[k:] = cum1[lo:k]
+            else:
+                q1, _ = pair_wavenumbers(-om[lo:], d_minus[lo:], d_plus[lo:], medium, mode)
+                _cumulative_trapezoid(q1, h, cum1[k:])
+                np.negative(cum2[lo:k], out=cum2[k:])  # q2 = -omega/c is odd
+            # the phase argument, its exp and the product with kappa round as
+            # kappa * exp(1j * (cum1[-1] - cum1 + cum2 + z delta0))
+            np.subtract(cum1[:, -1:], cum1, out=cum1)
+            np.add(cum1, cum2, out=cum1)
+            np.add(cum1, z_phase, out=cum1)
+            np.multiply(1j, cum1, out=cum1)
+            np.exp(cum1, out=cum2)
+            # kappa is even in z and in omega
+            for phase, kap_rows in ((cum2[:k], kap), (cum2[k:], kap[lo:])):
+                np.multiply(kap_rows, phase[:, mh:], out=phase[:, mh:])
+                np.multiply(kap_rows[:, :0:-1], phase[:, :mh], out=phase[:, :mh])
+            spectrum[rows] = cum2 @ simpson
 
     starts = range(0, len(reps), chunk)
-    # kept serial: a one-worker pool raises the CLI's peak RSS (fig2d 168 -> 200 MB)
-    if threads == 1:
-        for s in starts:
-            fill(s)
+    workers = min(workers, len(starts))
+    # one worker (threads == 1, or one chunk) runs in the calling thread:
+    # a worker thread would only add its stack and its own malloc arena
+    if workers == 1:
+        run_chunks(starts)
     else:
-        workers = threads if threads > 0 else min(8, os.cpu_count() or 1)
+        # Workers claim chunks one at a time from a shared queue, so a worker
+        # on a core the host is slowing takes fewer of them.  With one fixed
+        # span per worker the call waited for the slowest core: fig5 at 2
+        # threads, one worker's core shared with a busy process, took 0.98 s
+        # a call instead of 0.75 s.
+        claims = queue.SimpleQueue()
+        for start in [*starts, *[None] * workers]:  # one end mark per worker
+            claims.put(start)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+            list(pool.map(run_chunks, [iter(claims.get, None) for _ in range(workers)]))
 
     return spectrum_to_waveform(grid, spectrum)
 

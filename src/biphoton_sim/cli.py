@@ -10,7 +10,9 @@ selftest       oracle-equivalence and invariant suite
 
 ``main`` loads the config once, calls the subcommand's handler and only then
 writes the CSV and its sidecar (same path, ``.json`` suffix), so a failed run
-leaves no output.  Every waveform engine runs behind the same grid check.
+leaves no output.  Both files are written under temporary names and renamed
+into place, so a failed write leaves neither.  Every waveform engine runs
+behind the same grid check.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
@@ -162,20 +164,22 @@ def _beat(cfg: RunConfig, args, threads: int):
 
 
 def _scan(cfg: RunConfig, args, threads: int):
+    field = "scan.powers_mw"
     if args.powers is not None:
+        field = "--powers"
         try:
             values = [float(tok) for tok in args.powers.split(",") if tok]
         except ValueError:
-            raise ConfigError(
-                f"--powers must be comma-separated numbers, got {args.powers!r}"
-            ) from None
-        powers = [check_power_mw(p, "--powers") * 1e-3 for p in values]
+            raise ConfigError(f"must be comma-separated numbers, got {args.powers!r}",
+                              field) from None
+        powers = [check_power_mw(p, field) * 1e-3 for p in values]
     elif cfg.scan_powers is not None:
         powers = list(cfg.scan_powers)
     else:
-        raise ConfigError("no coupling powers given (use --powers or a scan section)")
+        raise ConfigError("no coupling powers given (use --powers or a scan section)",
+                          field)
     if len(powers) < 2:
-        raise ConfigError(f"need at least 2 power points, got {len(powers)}")
+        raise ConfigError(f"need at least 2 power points, got {len(powers)}", field)
 
     points = coherence_scan(powers, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
                             grid=cfg.numerics.grid() if args.full else None,
@@ -227,6 +231,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(files: dict[Path, str]) -> None:
+    """Write every file or none.
+
+    Each text goes to a temporary name in its target's directory; only when
+    all are written are they renamed into place.  An ``OSError`` removes the
+    temporaries and every file already renamed, then propagates.
+    """
+    temps: list[Path] = []
+    placed: list[Path] = []
+    try:
+        for path, text in files.items():
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as fh:
+                temps.append(tmp)
+                fh.write(text)
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
+            placed.append(path)
+    except OSError:
+        for path in temps + placed:
+            path.unlink(missing_ok=True)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -236,9 +264,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         text, sidecar = args.run(cfg, args, threads)
         out = Path(args.out)
-        out.write_text(text, encoding="utf-8")
-        out.with_suffix(".json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        _write_all({out: text, out.with_suffix(".json"): sidecar_text})
         return 0
     except GridError as exc:
         print(f"numerics error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,20 @@ class TestPsiFull:
         with pytest.raises(ValueError):
             psi_full(grid, 129, medium, pump, coupling, DEG)
 
+    def test_working_set_stays_small(self):
+        # numpy reports its data buffers to tracemalloc; the spectrum, the
+        # waveform and one chunk's working arrays fit well inside 8 MB
+        medium = make_medium()
+        pump, coupling = make_pump(), make_coupling()
+        grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+        tracemalloc.start()
+        try:
+            psi_full(grid, 256, medium, pump, coupling, DEG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_nondegenerate_width_shrinks_with_loss(self):
         from biphoton_sim import extract_coherence_time
 
@@ -283,6 +298,19 @@ class TestPsiFullMirrorEvaluation:
         grid, medium, pump, coupling, mode, expected = case
         monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", pairs * 2 * (self.M + 1))
         wave = psi_full(grid, self.M, medium, pump, coupling, mode, threads=threads)
+        assert np.array_equal(wave.amplitude.view(np.uint64), expected.view(np.uint64))
+
+    def test_default_chunks_on_two_threads(self, case):
+        # with two workers a default chunk holds 1016 row pairs at M = 128, so
+        # on a grid of 2 ** 11 rows (1025 representatives) the workers claim
+        # a full chunk and a short one
+        _, medium, pump, coupling, mode, _ = case
+        grid = small_grid(n=2 ** 11)
+        cells = biphoton._SHARED_CHUNK_FACTOR * biphoton._CHUNK_ELEMENTS
+        assert cells // (2 * (self.M + 1)) < grid.n // 2 + 1
+        expected = spectrum_to_waveform(
+            grid, direct_spectrum(grid, self.M, medium, pump, coupling, mode)).amplitude
+        wave = psi_full(grid, self.M, medium, pump, coupling, mode, threads=2)
         assert np.array_equal(wave.amplitude.view(np.uint64), expected.view(np.uint64))
 
 

@@ -251,6 +251,16 @@ class TestCli:
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main(["eit-spectrum", "--config", "fig2c", "--out", str(out)]) == 3
 
+    def test_failed_sidecar_write_leaves_no_csv(self, tmp_path, capsys):
+        # the sidecar path is taken by a directory: the CSV that was already
+        # written must not survive, nor any temporary file
+        (tmp_path / "x.json").mkdir()
+        assert main(["eit-spectrum", "--config", "fig2c",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+        assert not any((tmp_path / "x.json").iterdir())
+
     def test_nyquist_violation_exits_4(self, tmp_path):
         data = dump_config(load_preset("fig3d"))
         data["numerics"] = {"n_omega": 1024, "z_panels": 128,
@@ -311,6 +321,10 @@ class TestCli:
     (["waveform"], {"numerics": {"tau_span_ns": math.nan}}, "numerics.tau_span_ns"),
     (["scan"], {"scan": {"powers_mw": [1.0, 0.0]}}, "scan.powers_mw[1]"),
     (["scan", "--powers=0,1"], {}, "--powers"),
+    (["scan", "--powers=a,b"], {}, "--powers"),
+    (["scan"], {"scan": {}}, "scan.powers_mw"),
+    (["scan"], {"scan": {"powers_mw": [1.0]}}, "scan.powers_mw"),
+    (["scan", "--powers=1.0"], {}, "--powers"),
     (["scan"], {"kappa_scale": math.nan}, "config.kappa_scale"),
     (["beat"], {"interferometer": {"reflectance": 0.5, "shift_mhz": 11.0,
                                    "noise_counts": math.nan}},
@@ -328,7 +342,8 @@ class TestCli:
      {"detection": {**dump_config(load_preset("fig5"))["detection"], "accidental_floor": 1e9}},
      "detection.accidental_floor"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
-        "tau-span-nan", "power-zero", "powers-flag-zero", "scale-nan", "noise-nan",
+        "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
+        "no-powers", "one-power", "one-power-flag", "scale-nan", "noise-nan",
         "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
         "unknown-section", "unknown-field", "threads-negative", "threads-negative-spectrum",
         "floor-swamps-signal"])
