@@ -37,8 +37,9 @@ from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
 
 # complex128 elements (1 MiB) per full-z working array of one psi_full chunk;
-# chunks are counted in row pairs, two full-z rows each, so that no working
-# array grows past this and a worker's arrays stay cache-sized
+# chunks are counted in row pairs, two full-z rows each (one in the
+# degenerate scheme), so that no working array grows past this and a worker's
+# arrays stay cache-sized
 _CHUNK_ELEMENTS = 2 ** 16
 # With several workers each chunk holds this many times as many elements.
 # Every numpy call of a chunk hands the GIL from one worker to the other, and
@@ -197,24 +198,37 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     D(+omega), D(-omega), the wavenumbers and kappa are evaluated on the
     z >= 0 columns only and reflected.  Grid rows i and n - i hold +omega and
     -omega (row n/2 is omega = 0, row 0 has no mirror on the grid): one pair
-    of EIT denominators feeds both rows and kappa is even in omega.  In the
-    degenerate scheme the -omega row's wavenumbers are the +omega row's pair
-    swapped, so both rows share their cumulative phases; in the
-    nondegenerate scheme q2 = -omega/c is odd in omega, so the -omega row's
-    photon-2 phase is the +omega row's negated.  Every value equals the
-    direct per-row evaluation bit for bit.
+    of EIT denominators feeds both rows and kappa is even in omega.
 
-    The row pairs are split into fixed-size chunks of at most
+    In the degenerate scheme the -omega row sees the +omega row's photons
+    exchanged.  Both wavenumbers are even in z, so its phase argument is the
+    +omega row's reflected in z plus 2 z delta0, and since kappa and the
+    Simpson weights are even in z,
+
+        S(-omega) = sum_z w(z) kappa(omega, z) e^{i arg(omega, z)} e^{-2 i z delta0}:
+
+    the +omega row's finished kappa-phase block summed with a second weight
+    vector.  Only rows 0 .. n/2 form phase factors; they equal the direct
+    per-row evaluation bit for bit, while rows n/2+1 .. n-1 follow from the
+    identity, exact in real arithmetic, and differ from the direct
+    evaluation in the last bits (about 2e-15 of max|S| on the presets).  In
+    the nondegenerate scheme q1(-omega) is not tied to q1(omega), so the
+    -omega rows get their own photon-1 wavenumbers; q2 = -omega/c is odd in
+    omega, so their photon-2 phase is the +omega row's negated.  Every
+    nondegenerate value equals the direct per-row evaluation bit for bit.
+
+    The row pairs are split into fixed-size chunks of about
     ``_CHUNK_ELEMENTS`` cells per full-z array (``_SHARED_CHUNK_FACTOR``
-    times as many when several workers share them), which the workers claim
-    one at a time.  Each worker allocates its two full-z working arrays
-    once; a chunk forms its increments and cumulative phases in them, turns
-    those into the phase factors in place and multiplies kappa into its two
-    z halves there.  No chunk allocates a full-z array, so the working set
-    stays small and no chunk faults in fresh pages.  Results are
-    deterministic and independent of ``threads``: every chunk is evaluated
-    the same way whichever worker runs it, whatever its size, and its outputs
-    land in a disjoint slice of the spectrum.
+    times as many when several workers share them; the degenerate scheme
+    fills only the +omega half), which the workers claim one at a time.
+    Each worker allocates its two full-z working arrays once; a chunk forms
+    its increments and cumulative phases in them, turns those into the phase
+    factors in place and multiplies kappa into its two z halves there.  No
+    chunk allocates a full-z array, so the working set stays small and no
+    chunk faults in fresh pages.  Results are deterministic and independent
+    of ``threads``: every chunk is evaluated the same way whichever worker
+    runs it, whatever its size, and its outputs land in a disjoint slice of
+    the spectrum.
     """
     if z_panels < 64:
         raise ValueError(f"z_panels must be >= 64, got {z_panels}")
@@ -242,65 +256,88 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     n = grid.n
     half = n // 2
     spectrum = np.empty(n, dtype=complex)
+    degenerate = mode is GenerationMode.DEGENERATE
+    if degenerate:
+        # the -omega row's integrand is the +omega row's reflected in z times
+        # e^{2 i z delta0}, and kappa and the Simpson weights are even in z
+        w_minus = simpson * np.exp(-2j * z_phase)
     # Representative rows: 0 and n/2 stand only for themselves and come first,
     # so they share the first chunk; row i in 1 .. n/2-1 also stands for row
     # n - i.
     reps = np.r_[0, half, 1:half]
     workers = threads if threads > 0 else min(8, os.cpu_count() or 1)
     cells = _CHUNK_ELEMENTS * (_SHARED_CHUNK_FACTOR if workers > 1 else 1)
-    # At least two representatives per chunk: a one-row block would take a
-    # different BLAS path in the final matvec and change the result bits.
+    # At least two representatives per chunk, and a one-row tail joins the
+    # chunk before it: a one-row block would take a different BLAS path in
+    # the final matvecs and change the result bits.
     chunk = max(2, cells // (2 * (m + 1)))
+    bounds = list(range(0, len(reps), chunk)) + [len(reps)]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    spans = list(zip(bounds[:-1], bounds[1:]))
 
-    def run_chunks(starts) -> None:
-        # the worker's full-z working arrays, sized for the largest chunk
-        work = np.empty((2, 2 * min(chunk, len(reps)), m + 1), complex)
+    def run_chunks(claimed) -> None:
+        # the worker's full-z working arrays, sized for the largest chunk; the
+        # degenerate -omega rows need none
+        rows = max(stop - start for start, stop in spans) * (1 if degenerate else 2)
+        work = np.empty((2, rows, m + 1), complex)
         # The chunk body stays inline: a chunk's z >= 0 arrays stay bound until
         # the next chunk rebinds their names, so they are freed inside the heap
         # and reused.  Freed on return from a per-chunk function, they left
         # the heap top free, the allocator gave it back to the system and every
         # chunk faulted it in again (fig3d: 78k minor faults instead of 2.1k).
-        for start in starts:
-            idx = reps[start:start + chunk]
+        for start, stop in claimed:
+            idx = reps[start:stop]
             k = len(idx)
             lo = 2 if start == 0 else 0  # leading rows without a mirror
-            r = 2 * k - lo
-            rows = np.concatenate([idx, n - idx[lo:]])
             om = grid.omega[idx][:, None]
             d_plus = eit_denominator(om, oc_sq, medium)
             d_minus = eit_denominator(-om, oc_sq, medium)
             q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
             kap = _coupling(d_plus, d_minus, envelope, medium, pump, mode, scale)
-            cum1, cum2 = work[:, :r]
-            _cumulative_trapezoid(q1, h, cum1[:k])
-            _cumulative_trapezoid(q2, h, cum2[:k])
-            if mode is GenerationMode.DEGENERATE:
-                # the -omega row sees photon 1 and photon 2 exchanged
-                cum1[k:] = cum2[lo:k]
-                cum2[k:] = cum1[lo:k]
+            if degenerate:
+                cum1, cum2 = work[:, :k]
+                _cumulative_trapezoid(q1, h, cum1)
+                _cumulative_trapezoid(q2, h, cum2)
+                blocks = ((cum2, kap),)
             else:
+                # q1(-omega) is not tied to q1(omega): the -omega rows get
+                # their own wavenumbers; q2 = -omega/c is odd
+                cum1, cum2 = work[:, :2 * k - lo]
+                _cumulative_trapezoid(q1, h, cum1[:k])
+                _cumulative_trapezoid(q2, h, cum2[:k])
                 q1, _ = pair_wavenumbers(-om[lo:], d_minus[lo:], d_plus[lo:], medium, mode)
                 _cumulative_trapezoid(q1, h, cum1[k:])
-                np.negative(cum2[lo:k], out=cum2[k:])  # q2 = -omega/c is odd
+                np.negative(cum2[lo:k], out=cum2[k:])
+                blocks = ((cum2[:k], kap), (cum2[k:], kap[lo:]))
             # the phase argument, its exp and the product with kappa round as
-            # kappa * exp(1j * (cum1[-1] - cum1 + cum2 + z delta0))
+            # kappa * exp(1j * (cum1[-1] - cum1 + cum2 + z delta0)); delta0 is
+            # zero in the nondegenerate scheme
             np.subtract(cum1[:, -1:], cum1, out=cum1)
             np.add(cum1, cum2, out=cum1)
-            np.add(cum1, z_phase, out=cum1)
+            if degenerate:
+                np.add(cum1, z_phase, out=cum1)
             np.multiply(1j, cum1, out=cum1)
             np.exp(cum1, out=cum2)
             # kappa is even in z and in omega
-            for phase, kap_rows in ((cum2[:k], kap), (cum2[k:], kap[lo:])):
+            for phase, kap_rows in blocks:
                 np.multiply(kap_rows, phase[:, mh:], out=phase[:, mh:])
                 np.multiply(kap_rows[:, :0:-1], phase[:, :mh], out=phase[:, :mh])
-            spectrum[rows] = cum2 @ simpson
+            if degenerate:
+                # two matvecs over the same k rows: a two-column matmul, or a
+                # mirror matvec over only the k - lo mirrored rows (one row in
+                # a first chunk of three), may take another BLAS path and
+                # change the bits
+                spectrum[idx] = cum2 @ simpson
+                spectrum[n - idx[lo:]] = (cum2 @ w_minus)[lo:]
+            else:
+                spectrum[np.concatenate([idx, n - idx[lo:]])] = cum2 @ simpson
 
-    starts = range(0, len(reps), chunk)
-    workers = min(workers, len(starts))
+    workers = min(workers, len(spans))
     # one worker (threads == 1, or one chunk) runs in the calling thread:
     # a worker thread would only add its stack and its own malloc arena
     if workers == 1:
-        run_chunks(starts)
+        run_chunks(spans)
     else:
         # Workers claim chunks one at a time from a shared queue, so a worker
         # on a core the host is slowing takes fewer of them.  With one fixed
@@ -308,8 +345,8 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         # threads, one worker's core shared with a busy process, took 0.98 s
         # a call instead of 0.75 s.
         claims = queue.SimpleQueue()
-        for start in [*starts, *[None] * workers]:  # one end mark per worker
-            claims.put(start)
+        for span in [*spans, *[None] * workers]:  # one end mark per worker
+            claims.put(span)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunks, [iter(claims.get, None) for _ in range(workers)]))
 

@@ -6,7 +6,7 @@ eit-spectrum   transparency spectrum with resonance diagnostics
 waveform       joint-amplitude waveform (full, uniform, or analytic engine)
 beat           two-photon beating trace behind the interferometer
 scan           coherence time versus coupling power
-selftest       oracle-equivalence and invariant suite
+selftest       oracle-equivalence and invariant suite (--json: the records)
 
 ``main`` loads the config once, calls the subcommand's handler and only then
 writes the CSV and its sidecar (same path, ``.json`` suffix), so a failed run
@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="comma-separated coupling powers in mW")
     dataset["scan"].add_argument("--full", action="store_true",
                                  help="also extract widths from full waveforms")
-    sub.add_parser("selftest", help="run the invariant suite")
+    sub.add_parser("selftest", help="run the invariant suite").add_argument(
+        "--json", action="store_true", help="print the check records as one JSON array")
     return parser
 
 
@@ -259,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            return run_selftest()
+            return run_selftest(as_json=args.json)
         threads = _resolve_threads(args.threads)
         cfg = load_config(args.config)
         text, sidecar = args.run(cfg, args, threads)

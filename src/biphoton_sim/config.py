@@ -20,6 +20,9 @@ from .params import BeamField, DetectionConfig, GenerationMode, MediumConfig
 
 MHZ = 2.0 * math.pi * 1e6  # linear MHz -> rad/s
 
+# Each pair of figure panels shares one file: fig2c/fig2d, fig2e/fig2f,
+# fig3c/fig3d and fig3e/fig3f are byte-identical, so the ten presets hold six
+# distinct configurations (output sets run over all ten repeat four of them).
 PRESET_NAMES = ("fig2c", "fig2d", "fig2e", "fig2f",
                 "fig3c", "fig3d", "fig3e", "fig3f", "fig4b", "fig5")
 

@@ -9,6 +9,7 @@ under a minute.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -210,21 +211,35 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
 )
 
 
-def run_selftest(report=print) -> int:
-    """Run every check, report one line per property, return a process exit code."""
-    failures = []
+def _record(res: CheckResult) -> dict:
+    observed = float(res.observed)
+    return {"module": res.module, "name": res.name, "passed": bool(res.passed),
+            "observed": observed if math.isfinite(observed) else None,
+            "expected": res.expected}
+
+
+def run_selftest(report=print, as_json: bool = False) -> int:
+    """Run every check and return a process exit code.
+
+    Reports one line per property and a summary, or with ``as_json`` one JSON
+    array of the ``CheckResult`` records (a non-finite ``observed`` as null).
+    """
+    results = []
     for check in ALL_CHECKS:
         res = check()
-        status = "PASS" if res.passed else "FAIL"
-        report(f"[{status}] {res.module}: {res.name} "
-               f"(observed {res.observed:.3e}, expected {res.expected})")
-        if not res.passed:
-            failures.append(res)
-    if failures:
+        results.append(res)
+        if not as_json:
+            status = "PASS" if res.passed else "FAIL"
+            report(f"[{status}] {res.module}: {res.name} "
+                   f"(observed {res.observed:.3e}, expected {res.expected})")
+    failures = [res for res in results if not res.passed]
+    if as_json:
+        report(json.dumps([_record(res) for res in results], indent=2))
+    elif failures:
         report(f"{len(failures)} of {len(ALL_CHECKS)} checks failed:")
         for res in failures:
             report(f"  {res.module}.{res.name}: observed {res.observed:.6e}, "
                    f"expected {res.expected}")
-        return 1
-    report(f"all {len(ALL_CHECKS)} checks passed")
-    return 0
+    else:
+        report(f"all {len(ALL_CHECKS)} checks passed")
+    return 1 if failures else 0

@@ -247,7 +247,8 @@ def direct_spectrum(grid, m, medium, pump, coupling, mode):
 
     The same formulas and operation order as psi_full, all rows in one block,
     so psi_full's mirrored, paired and chunked evaluation must match it bit
-    for bit.
+    for bit, except for the degenerate -omega rows, which psi_full takes from
+    the exchange identity.
     """
     h = medium.length / m
     z = (np.arange(m + 1) - m / 2.0) * h
@@ -272,7 +273,43 @@ def direct_spectrum(grid, m, medium, pump, coupling, mode):
     return (kap * phase) @ simpson
 
 
+def psi_full_spectrum(monkeypatch, *args, **kwargs):
+    """S(omega) as psi_full hands it to the FFT."""
+    captured = []
+
+    def capture(grid, spectrum):
+        captured.append(spectrum.copy())
+        return spectrum_to_waveform(grid, spectrum)
+
+    monkeypatch.setattr(biphoton, "spectrum_to_waveform", capture)
+    psi_full(*args, **kwargs)
+    return captured[0]
+
+
+def assert_exchange_contract(spectrum, direct, reference):
+    """The degenerate contract: representative rows 0 .. n/2 bitwise direct,
+    mirror rows n/2+1 .. n-1 within rounding of it, and every evaluation
+    bitwise the reference one."""
+    rep = len(direct) // 2 + 1
+    assert np.array_equal(spectrum[:rep].view(np.uint64), direct[:rep].view(np.uint64))
+    err = np.max(np.abs(spectrum[rep:] - direct[rep:]))
+    assert err <= 1e-12 * np.max(np.abs(direct))
+    assert np.array_equal(spectrum.view(np.uint64), reference.view(np.uint64))
+
+
 class TestPsiFullMirrorEvaluation:
+    """psi_full against ``direct_spectrum``, its row-by-row evaluation.
+
+    Nondegenerate: every amplitude equals the direct one bit for bit.
+    Degenerate: each -omega row is the +omega row's kappa-phase block summed
+    with a second weight vector, simpson * e^{-2 i z delta0} (the exchange
+    identity).  The identity holds in exact arithmetic, not for the rounded
+    cumulative sums, so rows n/2+1 .. n-1 are held to 1e-12 of max|S|, the
+    scale of rounding in a cumulative sum over M panels and far below the
+    z-quadrature error (about 1e-7).  Rows 0 .. n/2 stay bitwise, and every
+    chunk size and thread count gives the threads-1 default-chunk bits.
+    """
+
     M = 128
 
     @pytest.fixture(scope="class", params=[DEG, NONDEG], ids=["degenerate", "nondegenerate"])
@@ -287,31 +324,47 @@ class TestPsiFullMirrorEvaluation:
                                                                mode) != 0.0
         grid = small_grid(n=2 ** 9)
         spectrum = direct_spectrum(grid, self.M, medium, pump, coupling, mode)
-        return grid, medium, pump, coupling, mode, spectrum_to_waveform(grid, spectrum).amplitude
+        with pytest.MonkeyPatch.context() as mp:
+            reference = psi_full_spectrum(mp, grid, self.M, medium, pump, coupling, mode)
+        return (grid, medium, pump, coupling, mode, spectrum,
+                spectrum_to_waveform(grid, spectrum).amplitude, reference)
 
     # 2, 4 and 64 row pairs per chunk divide the 257 representative rows
     # (rows 0 .. n/2) with one left over, 5 with two; 1 asks for one-row
-    # blocks; 10 ** 6 is one chunk
-    @pytest.mark.parametrize("pairs", [1, 2, 4, 5, 64, 10 ** 6])
+    # blocks; 3 leaves the first chunk (rows 0, n/2, 1) one mirror row;
+    # 10 ** 6 is one chunk
+    @pytest.mark.parametrize("pairs", [1, 2, 3, 4, 5, 64, 10 ** 6])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_bitwise_equal_to_direct_evaluation(self, case, monkeypatch, pairs, threads):
-        grid, medium, pump, coupling, mode, expected = case
+        grid, medium, pump, coupling, mode, direct, expected, reference = case
         monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", pairs * 2 * (self.M + 1))
-        wave = psi_full(grid, self.M, medium, pump, coupling, mode, threads=threads)
-        assert np.array_equal(wave.amplitude.view(np.uint64), expected.view(np.uint64))
+        if mode is NONDEG:
+            wave = psi_full(grid, self.M, medium, pump, coupling, mode, threads=threads)
+            assert np.array_equal(wave.amplitude.view(np.uint64), expected.view(np.uint64))
+        else:
+            spectrum = psi_full_spectrum(monkeypatch, grid, self.M, medium, pump,
+                                         coupling, mode, threads=threads)
+            assert_exchange_contract(spectrum, direct, reference)
 
-    def test_default_chunks_on_two_threads(self, case):
+    def test_default_chunks_on_two_threads(self, case, monkeypatch):
         # with two workers a default chunk holds 1016 row pairs at M = 128, so
         # on a grid of 2 ** 11 rows (1025 representatives) the workers claim
         # a full chunk and a short one
-        _, medium, pump, coupling, mode, _ = case
+        _, medium, pump, coupling, mode, _, _, _ = case
         grid = small_grid(n=2 ** 11)
         cells = biphoton._SHARED_CHUNK_FACTOR * biphoton._CHUNK_ELEMENTS
         assert cells // (2 * (self.M + 1)) < grid.n // 2 + 1
-        expected = spectrum_to_waveform(
-            grid, direct_spectrum(grid, self.M, medium, pump, coupling, mode)).amplitude
-        wave = psi_full(grid, self.M, medium, pump, coupling, mode, threads=2)
-        assert np.array_equal(wave.amplitude.view(np.uint64), expected.view(np.uint64))
+        direct = direct_spectrum(grid, self.M, medium, pump, coupling, mode)
+        if mode is NONDEG:
+            expected = spectrum_to_waveform(grid, direct).amplitude
+            wave = psi_full(grid, self.M, medium, pump, coupling, mode, threads=2)
+            assert np.array_equal(wave.amplitude.view(np.uint64), expected.view(np.uint64))
+        else:
+            reference = psi_full_spectrum(monkeypatch, grid, self.M, medium, pump,
+                                          coupling, mode, threads=1)
+            spectrum = psi_full_spectrum(monkeypatch, grid, self.M, medium, pump,
+                                         coupling, mode, threads=2)
+            assert_exchange_contract(spectrum, direct, reference)
 
 
 class TestUniformSpectrum:

@@ -1,6 +1,11 @@
+import json
+
 import pytest
 
-from biphoton_sim.selftest import ALL_CHECKS
+from biphoton_sim import cli, selftest
+from biphoton_sim.selftest import ALL_CHECKS, CheckResult
+
+FIELDS = {"module", "name", "passed", "observed", "expected"}
 
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__)
@@ -8,3 +13,21 @@ def test_selftest_check(check):
     result = check()
     assert result.passed, (f"{result.module}.{result.name}: observed "
                            f"{result.observed:.6e}, expected {result.expected}")
+
+
+def test_json_output_is_one_record_per_check(capsys):
+    code = cli.main(["selftest", "--json"])
+    records = json.loads(capsys.readouterr().out)
+    assert len(records) == len(ALL_CHECKS)
+    assert all(set(rec) == FIELDS for rec in records)
+    assert code == 0 and all(rec["passed"] is True for rec in records)
+
+
+def test_json_output_keeps_the_failure_exit_code(capsys, monkeypatch):
+    failing = CheckResult("biphoton", "always fails", False, float("inf"), "< 1")
+    monkeypatch.setattr(selftest, "ALL_CHECKS", (lambda: failing,))
+    code = cli.main(["selftest", "--json"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {"module": "biphoton", "name": "always fails", "passed": False,
+         "observed": None, "expected": "< 1"}]
