@@ -36,10 +36,9 @@ from .dispersion import (
 from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
 
-# complex128 elements (1 MiB) per full-z working array of one psi_full chunk;
-# chunks are counted in row pairs, two full-z rows each (one in the
-# degenerate scheme), so that no working array grows past this and a worker's
-# arrays stay cache-sized
+# complex128 elements (1 MiB) in the full-z working array of one psi_full
+# chunk; chunks are counted in row pairs, two full-z rows each (one in the
+# degenerate scheme), so that a worker's one working array stays cache-sized
 _CHUNK_ELEMENTS = 2 ** 16
 # With several workers each chunk holds this many times as many elements.
 # Every numpy call of a chunk hands the GIL from one worker to the other, and
@@ -158,22 +157,39 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
 # Full double integral
 # ---------------------------------------------------------------------------
 
-def _cumulative_trapezoid(q_half: np.ndarray, h: float, out: np.ndarray) -> None:
-    """Running trapezoid integral from z = -L/2 of rows that are even in z.
+def _phase_factors(q1: np.ndarray, q2: np.ndarray, h: float, delta0: float,
+                   z0: float, factors: np.ndarray, out: np.ndarray) -> None:
+    """Propagation phase factors e^{i arg(z)} on every node of the full z grid.
 
-    ``q_half`` holds the rows on the z >= 0 nodes; the increments of an even
-    row are mirror images, so only the z >= 0 ones are formed, and mirrored.
-    ``out`` receives the increments and then, summed in place, the integral
-    on every node of the full grid.
+    arg(z) = int_z^{L/2} q1 + int_{-L/2}^z q2 + z delta0, both integrals
+    cumulative trapezoids.  ``q1`` and ``q2`` hold rows that are even in z,
+    on the z >= 0 nodes, so the increment of arg over a panel,
+    h/2 (q2 - q1 at its two nodes, summed) + h delta0, is the same on a
+    panel and on its mirror.  Only the z >= 0 increments are exponentiated,
+    with one anchor per row, e^{i arg(z0)}, where z0 = -L/2 and
+    arg(z0) = int q1 + z0 delta0, into the C-contiguous ``factors`` (shaped
+    like ``q1``); ``out`` receives the anchor times the running product of
+    the mirrored factors.  ``q1`` is overwritten.  Every numpy call here
+    runs on whole contiguous arrays or reads one array and writes another,
+    so none of them needs a temporary copy.
     """
-    inc = out[:, 1:]
-    right = inc[:, inc.shape[1] // 2:]
-    np.add(q_half[:, 1:], q_half[:, :-1], out=right)
-    np.multiply(0.5, right, out=right)
-    np.multiply(right, h, out=right)
-    inc[:, :right.shape[1]] = right[:, ::-1]
-    out[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=inc)
+    mh = q1.shape[1] - 1
+    # photon 1's whole trapezoid integral: the two half integrals are equal
+    anchor = 1j * (h * (2.0 * q1.sum(axis=1) - q1[:, 0] - q1[:, -1]) + z0 * delta0)
+    np.subtract(q2, q1, out=q1)
+    if delta0:
+        np.add(q1, delta0, out=q1)
+    # the node pair sums of all rows in one pass; the sum across a row
+    # boundary lands in column 0, which the anchor takes
+    flat, diff = factors.reshape(-1), q1.reshape(-1)
+    np.add(diff[1:], diff[:-1], out=flat[1:])
+    np.multiply(flat[1:], 0.5j * h, out=flat[1:])
+    factors[:, 0] = anchor
+    np.exp(factors, out=factors)
+    out[:, 0] = factors[:, 0]
+    out[:, 1:mh + 1] = factors[:, :0:-1]
+    out[:, mh + 1:] = factors[:, 1:]
+    np.cumprod(out, axis=1, out=out)
 
 
 def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
@@ -193,42 +209,52 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     (1/2pi) int d omega e^{-i omega tau} S(omega) is an FFT on the paired
     grids.
 
-    The integrand is built from its two mirror symmetries.  The z grid,
+    The integrand is built from its mirror symmetries.  The z grid,
     Omega_c^2(z) and the drive envelope are exact mirrors about z = 0, so
     D(+omega), D(-omega), the wavenumbers and kappa are evaluated on the
     z >= 0 columns only and reflected.  Grid rows i and n - i hold +omega and
     -omega (row n/2 is omega = 0, row 0 has no mirror on the grid): one pair
     of EIT denominators feeds both rows and kappa is even in omega.
 
+    With both wavenumbers even in z, the trapezoid increment of the phase
+    argument over a panel equals the one over its mirror panel.  The phase
+    factors are therefore a running product along z (:func:`_phase_factors`):
+    one anchor e^{i arg(-L/2)} per row times the per-panel factors, of which
+    only the z >= 0 half is exponentiated and then mirrored.  No phase
+    argument is summed up or exponentiated node by node.
+
     In the degenerate scheme the -omega row sees the +omega row's photons
-    exchanged.  Both wavenumbers are even in z, so its phase argument is the
-    +omega row's reflected in z plus 2 z delta0, and since kappa and the
-    Simpson weights are even in z,
+    exchanged.  Its phase argument is the +omega row's reflected in z plus
+    2 z delta0, and since kappa and the Simpson weights are even in z,
 
         S(-omega) = sum_z w(z) kappa(omega, z) e^{i arg(omega, z)} e^{-2 i z delta0}:
 
     the +omega row's finished kappa-phase block summed with a second weight
-    vector.  Only rows 0 .. n/2 form phase factors; they equal the direct
-    per-row evaluation bit for bit, while rows n/2+1 .. n-1 follow from the
-    identity, exact in real arithmetic, and differ from the direct
-    evaluation in the last bits (about 2e-15 of max|S| on the presets).  In
-    the nondegenerate scheme q1(-omega) is not tied to q1(omega), so the
-    -omega rows get their own photon-1 wavenumbers; q2 = -omega/c is odd in
-    omega, so their photon-2 phase is the +omega row's negated.  Every
-    nondegenerate value equals the direct per-row evaluation bit for bit.
+    vector, so only rows 0 .. n/2 form phase factors.  In the nondegenerate
+    scheme q1(-omega) is not tied to q1(omega), so the -omega rows get their
+    own photon-1 wavenumbers and phase factors; their photon-2 wavenumber
+    +omega/c is the +omega row's negated.
+
+    The running product and the exchange identity hold in exact arithmetic;
+    every row differs from a direct evaluation (cumulative sums of the
+    arguments, one ``exp`` per node) in the last bits, a few 1e-15 of
+    max|S| on the presets, and from a 40-digit evaluation of the same
+    discretization by as much as the direct evaluation does: that error is
+    the rounding of q = (omega0 + omega)/c sqrt(1 + chi) - omega0/c, which
+    both share.
 
     The row pairs are split into fixed-size chunks of about
-    ``_CHUNK_ELEMENTS`` cells per full-z array (``_SHARED_CHUNK_FACTOR``
-    times as many when several workers share them; the degenerate scheme
-    fills only the +omega half), which the workers claim one at a time.
-    Each worker allocates its two full-z working arrays once; a chunk forms
-    its increments and cumulative phases in them, turns those into the phase
-    factors in place and multiplies kappa into its two z halves there.  No
-    chunk allocates a full-z array, so the working set stays small and no
-    chunk faults in fresh pages.  Results are deterministic and independent
-    of ``threads``: every chunk is evaluated the same way whichever worker
-    runs it, whatever its size, and its outputs land in a disjoint slice of
-    the spectrum.
+    ``_CHUNK_ELEMENTS`` cells (``_SHARED_CHUNK_FACTOR`` times as many when
+    several workers share them; the degenerate scheme fills only the +omega
+    half), which the workers claim one at a time.  Each worker allocates its
+    one full-z working array and a z >= 0 scratch for the per-panel factors
+    once; a chunk forms its phase factors in the working array, multiplies
+    kappa into its two z halves there and sums it with the Simpson weights.
+    No chunk allocates a full-z array, so the working set stays small and no
+    chunk faults in fresh pages.  Results are
+    deterministic and independent of ``threads`` and of the chunk size:
+    every row is evaluated the same way whichever worker and chunk runs it,
+    and its outputs land in a disjoint slice of the spectrum.
     """
     if z_panels < 64:
         raise ValueError(f"z_panels must be >= 64, got {z_panels}")
@@ -251,7 +277,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     gc = beam_profile(coupling, z_half, medium.theta)
     oc_sq = (coupling.peak_rabi * gc) ** 2
     envelope = gp * gc
-    z_phase = z * _residual_wavevector(medium, pump, coupling, mode)
+    delta0 = _residual_wavevector(medium, pump, coupling, mode)
 
     n = grid.n
     half = n // 2
@@ -260,7 +286,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     if degenerate:
         # the -omega row's integrand is the +omega row's reflected in z times
         # e^{2 i z delta0}, and kappa and the Simpson weights are even in z
-        w_minus = simpson * np.exp(-2j * z_phase)
+        w_minus = simpson * np.exp(-2j * (z * delta0))
     # Representative rows: 0 and n/2 stand only for themselves and come first,
     # so they share the first chunk; row i in 1 .. n/2-1 also stands for row
     # n - i.
@@ -277,10 +303,18 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     spans = list(zip(bounds[:-1], bounds[1:]))
 
     def run_chunks(claimed) -> None:
-        # the worker's full-z working arrays, sized for the largest chunk; the
-        # degenerate -omega rows need none
-        rows = max(stop - start for start, stop in spans) * (1 if degenerate else 2)
-        work = np.empty((2, rows, m + 1), complex)
+        # the worker's one full-z working array, sized for the largest chunk
+        # (the degenerate -omega rows need none), and the contiguous z >= 0
+        # phase factors of one block.  The working array is allocated twice:
+        # glibc serves it by mmap, and freeing that copy lifts its dynamic
+        # mmap and trim thresholds above the size, so the chunks' z >= 0
+        # arrays come from the heap and are reused, not trimmed and faulted
+        # in again (a fresh fig3d call: 9.6k minor faults without, 0.9k with).
+        rows = max(stop - start for start, stop in spans)
+        shape = (rows * (1 if degenerate else 2), m + 1)
+        np.empty(shape, complex)  # freed at once
+        work = np.empty(shape, complex)
+        factors = np.empty((rows, mh + 1), complex)
         # The chunk body stays inline: a chunk's z >= 0 arrays stay bound until
         # the next chunk rebinds their names, so they are freed inside the heap
         # and reused.  Freed on return from a per-chunk function, they left
@@ -295,43 +329,29 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
             d_minus = eit_denominator(-om, oc_sq, medium)
             q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
             kap = _coupling(d_plus, d_minus, envelope, medium, pump, mode, scale)
-            if degenerate:
-                cum1, cum2 = work[:, :k]
-                _cumulative_trapezoid(q1, h, cum1)
-                _cumulative_trapezoid(q2, h, cum2)
-                blocks = ((cum2, kap),)
-            else:
+            phase = work[:k]
+            _phase_factors(q1, q2, h, delta0, z[0], factors[:k], phase)
+            blocks = ((phase, kap),)
+            if not degenerate:
                 # q1(-omega) is not tied to q1(omega): the -omega rows get
                 # their own wavenumbers; q2 = -omega/c is odd
-                cum1, cum2 = work[:, :2 * k - lo]
-                _cumulative_trapezoid(q1, h, cum1[:k])
-                _cumulative_trapezoid(q2, h, cum2[:k])
-                q1, _ = pair_wavenumbers(-om[lo:], d_minus[lo:], d_plus[lo:], medium, mode)
-                _cumulative_trapezoid(q1, h, cum1[k:])
-                np.negative(cum2[lo:k], out=cum2[k:])
-                blocks = ((cum2[:k], kap), (cum2[k:], kap[lo:]))
-            # the phase argument, its exp and the product with kappa round as
-            # kappa * exp(1j * (cum1[-1] - cum1 + cum2 + z delta0)); delta0 is
-            # zero in the nondegenerate scheme
-            np.subtract(cum1[:, -1:], cum1, out=cum1)
-            np.add(cum1, cum2, out=cum1)
-            if degenerate:
-                np.add(cum1, z_phase, out=cum1)
-            np.multiply(1j, cum1, out=cum1)
-            np.exp(cum1, out=cum2)
+                q1, q2 = pair_wavenumbers(-om[lo:], d_minus[lo:], d_plus[lo:], medium, mode)
+                phase = work[:2 * k - lo]
+                _phase_factors(q1, q2, h, delta0, z[0], factors[:k - lo], phase[k:])
+                blocks = ((phase[:k], kap), (phase[k:], kap[lo:]))
             # kappa is even in z and in omega
-            for phase, kap_rows in blocks:
-                np.multiply(kap_rows, phase[:, mh:], out=phase[:, mh:])
-                np.multiply(kap_rows[:, :0:-1], phase[:, :mh], out=phase[:, :mh])
+            for block, kap_rows in blocks:
+                np.multiply(kap_rows, block[:, mh:], out=block[:, mh:])
+                np.multiply(kap_rows[:, :0:-1], block[:, :mh], out=block[:, :mh])
             if degenerate:
                 # two matvecs over the same k rows: a two-column matmul, or a
                 # mirror matvec over only the k - lo mirrored rows (one row in
                 # a first chunk of three), may take another BLAS path and
                 # change the bits
-                spectrum[idx] = cum2 @ simpson
-                spectrum[n - idx[lo:]] = (cum2 @ w_minus)[lo:]
+                spectrum[idx] = phase @ simpson
+                spectrum[n - idx[lo:]] = (phase @ w_minus)[lo:]
             else:
-                spectrum[np.concatenate([idx, n - idx[lo:]])] = cum2 @ simpson
+                spectrum[np.concatenate([idx, n - idx[lo:]])] = phase @ simpson
 
     workers = min(workers, len(spans))
     # one worker (threads == 1, or one chunk) runs in the calling thread:

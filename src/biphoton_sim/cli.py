@@ -12,7 +12,8 @@ selftest       oracle-equivalence and invariant suite (--json: the records)
 writes the CSV and its sidecar (same path, ``.json`` suffix), so a failed run
 leaves no output.  Both files are written under temporary names and renamed
 into place, so a failed write leaves neither.  Every waveform engine runs
-behind the same grid check.
+behind the same grid check, and a waveform with a non-finite amplitude is
+rejected before anything is derived from it.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
@@ -95,7 +96,13 @@ ENGINES = {
 def _build_waveform(cfg: RunConfig, engine: str, threads: int):
     grid = cfg.numerics.grid()
     check_grid(grid, cfg.medium, cfg.coupling)
-    return ENGINES[engine](cfg, grid, threads)
+    wave = ENGINES[engine](cfg, grid, threads)
+    finite = np.isfinite(wave.amplitude)
+    if not finite.all():
+        raise GridError(f"the {engine} engine gave a non-finite amplitude at "
+                        f"{grid.n - np.count_nonzero(finite)} of {grid.n} tau points: "
+                        "some input overflows double precision")
+    return wave
 
 
 # ---------------------------------------------------------------------------

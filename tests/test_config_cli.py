@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from biphoton_sim import (
     parse_config,
 )
 from biphoton_sim.cli import main
-from biphoton_sim.config import PRESET_NAMES, SECTIONS
+from biphoton_sim.config import MAX_Z_PANELS, PRESET_NAMES, SECTIONS, NumericsConfig
 
 from conftest import MHZ
 
@@ -87,6 +88,13 @@ class TestConfig:
         data["medium"]["od"] = -5.0
         with pytest.raises(ConfigError, match="medium"):
             parse_config(json.dumps(data))
+
+    def test_z_panels_bounds_name_the_field(self):
+        assert NumericsConfig(z_panels=MAX_Z_PANELS).z_panels == 2 ** 16
+        for m in (62, 65, MAX_Z_PANELS + 2):
+            with pytest.raises(ConfigError) as info:
+                NumericsConfig(z_panels=m)
+            assert str(info.value).startswith("numerics.z_panels: ")
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
@@ -284,6 +292,37 @@ class TestCli:
         assert "increase numerics.tau_span_ns to at least 90838" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_z_panels_above_bound_exits_2_before_allocating(self, tmp_path, capsys):
+        # 10^8 panels used to ask psi_full for a 8.9 GiB working array
+        data = dump_config(load_preset("fig3d"))
+        data["numerics"]["z_panels"] = 100_000_000
+        cfg = write_config(tmp_path, data)
+        tracemalloc.start()
+        try:
+            code = main(["waveform", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: numerics.z_panels: ")
+        assert peak < 1e6
+
+    # numpy warns of the overflow, also from psi_full's worker threads
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("engine", ["full", "uniform"])
+    def test_non_finite_waveform_exits_4_leaving_no_file(self, tmp_path, capsys, engine):
+        # a 1e-300 mm medium overflows the susceptibility; the waveform used
+        # to be written as rows of nan with exit 0
+        data = small_numerics(dump_config(load_preset("fig3d")))
+        data["medium"]["length_mm"] = 1e-300
+        cfg = write_config(tmp_path, data)
+        code = main(["waveform", "--config", cfg, "--engine", engine,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            f"numerics error: the {engine} engine gave a non-finite amplitude at 4096 of 4096")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_negative_threads_env_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIPHOTON_SIM_THREADS", "-3")
         data = small_numerics(dump_config(load_preset("fig3d")))
@@ -333,6 +372,10 @@ class TestCli:
     (["waveform"], {"numerics": {"n_omega": "4096"}}, "numerics.n_omega"),
     (["waveform"], {"numerics": {"n_omega": True}}, "numerics.n_omega"),
     (["waveform"], {"numerics": {"n_omega": math.inf}}, "numerics.n_omega"),
+    (["waveform"], {"numerics": {"tau_span_ns": 1e-300}}, "numerics.tau_span_ns"),
+    (["waveform"],
+     {"coupling": {**dump_config(load_preset("fig5"))["coupling"], "peak_rabi_mhz": 1e200}},
+     "coupling.peak_rabi_mhz"),
     (["waveform"], {"numerik": {"n_omega": 4096}}, "config.numerik"),
     (["waveform"], {"medium": {**dump_config(load_preset("fig5"))["medium"], "odd": 1.0}},
      "medium.odd"),
@@ -345,7 +388,8 @@ class TestCli:
         "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
         "no-powers", "one-power", "one-power-flag", "scale-nan", "noise-nan",
         "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
-        "unknown-section", "unknown-field", "threads-negative", "threads-negative-spectrum",
+        "tau-span-subnormal", "rabi-overflow", "unknown-section", "unknown-field",
+        "threads-negative", "threads-negative-spectrum",
         "floor-swamps-signal"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     data = small_numerics(dump_config(load_preset("fig5")))
