@@ -15,8 +15,8 @@ import numpy as np
 
 from .biphoton import psi_full
 from .dispersion import group_delay_estimate
-from .grids import SpectralGrid
-from .params import BeamField, GenerationMode, MediumConfig, rabi_scale
+from .grids import SpectralGrid, check_finite
+from .params import BeamField, GenerationMode, MediumConfig, rabi_at_power
 
 # Width threshold referenced to a smoothed envelope; fit window anchored just
 # below the post-peak shoulder, one e-fold deep.  See extract_coherence_time.
@@ -189,21 +189,22 @@ def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
     against the reference coupling beam; the formula column is the group-delay
     coherence time 2L/V_g = (4 gamma13/|Omega_c|^2) OD, linear in
     x = gamma13^2/|Omega_c|^2 with slope 4 OD / gamma13.  Given a ``grid``,
-    the 1/e width of the full waveform on it is extracted as well.
+    the 1/e width of the full waveform on it is extracted as well; a waveform
+    with a non-finite amplitude raises :class:`GridError`, as in every other
+    output path.
     """
     points: list[ScanPoint] = []
     for power in coupling_powers:
         if power <= 0:
             raise ValueError(f"coupling power must be > 0, got {power}")
-        omega_c = rabi_scale(power, coupling.waist, coupling.power,
-                             coupling.waist, coupling.peak_rabi)
+        omega_c = rabi_at_power(coupling, power)
         x = (medium.gamma13 / omega_c) ** 2
         t_formula = 2.0 * group_delay_estimate(medium, omega_c)
         t_full = None
         if grid is not None:
             scan_coupling = replace(coupling, power=power, peak_rabi=omega_c)
-            wave = psi_full(grid, z_panels, medium, pump, scan_coupling, mode,
-                            scale=scale, threads=threads)
+            wave = check_finite(psi_full(grid, z_panels, medium, pump, scan_coupling, mode,
+                                         scale=scale, threads=threads), "full")
             report = extract_coherence_time(wave.intensity, wave.tau)
             t_full = report.e_inverse_width
         points.append(ScanPoint(power=power, omega_c=omega_c, x=x,

@@ -33,7 +33,7 @@ from .dispersion import (
     group_delay_estimate,
     pair_wavenumbers,
 )
-from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
+from .grids import MAX_N_OMEGA, GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
 
 # complex128 elements (1 MiB) in the full-z working array of one psi_full
@@ -58,12 +58,18 @@ def _upper_dephasing(medium: MediumConfig, mode: GenerationMode) -> float:
     return medium.gamma13
 
 
-def _coupling(d_plus, d_minus, envelope, medium: MediumConfig, pump: BeamField,
-              mode: GenerationMode, scale: float):
-    """kappa from the EIT denominators D(+omega), D(-omega); see :func:`kappa`."""
+def _coupling(recip, envelope, medium: MediumConfig, pump: BeamField,
+              mode: GenerationMode, scale: float, out=None):
+    """kappa from the reciprocal 1/D(omega); see :func:`kappa`.
+
+    D(-omega) = D(omega)*, so the symmetrized 1/D(omega) + 1/D(-omega) is
+    2 Re(1/D(omega)), bit for bit: the reciprocal that feeds the
+    wavenumbers serves kappa too, and no denominator is divided twice.
+    ``out`` receives kappa and must not overlap ``recip``.
+    """
     den1 = pump.detuning + 1j * _upper_dephasing(medium, mode)
     prefactor = -1j * (medium.omega0 / (2.0 * C_LIGHT)) * scale / den1
-    return prefactor * envelope * (1.0 / d_plus + 1.0 / d_minus)
+    return np.multiply(2.0 * prefactor * envelope, recip.real, out=out)
 
 
 def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
@@ -84,8 +90,7 @@ def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
     om = np.asarray(omega, dtype=float)
     gc = beam_profile(coupling, z, medium.theta)
     oc_sq = (coupling.peak_rabi * gc) ** 2
-    value = _coupling(eit_denominator(om, oc_sq, medium),
-                      eit_denominator(-om, oc_sq, medium),
+    value = _coupling(1.0 / eit_denominator(om, oc_sq, medium),
                       beam_profile(pump, z, medium.theta) * gc,
                       medium, pump, mode, scale)
     if np.isscalar(omega):
@@ -131,13 +136,17 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
     (a finer tau step, i.e. larger n_omega at fixed span, widens the grid),
     and the tau window 2 pi / d_omega to span at least four group delays, so
     the group-delay support |tau| <= L/V_g cannot wrap around the periodic
-    window of the FFT.
+    window of the FFT.  The message suggests the grid that would pass; when
+    that grid needs more than ``MAX_N_OMEGA`` points, which no configuration
+    may ask for, it says so instead and names the coupling Rabi frequency,
+    whose square sets both the linewidth and the group delay.
     """
     proxy = eit_bandwidth_proxy(medium, coupling.peak_rabi)
     needed = 8.0 * proxy
     tau_span = 2.0 * np.pi / grid.d_omega
     if grid.omega_max < needed:
         n_pow2 = _next_pow2(needed * tau_span / np.pi)
+        _check_admissible(n_pow2, "tau span", coupling)
         raise GridError(
             f"grid half-span {grid.omega_max:.3e} rad/s is below 8 EIT linewidths "
             f"({needed:.3e} rad/s); increase n_omega to at least {n_pow2}",
@@ -146,11 +155,21 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
     if tau_span < span_needed:
         span_ns = math.ceil(span_needed * 1e9)
         n_pow2 = _next_pow2(grid.n * span_ns * 1e-9 / tau_span)
+        _check_admissible(n_pow2, "tau step", coupling)
         raise GridError(
             f"tau window {tau_span * 1e9:.6g} ns is below 4 group delays "
             f"({span_needed * 1e9:.6g} ns); increase numerics.tau_span_ns to at least "
             f"{span_ns} and n_omega to at least {n_pow2} to keep the detuning span",
             suggested_n_omega=n_pow2)
+
+
+def _check_admissible(n_pow2: int, kept: str, coupling: BeamField) -> None:
+    if n_pow2 > MAX_N_OMEGA:
+        raise GridError(
+            f"no admissible grid resolves this run: at its {kept} it needs n_omega of "
+            f"about 2^{n_pow2.bit_length() - 1}, above the largest accepted 2^20; the "
+            f"coupling Rabi frequency {coupling.peak_rabi / (2e6 * math.pi):.6g} MHz "
+            f"(coupling power {coupling.power * 1e3:.6g} mW) sets this scale")
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +230,11 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
 
     The integrand is built from its mirror symmetries.  The z grid,
     Omega_c^2(z) and the drive envelope are exact mirrors about z = 0, so
-    D(+omega), D(-omega), the wavenumbers and kappa are evaluated on the
-    z >= 0 columns only and reflected.  Grid rows i and n - i hold +omega and
-    -omega (row n/2 is omega = 0, row 0 has no mirror on the grid): one pair
-    of EIT denominators feeds both rows and kappa is even in omega.
+    1/D(omega), the wavenumbers and kappa are evaluated on the z >= 0
+    columns only and reflected.  Grid rows i and n - i hold +omega and
+    -omega (row n/2 is omega = 0, row 0 has no mirror on the grid): since
+    D(-omega) = D(omega)*, one EIT reciprocal feeds the wavenumbers of both
+    rows and kappa, which is even in omega.
 
     With both wavenumbers even in z, the trapezoid increment of the phase
     argument over a panel equals the one over its mirror panel.  The phase
@@ -238,23 +258,26 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     The running product and the exchange identity hold in exact arithmetic;
     every row differs from a direct evaluation (cumulative sums of the
     arguments, one ``exp`` per node) in the last bits, a few 1e-15 of
-    max|S| on the presets, and from a 40-digit evaluation of the same
-    discretization by as much as the direct evaluation does: that error is
-    the rounding of q = (omega0 + omega)/c sqrt(1 + chi) - omega0/c, which
-    both share.
+    max|S| on the presets.  The wavenumbers carry no cancellation
+    (:func:`~biphoton_sim.dispersion.pair_wavenumbers` never subtracts
+    omega0/c from k1), so against a 40-digit evaluation of the same
+    discretization both evaluations are off by the rounding of their phase
+    sums or running product over the z panels, a few 1e-15 of max|S|.
 
     The row pairs are split into fixed-size chunks of about
     ``_CHUNK_ELEMENTS`` cells (``_SHARED_CHUNK_FACTOR`` times as many when
     several workers share them; the degenerate scheme fills only the +omega
     half), which the workers claim one at a time.  Each worker allocates its
-    one full-z working array and a z >= 0 scratch for the per-panel factors
-    once; a chunk forms its phase factors in the working array, multiplies
-    kappa into its two z halves there and sums it with the Simpson weights.
-    No chunk allocates a full-z array, so the working set stays small and no
-    chunk faults in fresh pages.  Results are
-    deterministic and independent of ``threads`` and of the chunk size:
-    every row is evaluated the same way whichever worker and chunk runs it,
-    and its outputs land in a disjoint slice of the spectrum.
+    workspace once per call: one full-z working array and z >= 0 blocks for
+    the per-panel factors, the EIT reciprocal, both wavenumbers and their
+    real scratch.  A chunk writes all of them with ``out=``, forms its
+    phase factors in the working array, multiplies kappa into its two z
+    halves there and sums it with the Simpson weights.  No chunk allocates
+    a block-sized array, so the working set stays small and no chunk faults
+    in fresh pages.  Results are deterministic and independent of
+    ``threads`` and of the chunk size: every row is evaluated the same way
+    whichever worker and chunk runs it, and its outputs land in a disjoint
+    slice of the spectrum.
     """
     if z_panels < 64:
         raise ValueError(f"z_panels must be >= 64, got {z_panels}")
@@ -303,42 +326,48 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     spans = list(zip(bounds[:-1], bounds[1:]))
 
     def run_chunks(claimed) -> None:
-        # the worker's one full-z working array, sized for the largest chunk
-        # (the degenerate -omega rows need none), and the contiguous z >= 0
-        # phase factors of one block.  The working array is allocated twice:
-        # glibc serves it by mmap, and freeing that copy lifts its dynamic
-        # mmap and trim thresholds above the size, so the chunks' z >= 0
-        # arrays come from the heap and are reused, not trimmed and faulted
-        # in again (a fresh fig3d call: 9.6k minor faults without, 0.9k with).
+        # The worker's workspace, sized for the largest chunk: its one full-z
+        # working array (the degenerate -omega rows need none) and its z >= 0
+        # blocks, which every chunk writes with out=: the per-panel phase
+        # factors, 1/D(omega), q1 (then kappa), q2 (1/D(-omega) in the
+        # nondegenerate scheme) and four real scratch arrays for the
+        # wavenumbers.  The working array is allocated twice: glibc serves it
+        # by mmap, and freeing that copy lifts its dynamic mmap and trim
+        # thresholds above the size, so the workspace and what a chunk still
+        # allocates (numpy's 128 KiB casting buffers among it) come from the
+        # heap and are reused, in this call and the next, not mapped and
+        # faulted in again (three fig2d calls in one process: 19k minor
+        # faults without, 2.5k with).
         rows = max(stop - start for start, stop in spans)
         shape = (rows * (1 if degenerate else 2), m + 1)
         np.empty(shape, complex)  # freed at once
         work = np.empty(shape, complex)
         factors = np.empty((rows, mh + 1), complex)
-        # The chunk body stays inline: a chunk's z >= 0 arrays stay bound until
-        # the next chunk rebinds their names, so they are freed inside the heap
-        # and reused.  Freed on return from a per-chunk function, they left
-        # the heap top free, the allocator gave it back to the system and every
-        # chunk faulted it in again (fig3d: 78k minor faults instead of 2.1k).
+        zpos_blocks = np.empty((3, rows, mh + 1), complex)
+        scratch = np.empty((4, rows, mh + 1))
         for start, stop in claimed:
             idx = reps[start:stop]
             k = len(idx)
             lo = 2 if start == 0 else 0  # leading rows without a mirror
             om = grid.omega[idx][:, None]
-            d_plus = eit_denominator(om, oc_sq, medium)
-            d_minus = eit_denominator(-om, oc_sq, medium)
-            q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
-            kap = _coupling(d_plus, d_minus, envelope, medium, pump, mode, scale)
+            recip, q1_block, q2_block = zpos_blocks[:, :k]
+            np.divide(1.0, eit_denominator(om, oc_sq, medium, out=recip), out=recip)
+            q1, q2 = pair_wavenumbers(om, recip, medium, mode, out=(q1_block, q2_block),
+                                      scratch=scratch[:, :k])
             phase = work[:k]
             _phase_factors(q1, q2, h, delta0, z[0], factors[:k], phase)
-            blocks = ((phase, kap),)
             if not degenerate:
                 # q1(-omega) is not tied to q1(omega): the -omega rows get
-                # their own wavenumbers; q2 = -omega/c is odd
-                q1, q2 = pair_wavenumbers(-om[lo:], d_minus[lo:], d_plus[lo:], medium, mode)
+                # their own wavenumbers, from 1/D(-omega) = 1/D(omega)*;
+                # q2 = -omega/c is odd
+                r_minus = np.conjugate(recip[lo:], out=q2_block[:k - lo])
+                q1, q2 = pair_wavenumbers(-om[lo:], r_minus, medium, mode,
+                                          out=(q1_block[:k - lo], None),
+                                          scratch=scratch[:, :k - lo])
                 phase = work[:2 * k - lo]
                 _phase_factors(q1, q2, h, delta0, z[0], factors[:k - lo], phase[k:])
-                blocks = ((phase[:k], kap), (phase[k:], kap[lo:]))
+            kap = _coupling(recip, envelope, medium, pump, mode, scale, out=q1_block)
+            blocks = ((phase, kap),) if degenerate else ((phase[:k], kap), (phase[k:], kap[lo:]))
             # kappa is even in z and in omega
             for block, kap_rows in blocks:
                 np.multiply(kap_rows, block[:, mh:], out=block[:, mh:])
@@ -399,10 +428,9 @@ def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
     e^{-alpha L} magnitude of Phi.
     """
     om = grid.omega
-    d_plus = eit_denominator(om, coupling.peak_rabi ** 2, medium)
-    d_minus = eit_denominator(-om, coupling.peak_rabi ** 2, medium)
-    q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
-    kap = _coupling(d_plus, d_minus, 1.0, medium, pump, mode, scale)
+    recip = 1.0 / eit_denominator(om, coupling.peak_rabi ** 2, medium)
+    q1, q2 = pair_wavenumbers(om, recip, medium, mode)
+    kap = _coupling(recip, 1.0, medium, pump, mode, scale)
     # z-phase coefficient; sinc is even in it
     mismatch = q2 - q1 + _residual_wavevector(medium, pump, coupling, mode)
     L = medium.length

@@ -43,7 +43,7 @@ from .biphoton import (
 )
 from .config import ConfigError, RunConfig, check_power_mw, load_config
 from .dispersion import eit_absorption_loss, eit_transmission, group_delay_estimate
-from .grids import GridError, csv_text, spectrum_to_waveform, waveform_csv_rows
+from .grids import GridError, check_finite, csv_text, spectrum_to_waveform, waveform_csv_rows
 from .interference import (
     beat_correlation,
     extract_beat_frequency,
@@ -96,13 +96,7 @@ ENGINES = {
 def _build_waveform(cfg: RunConfig, engine: str, threads: int):
     grid = cfg.numerics.grid()
     check_grid(grid, cfg.medium, cfg.coupling)
-    wave = ENGINES[engine](cfg, grid, threads)
-    finite = np.isfinite(wave.amplitude)
-    if not finite.all():
-        raise GridError(f"the {engine} engine gave a non-finite amplitude at "
-                        f"{grid.n - np.count_nonzero(finite)} of {grid.n} tau points: "
-                        "some input overflows double precision")
-    return wave
+    return check_finite(ENGINES[engine](cfg, grid, threads), engine)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +173,7 @@ def _scan(cfg: RunConfig, args, threads: int):
         except ValueError:
             raise ConfigError(f"must be comma-separated numbers, got {args.powers!r}",
                               field) from None
-        powers = [check_power_mw(p, field) * 1e-3 for p in values]
+        powers = [check_power_mw(p, field, cfg.coupling, cfg.medium) * 1e-3 for p in values]
     elif cfg.scan_powers is not None:
         powers = list(cfg.scan_powers)
     else:

@@ -14,9 +14,16 @@ import math
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from importlib import resources
 
-from .grids import SpectralGrid
+from .grids import MAX_N_OMEGA, SpectralGrid
 from .interference import InterferometerConfig
-from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig
+from .params import (
+    C_LIGHT,
+    BeamField,
+    DetectionConfig,
+    GenerationMode,
+    MediumConfig,
+    rabi_at_power,
+)
 
 MHZ = 2.0 * math.pi * 1e6  # linear MHz -> rad/s
 
@@ -53,7 +60,7 @@ class NumericsConfig:
 
     def __post_init__(self) -> None:
         n = self.n_omega
-        if n < 2 ** 10 or n > 2 ** 20 or n & (n - 1) != 0:
+        if n < 2 ** 10 or n > MAX_N_OMEGA or n & (n - 1) != 0:
             raise ConfigError(f"must be a power of two in [2^10, 2^20], got {n}",
                               "numerics.n_omega")
         m = self.z_panels
@@ -195,10 +202,14 @@ def _check_below_carrier(sections: dict) -> None:
             f"grid reaches the optical carrier, got {numerics.tau_span * 1e9:g}",
             "numerics.tau_span_ns")
     for name in ("pump", "coupling"):
-        if sections[name].peak_rabi >= w0:
-            raise ConfigError(
-                f"must be below the optical carrier frequency {w0 / MHZ:.6g} MHz, "
-                f"got {sections[name].peak_rabi / MHZ:g}", f"{name}.peak_rabi_mhz")
+        _check_rabi(sections[name].peak_rabi, w0, f"{name}.peak_rabi_mhz")
+
+
+def _check_rabi(rabi: float, w0: float, where: str, subject: str = "") -> None:
+    """The rotating-wave model of the drive fields needs Rabi frequencies below omega0."""
+    if rabi >= w0:
+        raise ConfigError(f"{subject}must be below the optical carrier frequency "
+                          f"{w0 / MHZ:.6g} MHz, got {rabi / MHZ:g} MHz", where)
 
 
 def _build(data) -> RunConfig:
@@ -228,7 +239,8 @@ def _build(data) -> RunConfig:
             if not isinstance(powers, list) or len(powers) < 1:
                 raise ConfigError("must be a non-empty list", "scan.powers_mw")
             scan_powers = tuple(
-                check_power_mw(p, f"scan.powers_mw[{i}]") * 1e-3
+                check_power_mw(p, f"scan.powers_mw[{i}]", sections["coupling"],
+                               sections["medium"]) * 1e-3
                 for i, p in enumerate(powers))
 
     kappa_scale = _finite(data.get("kappa_scale", 1.0), "config.kappa_scale")
@@ -239,11 +251,22 @@ def _build(data) -> RunConfig:
                      kappa_scale=kappa_scale)
 
 
-def check_power_mw(val, where: str) -> float:
-    """A coupling power in mW: finite and > 0 (the Rabi scaling takes its root)."""
+def check_power_mw(val, where: str, coupling: BeamField, medium: MediumConfig) -> float:
+    """A scan coupling power in mW, checked with the Rabi frequency it gives.
+
+    The power must be finite and > 0 (the Rabi scaling takes its root), and
+    the coupling Rabi frequency scaled to it from ``coupling`` is held to
+    the carrier bound of a configured one.
+    """
     power = _finite(val, where)
     if power <= 0:
         raise ConfigError(f"coupling power must be > 0, got {val!r}", where)
+    try:
+        rabi = rabi_at_power(coupling, power * 1e-3)
+    except ValueError as exc:  # a reference beam of zero power or Rabi frequency
+        raise ConfigError(f"cannot scale the coupling Rabi frequency to it: {exc}",
+                          where) from None
+    _check_rabi(rabi, medium.omega0, where, "the coupling Rabi frequency it gives ")
     return power
 
 

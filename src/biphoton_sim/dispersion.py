@@ -5,8 +5,9 @@ The EIT pole structure is written once, in :func:`eit_denominator`:
     D(omega; |Omega_c|^2) = |Omega_c|^2 - 4 (omega + i gamma13)(omega + i gamma12)
 
 The linear susceptibility, the slow-photon wavenumber built on it, and the
-parametric coupling kappa of :mod:`biphoton_sim.biphoton` all take D as an
-input, so both photons of a degenerate pair see one medium:
+parametric coupling kappa of :mod:`biphoton_sim.biphoton` all take the
+reciprocal 1/D as an input, so both photons of a degenerate pair see one
+medium:
 k2(omega) = k1(-omega) and kappa(omega) = kappa(-omega) hold exactly.  Also
 here: transparency / group-delay / absorption diagnostics, and the
 eigenvalue analysis of the counter-propagating two-mode coupling matrix.
@@ -36,20 +37,45 @@ class PTModeResult:
     regime: PTRegime
 
 
-def eit_denominator(omega, omega_c_sq, medium: MediumConfig):
+def eit_denominator(omega, omega_c_sq, medium: MediumConfig, out=None):
     """EIT denominator D = |Omega_c|^2 - 4 (omega + i gamma13)(omega + i gamma12).
 
     Shared by the linear and third-order responses (Du, Wen & Rubin, JOSA B
-    25, C98, 2008).  ``omega_c_sq`` is the local squared coupling Rabi
-    frequency and may carry a z axis that broadcasts against ``omega``.  D
-    cannot vanish for real omega when gamma13 > 0; for vanishing dephasing
-    its zeros omega = +/- Omega_c/2 are the two dressed-state resonances.
+    25, C98, 2008), which both take its reciprocal 1/D.  With |Omega_c|^2
+    real, D(-omega) = D(omega)*, so one reciprocal serves +omega and -omega:
+    every caller forms it once and hands the same array to the
+    susceptibility, both wavenumbers and kappa.  ``omega_c_sq`` is the
+    local squared coupling Rabi frequency and may carry a z axis that
+    broadcasts against ``omega``; ``out`` receives D.  D cannot vanish for
+    real omega when gamma13 > 0; for vanishing dephasing its zeros
+    omega = +/- Omega_c/2 are the two dressed-state resonances.
     """
-    return omega_c_sq - 4.0 * (omega + 1j * medium.gamma13) * (omega + 1j * medium.gamma12)
+    return np.subtract(omega_c_sq,
+                       4.0 * (omega + 1j * medium.gamma13) * (omega + 1j * medium.gamma12),
+                       out=out)
 
 
-def _susceptibility(omega, d, medium: MediumConfig):
-    return 4.0 * density_prefactor(medium) * (omega + 1j * medium.gamma12) / d
+def _susceptibility(omega, recip, medium: MediumConfig, re, im, tmp):
+    """chi = 4 beta (omega + i gamma12) / D into the real arrays ``re``, ``im``.
+
+    ``recip`` is 1/D.  Real products and sums only, each correctly rounded,
+    so an element's bits do not depend on the array around it; ``tmp`` is
+    overwritten.
+    """
+    b4 = 4.0 * density_prefactor(medium)
+    p_re, p_im = b4 * omega, b4 * medium.gamma12
+    np.multiply(recip.real, p_re, out=re)
+    np.multiply(recip.imag, p_im, out=tmp)
+    np.subtract(re, tmp, out=re)
+    np.multiply(recip.imag, p_re, out=im)
+    np.multiply(recip.real, p_im, out=tmp)
+    np.add(im, tmp, out=im)
+    return re, im
+
+
+def _real_scratch(count: int, shape) -> list:
+    block = np.empty((count, *shape))
+    return [block[i, ...] for i in range(count)]  # 0-d views, not scalars
 
 
 def chi_linear(omega, omega_c_local: float, medium: MediumConfig):
@@ -67,43 +93,89 @@ def chi_linear(omega, omega_c_local: float, medium: MediumConfig):
     if omega_c_local < 0:
         raise ValueError(f"omega_c_local must be >= 0, got {omega_c_local}")
     om = np.asarray(omega, dtype=float)
-    chi = _susceptibility(om, eit_denominator(om, omega_c_local ** 2, medium), medium)
+    recip = 1.0 / eit_denominator(om, omega_c_local ** 2, medium)
+    re, im = _susceptibility(om, recip, medium, *_real_scratch(3, om.shape))
+    chi = re + 1j * im
     if np.isscalar(omega):
         return complex(chi)
     return chi
 
 
-def _slow_wavenumber(omega, d, medium: MediumConfig):
+def _slow_wavenumber(omega, x, y, medium: MediumConfig, out, tmp):
     """Carrier-subtracted wavenumber of the slow photon, q = k1 - omega0/c.
 
-    k1(omega) = (omega0 + omega)/c sqrt(1 + chi(omega)), principal branch,
-    with chi built on the EIT denominator ``d`` = D(omega).
+    k1(omega) = (omega0 + omega)/c sqrt(1 + chi), principal branch, with
+    chi = x + i y from :func:`_susceptibility`.  Subtracting omega0/c from
+    k1 would cancel all but a few digits of q (|chi| is 1e-7 at the grid
+    edges), so the subtraction is done exactly instead: with
+
+        u = |1 + chi|^2 - 1 = x (2 + x) + y^2,   r = sqrt(1 + u),
+        v = a^2 - 1 = (u / (r + 1) + x) / 2,     a = Re sqrt(1 + chi) = sqrt(1 + v),
+
+    q = (omega0 + omega)/c (v / (a + 1) + i y / (2 a)) + omega/c.
+
+    Only real +, -, *, / and sqrt, each correctly rounded, so an element's
+    bits do not depend on the array, chunk or thread that holds it.  ``x``
+    and ``y`` are only read; ``out`` (complex, allocated when None) receives
+    q and ``tmp`` holds two real scratch arrays.
     """
-    w0 = medium.omega0
-    chi = _susceptibility(omega, d, medium)
-    return (w0 + omega) / C_LIGHT * np.sqrt(1.0 + chi) - w0 / C_LIGHT
+    if out is None:
+        out = np.empty(np.shape(x), complex)
+    t, s = tmp
+    np.add(x, 2.0, out=t)
+    np.multiply(t, x, out=t)
+    np.multiply(y, y, out=s)
+    np.add(t, s, out=t)           # u
+    np.add(t, 1.0, out=s)
+    np.sqrt(s, out=s)
+    np.add(s, 1.0, out=s)         # r + 1
+    np.divide(t, s, out=t)
+    np.add(t, x, out=t)
+    np.multiply(t, 0.5, out=t)    # v
+    np.add(t, 1.0, out=s)
+    np.sqrt(s, out=s)             # a
+    k = (medium.omega0 + omega) / C_LIGHT
+    np.divide(y, s, out=out.imag)
+    np.multiply(out.imag, 0.5 * k, out=out.imag)
+    np.add(s, 1.0, out=s)
+    np.divide(t, s, out=t)        # v / (a + 1)
+    np.multiply(t, k, out=out.real)
+    np.add(out.real, omega / C_LIGHT, out=out.real)
+    return out
 
 
-def pair_wavenumbers(omega, d_plus, d_minus, medium: MediumConfig,
-                     mode: GenerationMode):
+def pair_wavenumbers(omega, recip, medium: MediumConfig, mode: GenerationMode,
+                     out=(None, None), scratch=None):
     """Carrier-subtracted wavenumbers q1(omega), q2(omega) of the pair.
 
-    ``d_plus`` and ``d_minus`` are D(+omega) and D(-omega).  Photon 1 always
-    propagates through the EIT medium.  Degenerate scheme: photon 2 is its
-    detuning mirror, q2(omega) = q1(-omega), evaluated by the same formula so
-    the identity is bitwise exact on mirrored grids.  Nondegenerate scheme:
-    the far-detuned partner propagates dispersion-free and lossless,
-    q2(omega) = -omega/c.
+    ``recip`` is the reciprocal 1/D(omega).  Photon 1 always propagates
+    through the EIT medium.  Degenerate scheme: photon 2 is its detuning
+    mirror, q2(omega) = q1(-omega).  |Omega_c|^2 is real, so
+    D(-omega) = D(omega)* and chi(-omega) = -chi(omega)*: q2 comes from the
+    same susceptibility with its real part negated, which equals chi
+    evaluated at -omega bit for bit (up to the sign of a zero), so the
+    identity is exact on mirrored grids.  Nondegenerate scheme: the far-detuned partner
+    propagates dispersion-free and lossless, q2(omega) = -omega/c, a
+    broadcast view.  ``out`` holds the arrays for q1 and q2 and ``scratch``
+    four real arrays of their shape stacked on a leading axis; both are
+    allocated when not given.
     """
-    q1 = _slow_wavenumber(omega, d_plus, medium)
+    om = np.asarray(omega, dtype=float)
+    shape = np.broadcast_shapes(om.shape, np.shape(recip))
+    x, y, t, s = _real_scratch(4, shape) if scratch is None else scratch
+    _susceptibility(om, recip, medium, x, y, t)
+    q1 = _slow_wavenumber(om, x, y, medium, out[0], (t, s))
     if mode is GenerationMode.DEGENERATE:
-        return q1, _slow_wavenumber(-omega, d_minus, medium)
-    return q1, np.broadcast_to(-omega / C_LIGHT + 0j, q1.shape)
+        np.negative(x, out=x)
+        return q1, _slow_wavenumber(-om, x, y, medium, out[1], (t, s))
+    return q1, np.broadcast_to(-om / C_LIGHT + 0j, shape)
 
 
 def _slow_wavenumber_at(omega, omega_c: float, medium: MediumConfig):
+    # photon 1's q; the nondegenerate partner's is a view that costs nothing
     om = np.asarray(omega, dtype=float)
-    return _slow_wavenumber(om, eit_denominator(om, omega_c ** 2, medium), medium)
+    recip = 1.0 / eit_denominator(om, omega_c ** 2, medium)
+    return pair_wavenumbers(om, recip, medium, GenerationMode.NONDEGENERATE)[0]
 
 
 def eit_transmission(omega_grid, omega_c: float, medium: MediumConfig):

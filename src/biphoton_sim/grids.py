@@ -7,6 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# largest detuning grid a configuration may ask for
+MAX_N_OMEGA = 2 ** 20
+
 
 class GridError(ValueError):
     """Spectral grid cannot support the requested evaluation (Nyquist/span)."""
@@ -70,6 +73,21 @@ class SpectralGrid:
     @property
     def tau(self) -> np.ndarray:
         return (np.arange(self.n) - self.n // 2) * self.d_tau
+
+
+def check_finite(wave: "Waveform", engine: str) -> "Waveform":
+    """Return ``wave``, or raise GridError if any amplitude is not finite.
+
+    Every waveform an output is derived from passes here, so an input that
+    overflows double precision cannot reach a CSV as nan or as a zero width.
+    """
+    finite = np.isfinite(wave.amplitude)
+    if not finite.all():
+        n = len(finite)
+        raise GridError(f"the {engine} engine gave a non-finite amplitude at "
+                        f"{n - np.count_nonzero(finite)} of {n} tau points: "
+                        "some input overflows double precision")
+    return wave
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,11 @@ def rabi_scale(power: float, waist: float,
     return ref_rabi * math.sqrt(power / ref_power) * (ref_waist / waist)
 
 
+def rabi_at_power(beam: BeamField, power: float) -> float:
+    """Peak Rabi frequency of ``beam`` driven at ``power`` instead (same waist)."""
+    return rabi_scale(power, beam.waist, beam.power, beam.waist, beam.peak_rabi)
+
+
 def density_prefactor(medium: MediumConfig) -> float:
     """Atomic-density prefactor (1/s) of the linear susceptibility.
 

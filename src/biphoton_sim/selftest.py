@@ -70,8 +70,7 @@ def check_wavenumber_mirror() -> CheckResult:
     medium = _medium()
     om = SpectralGrid.from_numerics(2 ** 10, 20e-6).omega
     oc_sq = (14.5 * MHZ) ** 2
-    q1, q2 = pair_wavenumbers(om, eit_denominator(om, oc_sq, medium),
-                              eit_denominator(-om, oc_sq, medium), medium,
+    q1, q2 = pair_wavenumbers(om, 1.0 / eit_denominator(om, oc_sq, medium), medium,
                               GenerationMode.DEGENERATE)
     # index i of the symmetric grid pairs with n - i
     worst = float(np.max(np.abs(q2[1:] - q1[1:][::-1])))

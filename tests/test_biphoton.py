@@ -261,10 +261,9 @@ def direct_spectrum(grid, m, medium, pump, coupling, mode):
     gc = beam_profile(coupling, z, medium.theta)
     oc_sq = (coupling.peak_rabi * gc) ** 2
     om = grid.omega[:, None]
-    d_plus = eit_denominator(om, oc_sq[None, :], medium)
-    d_minus = eit_denominator(-om, oc_sq[None, :], medium)
-    q1, q2 = pair_wavenumbers(om, d_plus, d_minus, medium, mode)
-    kap = biphoton._coupling(d_plus, d_minus, (gp * gc)[None, :], medium, pump, mode, 1.0)
+    recip = 1.0 / eit_denominator(om, oc_sq[None, :], medium)
+    q1, q2 = pair_wavenumbers(om, recip, medium, mode)
+    kap = biphoton._coupling(recip, (gp * gc)[None, :], medium, pump, mode, 1.0)
     cum1, cum2 = (np.concatenate([np.zeros((grid.n, 1), complex),
                                   np.cumsum(0.5 * (q[:, 1:] + q[:, :-1]) * h, axis=1)],
                                  axis=1)
@@ -366,11 +365,12 @@ class TestPsiFullMirrorEvaluation:
     each -omega row from the +omega row's kappa-phase block with a second
     weight vector (the exchange identity).  Both hold in exact arithmetic, not
     for the rounded cumulative sums of the direct evaluation, so every row is
-    held to 1e-12 of max|S|, the scale of rounding in a running sum or
-    product over M panels and far below the z-quadrature error (about 1e-7).
-    Every chunk size and thread count gives the threads-1 default-chunk bits,
-    and against a 40-digit evaluation of the same discretization psi_full's
-    error is no larger than the direct evaluation's.
+    held to 1e-12 of max|S| of it, far below the z-quadrature error (about
+    1e-7).  Every chunk size and thread count gives the threads-1
+    default-chunk bits.  Against a 40-digit evaluation of the same
+    discretization both evaluations are held to 1e-13 of max|S|: about
+    4 M eps, the rounding a running sum or product over the M = 128 panels
+    can gather once the wavenumbers themselves are accurate to a few eps.
     """
 
     M = 128
@@ -420,18 +420,18 @@ class TestPsiFullMirrorEvaluation:
         assert_kernel_contract(spectrum, direct, reference)
 
     def test_error_against_40_digit_evaluation(self, case):
-        # Both evaluations share the rounding of q = (omega0 + omega)/c
-        # sqrt(1 + chi) - omega0/c, a difference of two numbers near k0 that
-        # dominates their error; psi_full's mirrored running product may at
-        # most double it.  Rows: the ends, the centre and +-omega pairs
+        # The wavenumbers carry no cancellation (q is formed without
+        # subtracting omega0/c from k1), so what is left is the rounding of
+        # the phase sums or running product over M panels, bounded by about
+        # 4 M eps of max|S|.  Rows: the ends, the centre and +-omega pairs
         # through the transparency window.
         grid, medium, pump, coupling, mode, direct, reference = case
         n = grid.n
         rows = np.r_[0, n // 2 + np.array([0, 3, -3, 15, -15, 63, -63, 255])]
         exact = mp_spectrum(grid, rows, self.M, medium, pump, coupling, mode)
-        kernel_err = np.max(np.abs(reference[rows] - exact))
-        direct_err = np.max(np.abs(direct[rows] - exact))
-        assert kernel_err <= 2.0 * direct_err
+        bound = 1e-13 * np.max(np.abs(direct))
+        assert np.max(np.abs(reference[rows] - exact)) <= bound
+        assert np.max(np.abs(direct[rows] - exact)) <= bound
 
 
 class TestUniformSpectrum:

@@ -323,6 +323,33 @@ class TestCli:
             f"numerics error: the {engine} engine gave a non-finite amplitude at 4096 of 4096")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_scan_waveform_exits_4_leaving_no_file(self, tmp_path, capsys):
+        # scan --full took its widths from the same overflowing waveforms and
+        # wrote t_coh_full_ns 0 in every row with exit 0
+        data = small_numerics(dump_config(load_preset("fig5")))
+        data["medium"]["length_mm"] = 1e-300
+        cfg = write_config(tmp_path, data)
+        code = main(["scan", "--config", cfg, "--full", "--powers", "2.3,1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "numerics error: the full engine gave a non-finite amplitude at 4096 of 4096")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_scan_power_without_admissible_grid_exits_4(self, tmp_path, capsys):
+        # 1e-300 mW used to draw a suggested tau_span_ns and n_omega of about
+        # 300 digits each, which the parser would reject
+        code = main(["scan", "--config", "fig5", "--full", "--powers", "1e-300,1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerics error: no admissible grid resolves this run: ")
+        assert "above the largest accepted 2^20" in err
+        assert "(coupling power 1e-300 mW) sets this scale" in err
+        assert len(err) < 300
+        assert not any(tmp_path.iterdir())
+
     def test_negative_threads_env_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BIPHOTON_SIM_THREADS", "-3")
         data = small_numerics(dump_config(load_preset("fig3d")))
@@ -364,6 +391,8 @@ class TestCli:
     (["scan"], {"scan": {}}, "scan.powers_mw"),
     (["scan"], {"scan": {"powers_mw": [1.0]}}, "scan.powers_mw"),
     (["scan", "--powers=1.0"], {}, "--powers"),
+    (["scan", "--powers=1e300,1"], {}, "--powers"),
+    (["scan"], {"scan": {"powers_mw": [1.0, 1e300]}}, "scan.powers_mw[1]"),
     (["scan"], {"kappa_scale": math.nan}, "config.kappa_scale"),
     (["beat"], {"interferometer": {"reflectance": 0.5, "shift_mhz": 11.0,
                                    "noise_counts": math.nan}},
@@ -386,7 +415,8 @@ class TestCli:
      "detection.accidental_floor"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
-        "no-powers", "one-power", "one-power-flag", "scale-nan", "noise-nan",
+        "no-powers", "one-power", "one-power-flag", "powers-flag-overflow",
+        "power-overflow", "scale-nan", "noise-nan",
         "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
         "tau-span-subnormal", "rabi-overflow", "unknown-section", "unknown-field",
         "threads-negative", "threads-negative-spectrum",

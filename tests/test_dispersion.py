@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,9 +16,11 @@ from biphoton_sim import (
     gamma12_for_absorption,
     group_delay_estimate,
     group_delay_numeric,
+    load_preset,
     pt_mode_analysis,
 )
-from biphoton_sim.dispersion import eit_denominator, pair_wavenumbers
+from biphoton_sim.dispersion import eit_bandwidth_proxy, eit_denominator, pair_wavenumbers
+from biphoton_sim.params import beam_profile
 
 from conftest import MHZ, make_medium
 
@@ -54,8 +57,7 @@ class TestChiLinear:
 def pair_q(omega, oc, medium, mode=GenerationMode.DEGENERATE):
     """Carrier-subtracted (q1, q2) at detuning(s) omega for coupling Rabi oc."""
     om = np.asarray(omega, dtype=float)
-    return pair_wavenumbers(om, eit_denominator(om, oc ** 2, medium),
-                            eit_denominator(-om, oc ** 2, medium), medium, mode)
+    return pair_wavenumbers(om, 1.0 / eit_denominator(om, oc ** 2, medium), medium, mode)
 
 
 class TestWavenumber:
@@ -87,6 +89,34 @@ class TestWavenumber:
         q1, _ = pair_q(0.0, oc, medium)
         alpha_l = eit_absorption_loss(medium, oc)
         assert q1.imag * medium.length == pytest.approx(alpha_l, rel=0.02)
+
+    @pytest.mark.parametrize("preset", ["fig3d", "fig2e"])
+    def test_against_40_digit_evaluation(self, preset):
+        # q = (omega0 + omega)/c sqrt(1 + chi) - omega0/c at 40 digits, from
+        # the same float inputs taken as exact, at line centre, inside the
+        # transparency window, on both Autler-Townes peaks and at the grid
+        # edges (|chi| ~ 1e-7 there), with the coupling Rabi frequency of the
+        # beam centre and of the beam edge at z = L/2
+        cfg = load_preset(preset)
+        medium, coupling = cfg.medium, cfg.coupling
+        edge = beam_profile(coupling, medium.length / 2.0, medium.theta)
+        w_max = cfg.numerics.grid().omega_max
+        for oc in (coupling.peak_rabi, coupling.peak_rabi * edge):
+            window = eit_bandwidth_proxy(medium, oc)
+            detunings = np.array([0.0, 0.3 * window, oc / 2.0, w_max])
+            q1, q2 = pair_q(detunings, oc, medium)
+            with mpmath.workdps(40):
+                mpf = mpmath.mpf
+                c, g12, g13 = mpf(C_LIGHT), mpf(medium.gamma12), mpf(medium.gamma13)
+                w0 = 2 * mpmath.pi * c / mpf(medium.lambda0)
+                beta = (mpf(medium.od) * g13
+                        / (2 * mpmath.pi / mpf(medium.lambda0) * mpf(medium.length)))
+                for om, got in [*zip(detunings, q1), *zip(-detunings, q2)]:
+                    om = mpf(om)
+                    d = mpf(oc) ** 2 - 4 * (om + 1j * g13) * (om + 1j * g12)
+                    chi = 4 * beta * (om + 1j * g12) / d
+                    exact = (w0 + om) / c * mpmath.sqrt(1 + chi) - w0 / c
+                    assert abs(got - exact) <= 1e-14 * abs(exact), (preset, float(om))
 
     @given(st.floats(-60.0, 60.0), st.floats(0.001, 0.5))
     def test_passivity_of_k1(self, omega_mhz, g12_mhz):
