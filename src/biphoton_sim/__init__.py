@@ -10,15 +10,12 @@ configurations.
 __version__ = "0.1.0"
 
 from .analysis import (
-    CoherenceMethod,
     CoherenceReport,
     InsufficientSignalError,
     ScanPoint,
-    bandwidth_from_width,
     cauchy_schwarz_factor,
     coherence_scan,
     extract_coherence_time,
-    normalized_cross_correlation,
 )
 from .biphoton import (
     coincidence_counts,
@@ -40,10 +37,8 @@ from .config import (
 from .dispersion import (
     PTModeResult,
     PTRegime,
-    chi_linear,
     eit_absorption_loss,
     eit_transmission,
-    gamma12_for_absorption,
     group_delay_estimate,
     group_delay_numeric,
     pt_mode_analysis,
@@ -64,24 +59,22 @@ from .params import (
     MediumConfig,
     beam_profile,
     density_prefactor,
-    rabi_scale,
 )
 from .reference import psi_reference
 
 __all__ = [
-    "BeamField", "CoherenceMethod", "CoherenceReport", "ConfigError",
+    "BeamField", "CoherenceReport", "ConfigError",
     "DetectionConfig", "GenerationMode", "GridError", "InsufficientSignalError",
     "InterferometerConfig", "MediumConfig", "NumericsConfig",
     "PTModeResult", "PTRegime", "RunConfig", "ScanPoint",
     "SpectralGrid", "Waveform",
-    "bandwidth_from_width", "beam_profile", "beat_correlation",
-    "cauchy_schwarz_factor", "chi_linear",
+    "beam_profile", "beat_correlation", "cauchy_schwarz_factor",
     "coherence_scan", "coincidence_counts", "density_prefactor", "dump_config",
     "eit_absorption_loss", "eit_transmission", "extract_beat_frequency",
-    "extract_coherence_time", "gamma12_for_absorption", "group_delay_estimate",
+    "extract_coherence_time", "group_delay_estimate",
     "group_delay_numeric", "hom_residual_factor", "kappa", "load_config",
-    "load_preset", "normalized_cross_correlation", "parse_config",
+    "load_preset", "parse_config",
     "psi_analytic_exp", "psi_analytic_rect", "psi_full", "psi_reference",
-    "psi_uniform_spectrum", "pt_mode_analysis", "rabi_scale",
+    "psi_uniform_spectrum", "pt_mode_analysis",
     "spectrum_to_waveform", "visibility_ideal", "visibility_with_noise",
 ]

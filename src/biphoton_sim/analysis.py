@@ -1,15 +1,12 @@
 """Observable extraction from coincidence traces.
 
-Coherence-time measures (threshold width and tail-fit time constant),
-background-normalized correlation, the nonclassicality factor, the
-coherence-time-versus-coupling-power scan, and the width-to-bandwidth
-conversion.
+Coherence-time measures (threshold width and tail-fit time constant), the
+nonclassicality factor, and the coherence-time-versus-coupling-power scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -23,16 +20,10 @@ from .params import BeamField, GenerationMode, MediumConfig, rabi_at_power
 SMOOTH_FRACTION = 0.10
 FIT_LEVEL_HIGH = 0.85
 FIT_LEVEL_LOW = FIT_LEVEL_HIGH / np.e
-BANDWIDTH_CONSTANT = 0.75  # calibrated on the (1.25 us, 600 kHz) anchor pair
 
 
 class InsufficientSignalError(ValueError):
     """Trace peak does not stand far enough above the background floor."""
-
-
-class CoherenceMethod(Enum):
-    WIDTH_ONLY = "width_only"
-    EXP_FIT = "exp_fit"
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,6 @@ class CoherenceReport:
     e_inverse_width: float
     exp_tau: float | None
     fit_rmse: float
-    method: CoherenceMethod
 
 
 def _smooth(trace: np.ndarray, n: int) -> np.ndarray:
@@ -107,8 +97,7 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
     signal = cc - floor
     d_tau = taus[1] - taus[0]
     if signal.max() <= 0:
-        return CoherenceReport(e_inverse_width=0.0, exp_tau=None, fit_rmse=0.0,
-                               method=CoherenceMethod.WIDTH_ONLY)
+        return CoherenceReport(e_inverse_width=0.0, exp_tau=None, fit_rmse=0.0)
 
     width = _width_at_threshold(taus, signal, signal.max() / np.e)
     smoothed = signal
@@ -149,16 +138,8 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
                     resid = np.log(y_fit[ok]) - np.polyval(coeff, t_fit[ok])
                     fit_rmse = float(np.sqrt(np.mean(resid ** 2)))
 
-    method = CoherenceMethod.EXP_FIT if exp_tau is not None else CoherenceMethod.WIDTH_ONLY
     return CoherenceReport(e_inverse_width=float(width), exp_tau=exp_tau,
-                           fit_rmse=fit_rmse, method=method)
-
-
-def normalized_cross_correlation(cc: np.ndarray, floor: float) -> np.ndarray:
-    """Cross-correlation normalized to the accidental background, g12 = cc/floor."""
-    if floor <= 0:
-        raise ValueError(f"floor must be > 0, got {floor}")
-    return np.asarray(cc, dtype=float) / floor
+                           fit_rmse=fit_rmse)
 
 
 def cauchy_schwarz_factor(g12_max: float, g11_0: float, g22_0: float) -> float:
@@ -185,8 +166,8 @@ def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
                    scale: float = 1.0, threads: int = 1) -> list[ScanPoint]:
     """Coherence time versus coupling power at fixed optical depth.
 
-    Each power maps to a Rabi frequency through the sqrt(P)/w0 scaling
-    against the reference coupling beam; the formula column is the group-delay
+    Each power maps to a Rabi frequency through the sqrt(P) scaling at the
+    coupling beam's waist; the formula column is the group-delay
     coherence time 2L/V_g = (4 gamma13/|Omega_c|^2) OD, linear in
     x = gamma13^2/|Omega_c|^2 with slope 4 OD / gamma13.  Given a ``grid``,
     the 1/e width of the full waveform on it is extracted as well; a waveform
@@ -195,8 +176,6 @@ def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
     """
     points: list[ScanPoint] = []
     for power in coupling_powers:
-        if power <= 0:
-            raise ValueError(f"coupling power must be > 0, got {power}")
         omega_c = rabi_at_power(coupling, power)
         x = (medium.gamma13 / omega_c) ** 2
         t_formula = 2.0 * group_delay_estimate(medium, omega_c)
@@ -210,15 +189,3 @@ def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
         points.append(ScanPoint(power=power, omega_c=omega_c, x=x,
                                 t_coh_formula=t_formula, t_coh_full=t_full))
     return points
-
-
-def bandwidth_from_width(t_coh: float, convention: float = BANDWIDTH_CONSTANT) -> float:
-    """Joint spectral bandwidth (Hz) from a coherence time, as K / t_coh.
-
-    The conversion constant is a convention; the default K = 0.75 is
-    calibrated so that a 1.25 us coherence time maps to 600 kHz.  Reciprocal
-    pairs quoted elsewhere are matched only loosely by any single constant.
-    """
-    if t_coh <= 0:
-        raise ValueError(f"t_coh must be > 0, got {t_coh}")
-    return convention / t_coh

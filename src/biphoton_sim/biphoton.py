@@ -153,6 +153,8 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
             suggested_n_omega=n_pow2)
     span_needed = 4.0 * group_delay_estimate(medium, coupling.peak_rabi)
     if tau_span < span_needed:
+        # unrounded first: for a weak coupling n_omega * span in ns passes the float range
+        _check_admissible(grid.n * (span_needed / tau_span), "tau step", coupling)
         span_ns = math.ceil(span_needed * 1e9)
         n_pow2 = _next_pow2(grid.n * span_ns * 1e-9 / tau_span)
         _check_admissible(n_pow2, "tau step", coupling)
@@ -163,11 +165,11 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
             suggested_n_omega=n_pow2)
 
 
-def _check_admissible(n_pow2: int, kept: str, coupling: BeamField) -> None:
-    if n_pow2 > MAX_N_OMEGA:
+def _check_admissible(n_omega: float, kept: str, coupling: BeamField) -> None:
+    if n_omega > MAX_N_OMEGA:
         raise GridError(
-            f"no admissible grid resolves this run: at its {kept} it needs n_omega of "
-            f"about 2^{n_pow2.bit_length() - 1}, above the largest accepted 2^20; the "
+            f"no admissible grid resolves this run: at its {kept} it needs n_omega of about "
+            f"2^{math.ceil(min(math.log2(n_omega), 1024.0))}, above the largest accepted 2^20; the "
             f"coupling Rabi frequency {coupling.peak_rabi / (2e6 * math.pi):.6g} MHz "
             f"(coupling power {coupling.power * 1e3:.6g} mW) sets this scale")
 

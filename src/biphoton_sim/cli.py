@@ -41,7 +41,7 @@ from .biphoton import (
     psi_full,
     psi_uniform_spectrum,
 )
-from .config import ConfigError, RunConfig, check_power_mw, load_config
+from .config import ConfigError, RunConfig, check_coupling_rabi, check_power_mw, load_config
 from .dispersion import eit_absorption_loss, eit_transmission, group_delay_estimate
 from .grids import GridError, check_finite, csv_text, spectrum_to_waveform, waveform_csv_rows
 from .interference import (
@@ -53,22 +53,6 @@ from .interference import (
 )
 from .params import GenerationMode
 from .selftest import run_selftest
-
-
-def _resolve_threads(value: int | None) -> int:
-    field = "--threads"
-    if value is None:
-        field = "BIPHOTON_SIM_THREADS"
-        env = os.environ.get(field)
-        if env is None:
-            return 0
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"must be an integer, got {env!r}", field) from None
-    if value < 0:
-        raise ConfigError(f"must be >= 0, got {value}", field)
-    return value
 
 
 def _analytic(cfg: RunConfig, grid, threads: int):
@@ -94,6 +78,7 @@ ENGINES = {
 
 
 def _build_waveform(cfg: RunConfig, engine: str, threads: int):
+    check_coupling_rabi(cfg.coupling.peak_rabi, cfg.medium, "coupling.peak_rabi_mhz")
     grid = cfg.numerics.grid()
     check_grid(grid, cfg.medium, cfg.coupling)
     return check_finite(ENGINES[engine](cfg, grid, threads), engine)
@@ -105,6 +90,8 @@ def _build_waveform(cfg: RunConfig, engine: str, threads: int):
 
 def _eit_spectrum(cfg: RunConfig, args, threads: int):
     oc = cfg.coupling.peak_rabi
+    if oc > 0:  # zero coupling is the two-level spectrum, without a group delay
+        check_coupling_rabi(oc, cfg.medium, "coupling.peak_rabi_mhz")
     span = 4.0 * oc if oc > 0 else 2.0 * math.pi * 30e6
     omega = np.linspace(-span, span, 2001)
     trans = eit_transmission(omega, oc, cfg.medium)
@@ -132,7 +119,7 @@ def _waveform(cfg: RunConfig, args, threads: int):
         "e_inverse_width_ns": report.e_inverse_width * 1e9,
         "exp_tau_ns": None if report.exp_tau is None else report.exp_tau * 1e9,
         "fit_rmse": report.fit_rmse,
-        "method": report.method.value,
+        "method": "width_only" if report.exp_tau is None else "exp_fit",
         "engine": args.engine,
         "alpha_l": eit_absorption_loss(cfg.medium, cfg.coupling.peak_rabi),
         "group_delay_ns": delay * 1e9,
@@ -220,9 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True,
                        help="configuration file path or preset name")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads, 0 = auto "
-                            "(BIPHOTON_SIM_THREADS as fallback)")
+        p.add_argument("--threads", type=int, default=0,
+                       help="worker threads, 0 = auto")
     dataset["waveform"].add_argument("--engine", choices=tuple(ENGINES), default="full")
     dataset["scan"].add_argument("--powers", type=str, default=None,
                                  help="comma-separated coupling powers in mW")
@@ -262,9 +248,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "selftest":
             return run_selftest(as_json=args.json)
-        threads = _resolve_threads(args.threads)
+        if args.threads < 0:
+            raise ConfigError(f"must be >= 0, got {args.threads}", "--threads")
         cfg = load_config(args.config)
-        text, sidecar = args.run(cfg, args, threads)
+        text, sidecar = args.run(cfg, args, args.threads)
         out = Path(args.out)
         sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
         _write_all({out: text, out.with_suffix(".json"): sidecar_text})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from importlib import resources
 
@@ -212,6 +213,17 @@ def _check_rabi(rabi: float, w0: float, where: str, subject: str = "") -> None:
                           f"{w0 / MHZ:.6g} MHz, got {rabi / MHZ:g} MHz", where)
 
 
+def check_coupling_rabi(rabi: float, medium: MediumConfig, where: str,
+                        subject: str = "") -> None:
+    """Keep |Omega_c|^2 a normal double, the group delay and (gamma13/Omega_c)^2 finite."""
+    sq, ratio = rabi * rabi, (medium.gamma13 / rabi if rabi > 0 else math.inf)
+    if not (sq >= sys.float_info.min and math.isfinite(2.0 * medium.gamma13 * medium.od / sq)
+            and math.isfinite(ratio * ratio)):
+        raise ConfigError(f"{subject}must keep |Omega_c|^2 a normal double, and the group delay "
+                          f"2 gamma13 OD / |Omega_c|^2 and gamma13^2 / |Omega_c|^2 finite, "
+                          f"got {rabi / MHZ:g} MHz", where)
+
+
 def _build(data) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level must be an object")
@@ -256,7 +268,8 @@ def check_power_mw(val, where: str, coupling: BeamField, medium: MediumConfig) -
 
     The power must be finite and > 0 (the Rabi scaling takes its root), and
     the coupling Rabi frequency scaled to it from ``coupling`` is held to
-    the carrier bound of a configured one.
+    the carrier bound of a configured one and to
+    :func:`check_coupling_rabi`, since the scan divides by its square.
     """
     power = _finite(val, where)
     if power <= 0:
@@ -266,7 +279,9 @@ def check_power_mw(val, where: str, coupling: BeamField, medium: MediumConfig) -
     except ValueError as exc:  # a reference beam of zero power or Rabi frequency
         raise ConfigError(f"cannot scale the coupling Rabi frequency to it: {exc}",
                           where) from None
-    _check_rabi(rabi, medium.omega0, where, "the coupling Rabi frequency it gives ")
+    subject = "the coupling Rabi frequency it gives "
+    _check_rabi(rabi, medium.omega0, where, subject)
+    check_coupling_rabi(rabi, medium, where, subject)
     return power
 
 

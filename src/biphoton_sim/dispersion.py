@@ -78,29 +78,6 @@ def _real_scratch(count: int, shape) -> list:
     return [block[i, ...] for i in range(count)]  # 0-d views, not scalars
 
 
-def chi_linear(omega, omega_c_local: float, medium: MediumConfig):
-    """Linear susceptibility of the slow photon at detuning omega.
-
-    chi(omega) = 4 beta (omega + i gamma12) / D(omega)
-
-    with beta from :func:`density_prefactor`, D from :func:`eit_denominator`
-    and ``omega_c_local`` the coupling Rabi frequency at the evaluation point
-    (weak-pump term dropped).  On two-photon resonance with gamma12 = 0 the
-    medium is perfectly transparent (chi = 0); with the coupling off,
-    chi(0) = i beta / gamma13, which reproduces the two-level intensity
-    transmission exp(-OD).
-    """
-    if omega_c_local < 0:
-        raise ValueError(f"omega_c_local must be >= 0, got {omega_c_local}")
-    om = np.asarray(omega, dtype=float)
-    recip = 1.0 / eit_denominator(om, omega_c_local ** 2, medium)
-    re, im = _susceptibility(om, recip, medium, *_real_scratch(3, om.shape))
-    chi = re + 1j * im
-    if np.isscalar(omega):
-        return complex(chi)
-    return chi
-
-
 def _slow_wavenumber(omega, x, y, medium: MediumConfig, out, tmp):
     """Carrier-subtracted wavenumber of the slow photon, q = k1 - omega0/c.
 
@@ -234,23 +211,6 @@ def eit_absorption_loss(medium: MediumConfig, omega_c: float) -> float:
         raise ValueError(f"omega_c must be >= 0, got {omega_c}")
     return (2.0 * medium.od * medium.gamma12 * medium.gamma13
             / (omega_c ** 2 + 4.0 * medium.gamma12 * medium.gamma13))
-
-
-def gamma12_for_absorption(alpha_l: float, medium: MediumConfig,
-                           omega_c: float) -> float:
-    """Ground-state dephasing rate that yields a target absorption exponent.
-
-    Closed-form inversion of :func:`eit_absorption_loss`:
-
-        gamma12 = alpha_l |Omega_c|^2 / (gamma13 (2 OD - 4 alpha_l))
-
-    Used to build configurations pinned to a quoted alpha L value.
-    """
-    if alpha_l < 0:
-        raise ValueError(f"alpha_l must be >= 0, got {alpha_l}")
-    if alpha_l >= medium.od / 2.0:
-        raise ValueError(f"alpha_l must be < OD/2 = {medium.od / 2.0}")
-    return alpha_l * omega_c ** 2 / (medium.gamma13 * (2.0 * medium.od - 4.0 * alpha_l))
 
 
 def pt_mode_analysis(alpha: float, kappa: float) -> PTModeResult:

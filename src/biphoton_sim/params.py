@@ -129,25 +129,18 @@ class DetectionConfig:
 # Derived-parameter helpers
 # ---------------------------------------------------------------------------
 
-def rabi_scale(power: float, waist: float,
-               ref_power: float, ref_waist: float, ref_rabi: float) -> float:
-    """Scale a reference Rabi frequency to a new power and waist.
+def rabi_at_power(beam: BeamField, power: float) -> float:
+    """Peak Rabi frequency of ``beam`` driven at ``power`` instead (same waist).
 
     The Rabi frequency of a Gaussian beam obeys Omega ~ sqrt(P) / w0
-    (from Omega = mu E / hbar with peak intensity I0 = 2P/(pi w0^2)), so
-
-        Omega = ref_rabi * sqrt(power / ref_power) * (ref_waist / waist)
+    (from Omega = mu E / hbar with peak intensity I0 = 2P/(pi w0^2)); at a
+    fixed waist Omega = peak_rabi sqrt(power / beam.power).
     """
-    for name, val in (("power", power), ("waist", waist), ("ref_power", ref_power),
-                      ("ref_waist", ref_waist), ("ref_rabi", ref_rabi)):
+    for name, val in (("power", power), ("ref_power", beam.power),
+                      ("ref_rabi", beam.peak_rabi)):
         if val <= 0:
             raise ValueError(f"{name} must be > 0, got {val}")
-    return ref_rabi * math.sqrt(power / ref_power) * (ref_waist / waist)
-
-
-def rabi_at_power(beam: BeamField, power: float) -> float:
-    """Peak Rabi frequency of ``beam`` driven at ``power`` instead (same waist)."""
-    return rabi_scale(power, beam.waist, beam.power, beam.waist, beam.peak_rabi)
+    return beam.peak_rabi * math.sqrt(power / beam.power)
 
 
 def density_prefactor(medium: MediumConfig) -> float:

@@ -11,7 +11,6 @@ from biphoton_sim import (
     SpectralGrid,
     coincidence_counts,
     eit_absorption_loss,
-    gamma12_for_absorption,
     group_delay_estimate,
     kappa,
     psi_analytic_exp,
@@ -489,15 +488,16 @@ class TestAnalyticLimits:
         coupling = make_coupling()
         grid = small_grid(n=2 ** 10)
         lossless = make_medium(g12_mhz=0.0)
-        lossy_g12 = gamma12_for_absorption(0.85, lossless, coupling.peak_rabi)
-        lossy = make_medium(g12_mhz=lossy_g12 / MHZ)
+        lossy = make_medium(g12_mhz=0.2)  # alpha L = 0.846
         w0 = psi_analytic_rect(grid, lossless, coupling, DEG, kappa0=1.0)
         w1 = psi_analytic_rect(grid, lossy, coupling, DEG, kappa0=1.0)
         support0 = np.abs(w0.amplitude) > 0
         support1 = np.abs(w1.amplitude) > 0
         assert np.all(support0 == support1)
         ratio = np.max(np.abs(w1.amplitude)) / np.max(np.abs(w0.amplitude))
-        assert ratio == pytest.approx(math.exp(-0.85), rel=1e-9)
+        loss = eit_absorption_loss(lossy, coupling.peak_rabi)
+        assert loss == pytest.approx(0.85, abs=0.01)
+        assert ratio == pytest.approx(math.exp(-loss), rel=1e-9)
 
     def test_rect_magnitude_even_without_offset(self):
         medium = make_medium()

@@ -138,6 +138,17 @@ class TestCli:
         trans = np.array([float(r.split(",")[1]) for r in rows])
         assert np.all(trans == 1.0)
 
+    def test_eit_spectrum_zero_coupling_is_two_level(self, tmp_path):
+        data = dump_config(load_preset("fig2c"))
+        data["coupling"]["peak_rabi_mhz"] = 0.0
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "two-level.csv"
+        assert main(["eit-spectrum", "--config", cfg, "--out", str(out)]) == 0
+        side = json.loads((tmp_path / "two-level.json").read_text())
+        assert side["group_delay_ns"] is None
+        # chi(0) = i beta / gamma13 without coupling: alpha L = OD / 2
+        assert side["alpha_l"] == pytest.approx(data["medium"]["od"] / 2.0, rel=1e-12)
+
     def test_waveform_analytic_lossless_rectangle(self, tmp_path):
         data = dump_config(load_preset("fig3d"))
         data["medium"]["gamma12_mhz"] = 0.0
@@ -172,6 +183,18 @@ class TestCli:
         assert side["engine"] == "full"
         assert side["e_inverse_width_ns"] == pytest.approx(1250.0, rel=0.10)
         assert side["coherence_formula_ns"] == pytest.approx(1362.6, rel=1e-3)
+
+    @pytest.mark.parametrize("preset, engine, method", [
+        ("fig2f", "full", "exp_fit"),         # lossy nondegenerate: a fitted tail
+        ("fig2d", "analytic", "width_only"),  # good EIT: no decade of decay in the window
+    ])
+    def test_waveform_sidecar_method(self, tmp_path, preset, engine, method):
+        cfg = write_config(tmp_path, small_numerics(dump_config(load_preset(preset))))
+        out = tmp_path / "wave.csv"
+        assert main(["waveform", "--config", cfg, "--out", str(out), "--engine", engine]) == 0
+        text = (tmp_path / "wave.json").read_text()
+        assert f'  "method": "{method}"\n' in text
+        assert (json.loads(text)["exp_tau_ns"] is None) == (method == "width_only")
 
     def test_waveform_deterministic_across_threads(self, tmp_path):
         data = small_numerics(dump_config(load_preset("fig3d")))
@@ -350,20 +373,17 @@ class TestCli:
         assert len(err) < 300
         assert not any(tmp_path.iterdir())
 
-    def test_negative_threads_env_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("BIPHOTON_SIM_THREADS", "-3")
-        data = small_numerics(dump_config(load_preset("fig3d")))
+    def test_weak_coupling_without_admissible_grid_exits_4(self, tmp_path, capsys):
+        # a finite group delay whose span in ns times n_omega passes the float
+        # range used to end in an OverflowError in the grid check
+        data = dump_config(load_preset("fig3d"))
+        data["coupling"]["peak_rabi_mhz"] = 1e-150
         cfg = write_config(tmp_path, data)
-        assert main(["waveform", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-        assert capsys.readouterr().err == (
-            "config error: BIPHOTON_SIM_THREADS: must be >= 0, got -3\n")
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BIPHOTON_SIM_THREADS", "2")
-        data = small_numerics(dump_config(load_preset("fig3d")))
-        cfg = write_config(tmp_path, data)
-        out = tmp_path / "env.csv"
-        assert main(["waveform", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["waveform", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerics error: no admissible grid resolves this run: ")
+        assert "coupling Rabi frequency 1e-150 MHz" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_csv_has_nine_significant_digits(self, tmp_path):
         data = small_numerics(dump_config(load_preset("fig3d")))
@@ -377,6 +397,18 @@ class TestCli:
             digits = mantissa.replace("-", "").replace(".", "").lstrip("0")
             longest = max(longest, len(digits))
         assert longest == 9
+
+
+def rabi_patch(peak_rabi_mhz, **sections):
+    """fig5's coupling at another Rabi frequency, without its scan powers.
+
+    Scaled from a coupling that small, the powers would fail first.
+    """
+    coupling = dump_config(load_preset("fig5"))["coupling"]
+    return {"coupling": {**coupling, "peak_rabi_mhz": peak_rabi_mhz}, "scan": {}, **sections}
+
+
+FIG4B_INTERFEROMETER = dump_config(load_preset("fig4b"))["interferometer"]
 
 
 @pytest.mark.parametrize("argv, patch, field", [
@@ -413,6 +445,17 @@ class TestCli:
     (["waveform", "--engine", "uniform"],
      {"detection": {**dump_config(load_preset("fig5"))["detection"], "accidental_floor": 1e9}},
      "detection.accidental_floor"),
+    (["waveform"], rabi_patch(0.0), "coupling.peak_rabi_mhz"),
+    (["waveform", "--engine", "uniform"], rabi_patch(0.0), "coupling.peak_rabi_mhz"),
+    (["waveform", "--engine", "analytic"], rabi_patch(1e-200), "coupling.peak_rabi_mhz"),
+    (["waveform"], rabi_patch(1e-200), "coupling.peak_rabi_mhz"),
+    (["beat"], rabi_patch(0.0, interferometer=FIG4B_INTERFEROMETER), "coupling.peak_rabi_mhz"),
+    (["beat"], rabi_patch(1e-200, interferometer=FIG4B_INTERFEROMETER),
+     "coupling.peak_rabi_mhz"),
+    (["eit-spectrum"], rabi_patch(1e-200), "coupling.peak_rabi_mhz"),
+    (["scan", "--powers=1e-320,1"], {}, "--powers"),
+    (["scan", "--powers=1e-311,1"], {}, "--powers"),  # finite delay, x overflows
+    (["scan"], {"scan": {"powers_mw": [1e-320, 1.0]}}, "scan.powers_mw[0]"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
         "no-powers", "one-power", "one-power-flag", "powers-flag-overflow",
@@ -420,7 +463,10 @@ class TestCli:
         "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
         "tau-span-subnormal", "rabi-overflow", "unknown-section", "unknown-field",
         "threads-negative", "threads-negative-spectrum",
-        "floor-swamps-signal"])
+        "floor-swamps-signal", "rabi-zero-full", "rabi-zero-uniform",
+        "rabi-underflow-analytic", "rabi-underflow-full", "rabi-zero-beat",
+        "rabi-underflow-beat", "rabi-underflow-spectrum", "powers-flag-underflow",
+        "powers-flag-abscissa-overflow", "power-underflow"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     data = small_numerics(dump_config(load_preset("fig5")))
     data.update(patch)

@@ -9,38 +9,39 @@ from biphoton_sim import (
     DetectionConfig,
     beam_profile,
     density_prefactor,
-    rabi_scale,
 )
+from biphoton_sim.params import rabi_at_power
 
-from conftest import MHZ, make_medium
+from conftest import MHZ, make_coupling, make_medium
 
 
-class TestRabiScale:
+class TestRabiAtPower:
     def test_identity(self):
-        assert rabi_scale(2.3e-3, 2.3e-3, 2.3e-3, 2.3e-3, 14.5 * MHZ) == 14.5 * MHZ
+        beam = make_coupling(rabi_mhz=14.5, power=2.3e-3)
+        assert rabi_at_power(beam, 2.3e-3) == 14.5 * MHZ
 
     def test_quadruple_power_doubles(self):
-        assert rabi_scale(4.0, 1e-3, 1.0, 1e-3, 5.0) == pytest.approx(10.0, rel=1e-12)
+        beam = make_coupling(rabi_mhz=5.0 / MHZ, power=1.0)
+        assert rabi_at_power(beam, 4.0) == pytest.approx(10.0, rel=1e-12)
 
     def test_degenerate_pump_anchor(self):
         # 150 mW vs 100 mW at equal waist is a sqrt(1.5) step, and the two
         # quoted operating points sit on that curve: 178.5 -> 218.6 (2pi MHz)
-        scaled = rabi_scale(150e-3, 1.6e-3, 100e-3, 1.6e-3, 178.5 * MHZ)
+        beam = make_coupling(rabi_mhz=178.5, waist=1.6e-3, power=100e-3)
+        scaled = rabi_at_power(beam, 150e-3)
         assert scaled == pytest.approx(178.5 * MHZ * math.sqrt(1.5), rel=1e-12)
         assert scaled == pytest.approx(218.6 * MHZ, rel=2e-4)
 
-    @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
-    def test_homogeneous_in_power_and_waist(self, power, waist, s):
-        base = rabi_scale(power, waist, 1.0, 1.0, 1.0)
-        scaled = rabi_scale(power * s * s, waist * s, 1.0, 1.0, 1.0)
-        assert scaled == pytest.approx(base, rel=1e-9)
-
     @pytest.mark.parametrize("bad", [0.0, -1.0])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            rabi_scale(bad, 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            rabi_scale(1.0, 1.0, 1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="power must be > 0"):
+            rabi_at_power(make_coupling(), bad)
+
+    def test_rejects_zero_reference(self):
+        with pytest.raises(ValueError, match="ref_power must be > 0"):
+            rabi_at_power(make_coupling(power=0.0), 1.0)
+        with pytest.raises(ValueError, match="ref_rabi must be > 0"):
+            rabi_at_power(make_coupling(rabi_mhz=0.0), 1.0)
 
 
 class TestDensityPrefactor:
