@@ -31,7 +31,7 @@ from .dispersion import (
     eit_bandwidth_proxy,
     eit_denominator,
     group_delay_estimate,
-    pair_wavenumbers,
+    slow_wavenumbers,
 )
 from .grids import MAX_N_OMEGA, GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
@@ -56,6 +56,17 @@ def _upper_dephasing(medium: MediumConfig, mode: GenerationMode) -> float:
     if mode is GenerationMode.NONDEGENERATE:
         return medium.gamma14
     return medium.gamma13
+
+
+def _partner_wavenumber(q_mirror, omega, mode: GenerationMode):
+    """Photon 2's carrier-subtracted q2(omega), partner of the slow photon 1.
+
+    Degenerate: the slow photon at -omega, ``q_mirror``.  Nondegenerate: a
+    dispersion-free, lossless vacuum photon, -omega/c, in ``q_mirror``'s shape.
+    """
+    if mode is GenerationMode.DEGENERATE:
+        return q_mirror
+    return np.broadcast_to(-omega / C_LIGHT + 0j, np.shape(q_mirror))
 
 
 def _coupling(recip, envelope, medium: MediumConfig, pump: BeamField,
@@ -138,15 +149,17 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
     the group-delay support |tau| <= L/V_g cannot wrap around the periodic
     window of the FFT.  The message suggests the grid that would pass; when
     that grid needs more than ``MAX_N_OMEGA`` points, which no configuration
-    may ask for, it says so instead and names the coupling Rabi frequency,
-    whose square sets both the linewidth and the group delay.
+    may ask for, it says so instead and names the coupling Rabi frequency
+    and the OD, whose ratio |Omega_c|^2 / OD sets both the linewidth and the
+    group delay.
     """
     proxy = eit_bandwidth_proxy(medium, coupling.peak_rabi)
     needed = 8.0 * proxy
     tau_span = 2.0 * np.pi / grid.d_omega
     if grid.omega_max < needed:
+        # unrounded first: at a vanishing OD the linewidth passes the float range
+        _check_admissible(needed * tau_span / np.pi, "tau span", medium, coupling)
         n_pow2 = _next_pow2(needed * tau_span / np.pi)
-        _check_admissible(n_pow2, "tau span", coupling)
         raise GridError(
             f"grid half-span {grid.omega_max:.3e} rad/s is below 8 EIT linewidths "
             f"({needed:.3e} rad/s); increase n_omega to at least {n_pow2}",
@@ -154,10 +167,10 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
     span_needed = 4.0 * group_delay_estimate(medium, coupling.peak_rabi)
     if tau_span < span_needed:
         # unrounded first: for a weak coupling n_omega * span in ns passes the float range
-        _check_admissible(grid.n * (span_needed / tau_span), "tau step", coupling)
+        _check_admissible(grid.n * (span_needed / tau_span), "tau step", medium, coupling)
         span_ns = math.ceil(span_needed * 1e9)
         n_pow2 = _next_pow2(grid.n * span_ns * 1e-9 / tau_span)
-        _check_admissible(n_pow2, "tau step", coupling)
+        _check_admissible(n_pow2, "tau step", medium, coupling)
         raise GridError(
             f"tau window {tau_span * 1e9:.6g} ns is below 4 group delays "
             f"({span_needed * 1e9:.6g} ns); increase numerics.tau_span_ns to at least "
@@ -165,13 +178,15 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
             suggested_n_omega=n_pow2)
 
 
-def _check_admissible(n_omega: float, kept: str, coupling: BeamField) -> None:
+def _check_admissible(n_omega: float, kept: str, medium: MediumConfig,
+                      coupling: BeamField) -> None:
     if n_omega > MAX_N_OMEGA:
         raise GridError(
             f"no admissible grid resolves this run: at its {kept} it needs n_omega of about "
             f"2^{math.ceil(min(math.log2(n_omega), 1024.0))}, above the largest accepted 2^20; the "
             f"coupling Rabi frequency {coupling.peak_rabi / (2e6 * math.pi):.6g} MHz "
-            f"(coupling power {coupling.power * 1e3:.6g} mW) sets this scale")
+            f"(coupling power {coupling.power * 1e3:.6g} mW) sets this scale, with the "
+            f"optical depth {medium.od:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +248,10 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     The integrand is built from its mirror symmetries.  The z grid,
     Omega_c^2(z) and the drive envelope are exact mirrors about z = 0, so
     1/D(omega), the wavenumbers and kappa are evaluated on the z >= 0
-    columns only and reflected.  Grid rows i and n - i hold +omega and
-    -omega (row n/2 is omega = 0, row 0 has no mirror on the grid): since
-    D(-omega) = D(omega)*, one EIT reciprocal feeds the wavenumbers of both
-    rows and kappa, which is even in omega.
+    columns only and reflected.  Rows 0 .. n/2 are evaluated, each with its
+    mirror n - i at -omega (row n/2 is its own; row 0's, +Omega_max, is
+    dropped): since D(-omega) = D(omega)*, one EIT reciprocal gives the slow
+    photon's wavenumbers at +-omega and kappa, which is even in omega.
 
     With both wavenumbers even in z, the trapezoid increment of the phase
     argument over a panel equals the one over its mirror panel.  The phase
@@ -253,22 +268,22 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
 
     the +omega row's finished kappa-phase block summed with a second weight
     vector, so only rows 0 .. n/2 form phase factors.  In the nondegenerate
-    scheme q1(-omega) is not tied to q1(omega), so the -omega rows get their
-    own photon-1 wavenumbers and phase factors; their photon-2 wavenumber
-    +omega/c is the +omega row's negated.
+    scheme the partner is a vacuum photon (:func:`_partner_wavenumber`), so
+    the -omega row pairs the slow photon's q(-omega) with +omega/c and forms
+    phase factors of its own.
 
     The running product and the exchange identity hold in exact arithmetic;
     every row differs from a direct evaluation (cumulative sums of the
     arguments, one ``exp`` per node) in the last bits, a few 1e-15 of
     max|S| on the presets.  The wavenumbers carry no cancellation
-    (:func:`~biphoton_sim.dispersion.pair_wavenumbers` never subtracts
+    (:func:`~biphoton_sim.dispersion.slow_wavenumbers` never subtracts
     omega0/c from k1), so against a 40-digit evaluation of the same
     discretization both evaluations are off by the rounding of their phase
     sums or running product over the z panels, a few 1e-15 of max|S|.
 
-    The row pairs are split into fixed-size chunks of about
+    Rows 0 .. n/2 are split into contiguous chunks of about
     ``_CHUNK_ELEMENTS`` cells (``_SHARED_CHUNK_FACTOR`` times as many when
-    several workers share them; the degenerate scheme fills only the +omega
+    several workers share them; the degenerate scheme fills only the omega
     half), which the workers claim one at a time.  Each worker allocates its
     workspace once per call: one full-z working array and z >= 0 blocks for
     the per-panel factors, the EIT reciprocal, both wavenumbers and their
@@ -278,8 +293,8 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     a block-sized array, so the working set stays small and no chunk faults
     in fresh pages.  Results are deterministic and independent of
     ``threads`` and of the chunk size: every row is evaluated the same way
-    whichever worker and chunk runs it, and its outputs land in a disjoint
-    slice of the spectrum.
+    whichever worker and chunk runs it, and its outputs land in disjoint
+    slices of the spectrum.
     """
     if z_panels < 64:
         raise ValueError(f"z_panels must be >= 64, got {z_panels}")
@@ -306,23 +321,20 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
 
     n = grid.n
     half = n // 2
-    spectrum = np.empty(n, dtype=complex)
+    # slot n takes +Omega_max, the mirror of row 0, and is dropped before the FFT
+    spectrum = np.empty(n + 1, dtype=complex)
     degenerate = mode is GenerationMode.DEGENERATE
     if degenerate:
         # the -omega row's integrand is the +omega row's reflected in z times
         # e^{2 i z delta0}, and kappa and the Simpson weights are even in z
         w_minus = simpson * np.exp(-2j * (z * delta0))
-    # Representative rows: 0 and n/2 stand only for themselves and come first,
-    # so they share the first chunk; row i in 1 .. n/2-1 also stands for row
-    # n - i.
-    reps = np.r_[0, half, 1:half]
     workers = threads if threads > 0 else min(8, os.cpu_count() or 1)
     cells = _CHUNK_ELEMENTS * (_SHARED_CHUNK_FACTOR if workers > 1 else 1)
-    # At least two representatives per chunk, and a one-row tail joins the
-    # chunk before it: a one-row block would take a different BLAS path in
-    # the final matvecs and change the result bits.
+    # At least two rows per chunk, and a one-row tail joins the chunk before
+    # it: a one-row block would take a different BLAS path in the final
+    # matvecs and change the result bits.
     chunk = max(2, cells // (2 * (m + 1)))
-    bounds = list(range(0, len(reps), chunk)) + [len(reps)]
+    bounds = list(range(0, half + 1, chunk)) + [half + 1]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     spans = list(zip(bounds[:-1], bounds[1:]))
@@ -331,58 +343,51 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         # The worker's workspace, sized for the largest chunk: its one full-z
         # working array (the degenerate -omega rows need none) and its z >= 0
         # blocks, which every chunk writes with out=: the per-panel phase
-        # factors, 1/D(omega), q1 (then kappa), q2 (1/D(-omega) in the
-        # nondegenerate scheme) and four real scratch arrays for the
-        # wavenumbers.  The working array is allocated twice: glibc serves it
-        # by mmap, and freeing that copy lifts its dynamic mmap and trim
-        # thresholds above the size, so the workspace and what a chunk still
-        # allocates (numpy's 128 KiB casting buffers among it) come from the
-        # heap and are reused, in this call and the next, not mapped and
-        # faulted in again (three fig2d calls in one process: 19k minor
-        # faults without, 2.5k with).
+        # factors, 1/D(omega), q(omega) (then kappa), q(-omega) and four real
+        # scratch arrays for the wavenumbers.  The working array is allocated
+        # twice: glibc serves it by mmap, and freeing that copy lifts its
+        # dynamic mmap and trim thresholds above the size, so the workspace
+        # and what a chunk still allocates (numpy's 128 KiB casting buffers
+        # among it) come from the heap and are reused, in this call and the
+        # next, not mapped and faulted in again (minor faults of a fig2d
+        # waveform command at 1 thread: 16k without, 7.8k with; of a repeated
+        # 2-thread fig2d call: 5.1k without, 8 with).
         rows = max(stop - start for start, stop in spans)
-        shape = (rows * (1 if degenerate else 2), m + 1)
-        np.empty(shape, complex)  # freed at once
-        work = np.empty(shape, complex)
+        sides = 1 if degenerate else 2
+        np.empty((rows * sides, m + 1), complex)  # freed at once
+        work = np.empty((rows * sides, m + 1), complex)
         factors = np.empty((rows, mh + 1), complex)
         zpos_blocks = np.empty((3, rows, mh + 1), complex)
         scratch = np.empty((4, rows, mh + 1))
         for start, stop in claimed:
-            idx = reps[start:stop]
-            k = len(idx)
-            lo = 2 if start == 0 else 0  # leading rows without a mirror
-            om = grid.omega[idx][:, None]
-            recip, q1_block, q2_block = zpos_blocks[:, :k]
+            k = stop - start
+            om = grid.omega[start:stop, None]
+            recip, q_plus, q_minus = zpos_blocks[:, :k]
             np.divide(1.0, eit_denominator(om, oc_sq, medium, out=recip), out=recip)
-            q1, q2 = pair_wavenumbers(om, recip, medium, mode, out=(q1_block, q2_block),
-                                      scratch=scratch[:, :k])
-            phase = work[:k]
-            _phase_factors(q1, q2, h, delta0, z[0], factors[:k], phase)
-            if not degenerate:
-                # q1(-omega) is not tied to q1(omega): the -omega rows get
-                # their own wavenumbers, from 1/D(-omega) = 1/D(omega)*;
-                # q2 = -omega/c is odd
-                r_minus = np.conjugate(recip[lo:], out=q2_block[:k - lo])
-                q1, q2 = pair_wavenumbers(-om[lo:], r_minus, medium, mode,
-                                          out=(q1_block[:k - lo], None),
-                                          scratch=scratch[:, :k - lo])
-                phase = work[:2 * k - lo]
-                _phase_factors(q1, q2, h, delta0, z[0], factors[:k - lo], phase[k:])
-            kap = _coupling(recip, envelope, medium, pump, mode, scale, out=q1_block)
-            blocks = ((phase, kap),) if degenerate else ((phase[:k], kap), (phase[k:], kap[lo:]))
+            slow_wavenumbers(om, recip, medium, out=(q_plus, q_minus), scratch=scratch[:, :k])
+            phase = work[:sides * k]
+            blocks = phase.reshape(sides, k, m + 1)
+            # the photons of the omega rows and of the -omega rows, partners
+            # taken before _phase_factors overwrites photon 1's wavenumber;
+            # the degenerate -omega rows, the pair exchanged, need no block
+            pairs = [(q_plus, _partner_wavenumber(q_minus, om, mode)),
+                     (q_minus, _partner_wavenumber(q_plus, -om, mode))]
+            for (q1, q2), block in zip(pairs, blocks):
+                _phase_factors(q1, q2, h, delta0, z[0], factors[:k], block)
+            kap = _coupling(recip, envelope, medium, pump, mode, scale, out=q_plus)
             # kappa is even in z and in omega
-            for block, kap_rows in blocks:
-                np.multiply(kap_rows, block[:, mh:], out=block[:, mh:])
-                np.multiply(kap_rows[:, :0:-1], block[:, :mh], out=block[:, :mh])
+            np.multiply(kap, blocks[..., mh:], out=blocks[..., mh:])
+            np.multiply(kap[:, :0:-1], blocks[..., :mh], out=blocks[..., :mh])
             if degenerate:
-                # two matvecs over the same k rows: a two-column matmul, or a
-                # mirror matvec over only the k - lo mirrored rows (one row in
-                # a first chunk of three), may take another BLAS path and
-                # change the bits
-                spectrum[idx] = phase @ simpson
-                spectrum[n - idx[lo:]] = (phase @ w_minus)[lo:]
+                # two matvecs over the same k rows: a two-column matmul may
+                # take another BLAS path and change the bits
+                minus, plus = phase @ w_minus, phase @ simpson
             else:
-                spectrum[np.concatenate([idx, n - idx[lo:]])] = phase @ simpson
+                plus, minus = np.split(phase @ simpson, 2)
+            # -omega first: row n/2 is its own mirror, and its value at
+            # omega = +0 is the one kept
+            spectrum[n - start:n - stop:-1] = minus
+            spectrum[start:stop] = plus
 
     workers = min(workers, len(spans))
     # one worker (threads == 1, or one chunk) runs in the calling thread:
@@ -401,7 +406,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunks, [iter(claims.get, None) for _ in range(workers)]))
 
-    return spectrum_to_waveform(grid, spectrum)
+    return spectrum_to_waveform(grid, spectrum[:n])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +436,8 @@ def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
     """
     om = grid.omega
     recip = 1.0 / eit_denominator(om, coupling.peak_rabi ** 2, medium)
-    q1, q2 = pair_wavenumbers(om, recip, medium, mode)
+    q1, q_mirror = slow_wavenumbers(om, recip, medium)
+    q2 = _partner_wavenumber(q_mirror, om, mode)
     kap = _coupling(recip, 1.0, medium, pump, mode, scale)
     # z-phase coefficient; sinc is even in it
     mismatch = q2 - q1 + _residual_wavevector(medium, pump, coupling, mode)

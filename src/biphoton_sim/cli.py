@@ -41,7 +41,14 @@ from .biphoton import (
     psi_full,
     psi_uniform_spectrum,
 )
-from .config import ConfigError, RunConfig, check_coupling_rabi, check_power_mw, load_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    check_coupling_rabi,
+    check_od,
+    check_power_mw,
+    load_config,
+)
 from .dispersion import eit_absorption_loss, eit_transmission, group_delay_estimate
 from .grids import GridError, check_finite, csv_text, spectrum_to_waveform, waveform_csv_rows
 from .interference import (
@@ -79,6 +86,7 @@ ENGINES = {
 
 def _build_waveform(cfg: RunConfig, engine: str, threads: int):
     check_coupling_rabi(cfg.coupling.peak_rabi, cfg.medium, "coupling.peak_rabi_mhz")
+    check_od(cfg.medium)
     grid = cfg.numerics.grid()
     check_grid(grid, cfg.medium, cfg.coupling)
     return check_finite(ENGINES[engine](cfg, grid, threads), engine)
@@ -168,6 +176,8 @@ def _scan(cfg: RunConfig, args, threads: int):
                           field)
     if len(powers) < 2:
         raise ConfigError(f"need at least 2 power points, got {len(powers)}", field)
+    if args.full:
+        check_od(cfg.medium)
 
     points = coherence_scan(powers, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
                             grid=cfg.numerics.grid() if args.full else None,

@@ -23,6 +23,7 @@ from .params import (
     DetectionConfig,
     GenerationMode,
     MediumConfig,
+    RangeError,
     rabi_at_power,
 )
 
@@ -179,10 +180,9 @@ def _section(name: str, obj):
             raise ConfigError(f"expected an integer, got {val!r}", where)
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc), name) from None
+    except RangeError as exc:  # the range in the dataclass, the value as written
+        key = next(key for key, attr, _ in fields if attr == exc.attr)
+        raise ConfigError(f"{exc.rule}, got {sec[key]!r}", f"{name}.{key}") from None
 
 
 def _check_below_carrier(sections: dict) -> None:
@@ -222,6 +222,14 @@ def check_coupling_rabi(rabi: float, medium: MediumConfig, where: str,
         raise ConfigError(f"{subject}must keep |Omega_c|^2 a normal double, and the group delay "
                           f"2 gamma13 OD / |Omega_c|^2 and gamma13^2 / |Omega_c|^2 finite, "
                           f"got {rabi / MHZ:g} MHz", where)
+
+
+def check_od(medium: MediumConfig) -> None:
+    """A waveform needs OD > 0: its grid check divides by the EIT linewidth's OD."""
+    if medium.od <= 0:
+        raise ConfigError("must be > 0 for a waveform, whose grid scales with the EIT "
+                          f"linewidth |Omega_c|^2 / (2 gamma13 OD), got {medium.od:g}",
+                          "medium.od")
 
 
 def _build(data) -> RunConfig:

@@ -4,13 +4,13 @@ The EIT pole structure is written once, in :func:`eit_denominator`:
 
     D(omega; |Omega_c|^2) = |Omega_c|^2 - 4 (omega + i gamma13)(omega + i gamma12)
 
-The linear susceptibility, the slow-photon wavenumber built on it, and the
-parametric coupling kappa of :mod:`biphoton_sim.biphoton` all take the
-reciprocal 1/D as an input, so both photons of a degenerate pair see one
-medium:
-k2(omega) = k1(-omega) and kappa(omega) = kappa(-omega) hold exactly.  Also
-here: transparency / group-delay / absorption diagnostics, and the
-eigenvalue analysis of the counter-propagating two-mode coupling matrix.
+The linear susceptibility, the slow photon's wavenumber built on it, and
+the parametric coupling kappa of :mod:`biphoton_sim.biphoton` all take the
+reciprocal 1/D as an input; D(-omega) = D(omega)*, so one 1/D(omega) gives
+the slow photon's q(omega) and q(-omega) (:func:`slow_wavenumbers`) and
+kappa(omega) = kappa(-omega), exactly.  Also here: transparency /
+group-delay / absorption diagnostics, and the eigenvalue analysis of the
+counter-propagating two-mode coupling matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import C_LIGHT, GenerationMode, MediumConfig, density_prefactor
+from .params import C_LIGHT, MediumConfig, density_prefactor
 
 
 class PTRegime(Enum):
@@ -121,38 +121,30 @@ def _slow_wavenumber(omega, x, y, medium: MediumConfig, out, tmp):
     return out
 
 
-def pair_wavenumbers(omega, recip, medium: MediumConfig, mode: GenerationMode,
-                     out=(None, None), scratch=None):
-    """Carrier-subtracted wavenumbers q1(omega), q2(omega) of the pair.
+def slow_wavenumbers(omega, recip, medium: MediumConfig, out=(None, None), scratch=None):
+    """The slow photon's carrier-subtracted wavenumbers q(omega) and q(-omega).
 
-    ``recip`` is the reciprocal 1/D(omega).  Photon 1 always propagates
-    through the EIT medium.  Degenerate scheme: photon 2 is its detuning
-    mirror, q2(omega) = q1(-omega).  |Omega_c|^2 is real, so
-    D(-omega) = D(omega)* and chi(-omega) = -chi(omega)*: q2 comes from the
-    same susceptibility with its real part negated, which equals chi
-    evaluated at -omega bit for bit (up to the sign of a zero), so the
-    identity is exact on mirrored grids.  Nondegenerate scheme: the far-detuned partner
-    propagates dispersion-free and lossless, q2(omega) = -omega/c, a
-    broadcast view.  ``out`` holds the arrays for q1 and q2 and ``scratch``
-    four real arrays of their shape stacked on a leading axis; both are
-    allocated when not given.
+    ``recip`` is the reciprocal 1/D(omega).  |Omega_c|^2 is real, so
+    D(-omega) = D(omega)* and chi(-omega) = -chi(omega)*: q(-omega) comes
+    from the same susceptibility with its real part negated, which equals
+    chi evaluated at -omega bit for bit (up to the sign of a zero).  ``out``
+    holds the arrays for q(omega) and q(-omega) and ``scratch`` four real
+    arrays of their shape stacked on a leading axis; both are allocated when
+    not given.
     """
     om = np.asarray(omega, dtype=float)
     shape = np.broadcast_shapes(om.shape, np.shape(recip))
     x, y, t, s = _real_scratch(4, shape) if scratch is None else scratch
     _susceptibility(om, recip, medium, x, y, t)
-    q1 = _slow_wavenumber(om, x, y, medium, out[0], (t, s))
-    if mode is GenerationMode.DEGENERATE:
-        np.negative(x, out=x)
-        return q1, _slow_wavenumber(-om, x, y, medium, out[1], (t, s))
-    return q1, np.broadcast_to(-om / C_LIGHT + 0j, shape)
+    q_plus = _slow_wavenumber(om, x, y, medium, out[0], (t, s))
+    np.negative(x, out=x)
+    return q_plus, _slow_wavenumber(-om, x, y, medium, out[1], (t, s))
 
 
 def _slow_wavenumber_at(omega, omega_c: float, medium: MediumConfig):
-    # photon 1's q; the nondegenerate partner's is a view that costs nothing
     om = np.asarray(omega, dtype=float)
     recip = 1.0 / eit_denominator(om, omega_c ** 2, medium)
-    return pair_wavenumbers(om, recip, medium, GenerationMode.NONDEGENERATE)[0]
+    return slow_wavenumbers(om, recip, medium)[0]
 
 
 def eit_transmission(omega_grid, omega_c: float, medium: MediumConfig):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Waveform
+from .params import check_ranges
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,7 @@ class InterferometerConfig:
     noise_counts: float = 0.0  # CC_n, counts per bin
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.reflectance <= 1.0:
-            raise ValueError(f"reflectance must be in [0, 1], got {self.reflectance}")
-        if self.shift_delta < 0:
-            raise ValueError(f"shift_delta must be >= 0, got {self.shift_delta}")
-        if self.noise_counts < 0:
-            raise ValueError(f"noise_counts must be >= 0, got {self.noise_counts}")
+        check_ranges(self, reflectance="in [0, 1]", shift_delta=">= 0", noise_counts=">= 0")
 
 
 def _check_exchange_symmetry(psi0: Waveform, tol: float = 0.05) -> None:

@@ -27,6 +27,32 @@ class GenerationMode(Enum):
     DEGENERATE = "degenerate"
 
 
+class RangeError(ValueError):
+    """A field outside its range: ``attr`` names the field, ``rule`` the range."""
+
+    def __init__(self, attr: str, rule: str, value):
+        super().__init__(f"{attr} {rule}, got {value}")
+        self.attr, self.rule = attr, rule
+
+
+# the ranges of the configuration fields, each stated once, with its test
+_RANGES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    "in (0, 1]": lambda v: 0.0 < v <= 1.0,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    ">= 0 and below a right angle": lambda v: 0.0 <= v < math.pi / 2,
+}
+
+
+def check_ranges(obj, **ranges: str) -> None:
+    """Raise RangeError for the first named field of ``obj`` outside its range."""
+    for attr, rng in ranges.items():
+        value = getattr(obj, attr)
+        if not _RANGES[rng](value):
+            raise RangeError(attr, f"must be {rng}", value)
+
+
 @dataclass(frozen=True)
 class MediumConfig:
     """Cold-atom ensemble parameters.
@@ -48,20 +74,8 @@ class MediumConfig:
     lambda0: float    # m
 
     def __post_init__(self) -> None:
-        if self.od < 0:
-            raise ValueError(f"od must be >= 0, got {self.od}")
-        if self.length <= 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
-        if self.gamma13 <= 0:
-            raise ValueError(f"gamma13 must be > 0, got {self.gamma13}")
-        if self.gamma12 < 0:
-            raise ValueError(f"gamma12 must be >= 0, got {self.gamma12}")
-        if self.gamma14 < 0:
-            raise ValueError(f"gamma14 must be >= 0, got {self.gamma14}")
-        if not 0.0 <= self.theta < math.pi / 2:
-            raise ValueError(f"theta must be in [0, pi/2), got {self.theta}")
-        if self.lambda0 <= 0:
-            raise ValueError(f"lambda0 must be > 0, got {self.lambda0}")
+        check_ranges(self, od=">= 0", length="> 0", gamma13="> 0", gamma12=">= 0",
+                     gamma14=">= 0", theta=">= 0 and below a right angle", lambda0="> 0")
 
     @property
     def k0(self) -> float:
@@ -90,14 +104,7 @@ class BeamField:
     peak_rabi: float   # rad/s
 
     def __post_init__(self) -> None:
-        if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be > 0, got {self.wavelength}")
-        if self.waist <= 0:
-            raise ValueError(f"waist must be > 0, got {self.waist}")
-        if self.power < 0:
-            raise ValueError(f"power must be >= 0, got {self.power}")
-        if self.peak_rabi < 0:
-            raise ValueError(f"peak_rabi must be >= 0, got {self.peak_rabi}")
+        check_ranges(self, wavelength="> 0", waist="> 0", power=">= 0", peak_rabi=">= 0")
 
 
 @dataclass(frozen=True)
@@ -111,18 +118,8 @@ class DetectionConfig:
     accidental_floor: float = 0.0  # counts per bin
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValueError(f"duty_cycle must be in (0, 1], got {self.duty_cycle}")
-        if not 0.0 < self.joint_efficiency <= 1.0:
-            raise ValueError(
-                f"joint_efficiency must be in (0, 1], got {self.joint_efficiency}")
-        if self.bin_width <= 0:
-            raise ValueError(f"bin_width must be > 0, got {self.bin_width}")
-        if self.collection_time <= 0:
-            raise ValueError(f"collection_time must be > 0, got {self.collection_time}")
-        if self.accidental_floor < 0:
-            raise ValueError(
-                f"accidental_floor must be >= 0, got {self.accidental_floor}")
+        check_ranges(self, duty_cycle="in (0, 1]", joint_efficiency="in (0, 1]",
+                     bin_width="> 0", collection_time="> 0", accidental_floor=">= 0")
 
 
 # ---------------------------------------------------------------------------

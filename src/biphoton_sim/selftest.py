@@ -24,7 +24,7 @@ from .biphoton import (
     psi_full,
     psi_uniform_spectrum,
 )
-from .dispersion import PTRegime, eit_denominator, pair_wavenumbers, pt_mode_analysis
+from .dispersion import PTRegime, eit_denominator, pt_mode_analysis, slow_wavenumbers
 from .grids import SpectralGrid, spectrum_to_waveform
 from .params import BeamField, GenerationMode, MediumConfig
 
@@ -70,8 +70,8 @@ def check_wavenumber_mirror() -> CheckResult:
     medium = _medium()
     om = SpectralGrid.from_numerics(2 ** 10, 20e-6).omega
     oc_sq = (14.5 * MHZ) ** 2
-    q1, q2 = pair_wavenumbers(om, 1.0 / eit_denominator(om, oc_sq, medium), medium,
-                              GenerationMode.DEGENERATE)
+    # the degenerate partner k2(w) is the slow photon at -w
+    q1, q2 = slow_wavenumbers(om, 1.0 / eit_denominator(om, oc_sq, medium), medium)
     # index i of the symmetric grid pairs with n - i
     worst = float(np.max(np.abs(q2[1:] - q1[1:][::-1])))
     return CheckResult("dispersion", "k2(w) = k1(-w) degenerate (exact)",

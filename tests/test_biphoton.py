@@ -21,7 +21,7 @@ from biphoton_sim import (
     spectrum_to_waveform,
 )
 from biphoton_sim import biphoton
-from biphoton_sim.dispersion import eit_denominator, pair_wavenumbers
+from biphoton_sim.dispersion import eit_denominator, slow_wavenumbers
 from biphoton_sim.params import C_LIGHT, DetectionConfig, beam_profile
 
 from conftest import MHZ, make_coupling, make_medium, make_pump
@@ -104,6 +104,29 @@ class TestKappa:
         pole = kappa(coupling.peak_rabi / 2.0, 0.0, medium, pump, coupling, DEG)
         assert abs(pole) / abs(center) == pytest.approx(0.0013208959303597165,
                                                         rel=1e-9)
+
+
+class TestPartnerWavenumber:
+    """Photon 2: the slow photon at -omega, or a vacuum photon at -omega/c."""
+
+    @staticmethod
+    def slow_q(omega, medium):
+        return slow_wavenumbers(omega, 1.0 / eit_denominator(omega, (12.2 * MHZ) ** 2, medium),
+                                medium)
+
+    def test_degenerate_partner_is_the_mirror_slow_photon(self):
+        medium = make_medium(od=88.0, g12_mhz=0.2)
+        omega = np.linspace(-20.0, 20.0, 41) * MHZ
+        _, q_mirror = self.slow_q(omega, medium)
+        assert biphoton._partner_wavenumber(q_mirror, omega, DEG) is q_mirror
+
+    def test_nondegenerate_partner_is_lossless(self):
+        medium = make_medium(od=88.0, g12_mhz=0.2)
+        omega = np.linspace(-20.0, 20.0, 41) * MHZ
+        _, q_mirror = self.slow_q(omega, medium)
+        q2 = biphoton._partner_wavenumber(q_mirror, omega, NONDEG)
+        assert np.all(q2.imag == 0.0)
+        assert np.all(np.diff(q2.real) < 0.0)  # minus omega over c
 
 
 class TestSpectralTransform:
@@ -261,7 +284,8 @@ def direct_spectrum(grid, m, medium, pump, coupling, mode):
     oc_sq = (coupling.peak_rabi * gc) ** 2
     om = grid.omega[:, None]
     recip = 1.0 / eit_denominator(om, oc_sq[None, :], medium)
-    q1, q2 = pair_wavenumbers(om, recip, medium, mode)
+    q1, q_mirror = slow_wavenumbers(om, recip, medium)
+    q2 = biphoton._partner_wavenumber(q_mirror, om, mode)
     kap = biphoton._coupling(recip, (gp * gc)[None, :], medium, pump, mode, 1.0)
     cum1, cum2 = (np.concatenate([np.zeros((grid.n, 1), complex),
                                   np.cumsum(0.5 * (q[:, 1:] + q[:, :-1]) * h, axis=1)],
@@ -390,10 +414,12 @@ class TestPsiFullMirrorEvaluation:
             reference = psi_full_spectrum(mp, grid, self.M, medium, pump, coupling, mode)
         return grid, medium, pump, coupling, mode, direct, reference
 
-    # 2, 4 and 64 row pairs per chunk divide the 257 representative rows
-    # (rows 0 .. n/2) with one left over, 5 with two; 1 asks for one-row
-    # blocks; 3 leaves the first chunk (rows 0, n/2, 1) one mirror row;
-    # 10 ** 6 is one chunk
+    # Chunks are runs of rows 0 .. n/2 (257 here), each row taken with its
+    # mirror n - i: 2, 4 and 64 rows per chunk leave one row over, which
+    # joins the chunk before; 3 and 5 leave two, a chunk of their own; 1
+    # asks for one-row chunks, which are raised to two; 10 ** 6 is one
+    # chunk, where row 0 (whose mirror, +Omega_max, is dropped) and row n/2
+    # (its own mirror) meet
     @pytest.mark.parametrize("pairs", [1, 2, 3, 4, 5, 64, 10 ** 6])
     @pytest.mark.parametrize("threads", [1, 3])
     def test_any_chunking_matches_direct_evaluation(self, case, monkeypatch, pairs, threads):
@@ -405,8 +431,8 @@ class TestPsiFullMirrorEvaluation:
 
     def test_default_chunks_on_two_threads(self, case, monkeypatch):
         # with two workers a default chunk holds 1016 row pairs at M = 128, so
-        # on a grid of 2 ** 11 rows (1025 representatives) the workers claim
-        # a full chunk and a short one
+        # on a grid of 2 ** 11 rows (rows 0 .. n/2 are 1025) the workers
+        # claim a full chunk and a short one
         _, medium, pump, coupling, mode, _, _ = case
         grid = small_grid(n=2 ** 11)
         cells = biphoton._SHARED_CHUNK_FACTOR * biphoton._CHUNK_ELEMENTS

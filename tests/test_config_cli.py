@@ -83,11 +83,21 @@ class TestConfig:
             parse_config(json.dumps(data))
         assert str(info.value) == "medium.odd: unknown field"
 
-    def test_invalid_value_names_the_section(self):
-        data = dump_config(load_preset("fig2c"))
-        data["medium"]["od"] = -5.0
-        with pytest.raises(ConfigError, match="medium"):
+    @pytest.mark.parametrize("preset, section, key, value, message", [
+        ("fig2c", "medium", "od", -5.0, "must be >= 0, got -5.0"),
+        ("fig2c", "medium", "length_mm", -5, "must be > 0, got -5"),
+        ("fig2c", "medium", "theta_deg", 90, "must be >= 0 and below a right angle, got 90"),
+        ("fig2c", "coupling", "waist_mm", 0.0, "must be > 0, got 0.0"),
+        ("fig2c", "detection", "duty_cycle", 1.5, "must be in (0, 1], got 1.5"),
+        ("fig4b", "interferometer", "reflectance", -0.1, "must be in [0, 1], got -0.1"),
+    ], ids=["od", "length", "theta", "waist", "duty-cycle", "reflectance"])
+    def test_invalid_value_names_the_field(self, preset, section, key, value, message):
+        # the field as the file names it, with the value as written, not in SI units
+        data = dump_config(load_preset(preset))
+        data[section][key] = value
+        with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(data))
+        assert str(info.value) == f"{section}.{key}: {message}"
 
     def test_z_panels_bounds_name_the_field(self):
         assert NumericsConfig(z_panels=MAX_Z_PANELS).z_panels == 2 ** 16
@@ -360,6 +370,33 @@ class TestCli:
             "numerics error: the full engine gave a non-finite amplitude at 4096 of 4096")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("argv", [["waveform", "--engine", "full"],
+                                      ["waveform", "--engine", "uniform"],
+                                      ["waveform", "--engine", "analytic"],
+                                      ["beat"], ["scan", "--full"]],
+                             ids=["full", "uniform", "analytic", "beat", "scan-full"])
+    def test_vanishing_od_without_admissible_grid_exits_4(self, tmp_path, capsys, argv):
+        # the EIT linewidth |Omega_c|^2 / (2 gamma13 OD) overflows at OD 1e-300;
+        # its suggested n_omega used to end in an OverflowError in the grid check
+        data = dump_config(load_preset("fig4b" if argv[0] == "beat" else "fig5"))
+        data["medium"]["od"] = 1e-300
+        cfg = write_config(tmp_path, data)
+        code = main([argv[0], "--config", cfg, "--out", str(tmp_path / "x.csv"), *argv[1:]])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerics error: no admissible grid resolves this run: ")
+        assert err.endswith("with the optical depth 1e-300\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_formula_scan_at_zero_od_exits_0(self, tmp_path):
+        # only a waveform needs the EIT linewidth; the formula scan is linear in OD
+        data = dump_config(load_preset("fig5"))
+        data["medium"]["od"] = 0.0
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "scan.json").read_text())["slope_s"] == 0.0
+
     def test_scan_power_without_admissible_grid_exits_4(self, tmp_path, capsys):
         # 1e-300 mW used to draw a suggested tau_span_ns and n_omega of about
         # 300 digits each, which the parser would reject
@@ -411,6 +448,11 @@ def rabi_patch(peak_rabi_mhz, **sections):
 FIG4B_INTERFEROMETER = dump_config(load_preset("fig4b"))["interferometer"]
 
 
+def field_patch(section, key, value, **sections):
+    """fig5's ``section`` with ``key`` set to ``value``."""
+    return {section: {**dump_config(load_preset("fig5"))[section], key: value}, **sections}
+
+
 @pytest.mark.parametrize("argv, patch, field", [
     (["scan"], {"numerics": [1]}, "numerics"),
     (["scan"], {"scan": 5}, "scan"),
@@ -456,6 +498,18 @@ FIG4B_INTERFEROMETER = dump_config(load_preset("fig4b"))["interferometer"]
     (["scan", "--powers=1e-320,1"], {}, "--powers"),
     (["scan", "--powers=1e-311,1"], {}, "--powers"),  # finite delay, x overflows
     (["scan"], {"scan": {"powers_mw": [1e-320, 1.0]}}, "scan.powers_mw[0]"),
+    (["eit-spectrum"], field_patch("medium", "length_mm", -5), "medium.length_mm"),
+    (["waveform"], field_patch("medium", "theta_deg", 90.0), "medium.theta_deg"),
+    (["scan"], field_patch("coupling", "waist_mm", 0.0), "coupling.waist_mm"),
+    (["waveform"], field_patch("detection", "duty_cycle", 0.0), "detection.duty_cycle"),
+    (["beat"], {"interferometer": {**FIG4B_INTERFEROMETER, "reflectance": 1.5}},
+     "interferometer.reflectance"),
+    (["waveform"], field_patch("medium", "od", 0.0), "medium.od"),
+    (["waveform", "--engine", "uniform"], field_patch("medium", "od", 0.0), "medium.od"),
+    (["waveform", "--engine", "analytic"], field_patch("medium", "od", 0.0), "medium.od"),
+    (["beat"], field_patch("medium", "od", 0.0, interferometer=FIG4B_INTERFEROMETER),
+     "medium.od"),
+    (["scan", "--full"], field_patch("medium", "od", 0.0), "medium.od"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
         "no-powers", "one-power", "one-power-flag", "powers-flag-overflow",
@@ -466,7 +520,10 @@ FIG4B_INTERFEROMETER = dump_config(load_preset("fig4b"))["interferometer"]
         "floor-swamps-signal", "rabi-zero-full", "rabi-zero-uniform",
         "rabi-underflow-analytic", "rabi-underflow-full", "rabi-zero-beat",
         "rabi-underflow-beat", "rabi-underflow-spectrum", "powers-flag-underflow",
-        "powers-flag-abscissa-overflow", "power-underflow"])
+        "powers-flag-abscissa-overflow", "power-underflow", "length-negative",
+        "theta-right-angle", "waist-zero", "duty-cycle-zero", "reflectance-above-one",
+        "od-zero-full", "od-zero-uniform", "od-zero-analytic", "od-zero-beat",
+        "od-zero-scan-full"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     data = small_numerics(dump_config(load_preset("fig5")))
     data.update(patch)

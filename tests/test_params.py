@@ -107,6 +107,15 @@ class TestInvariants:
         with pytest.raises(ValueError):
             make_medium(theta_deg=95.0)
 
+    def test_range_error_names_the_attribute_in_si_units(self):
+        with pytest.raises(ValueError, match=r"^length must be > 0, got -0\.005$") as info:
+            make_medium(length=-0.005)
+        assert (info.value.attr, info.value.rule) == ("length", "must be > 0")
+
+    def test_nan_is_outside_every_range(self):
+        with pytest.raises(ValueError, match="^od must be >= 0, got nan$"):
+            make_medium(od=math.nan)
+
     def test_detection_rejects_bad_values(self):
         with pytest.raises(ValueError):
             DetectionConfig(duty_cycle=0.0, joint_efficiency=0.049,
