@@ -182,8 +182,9 @@ def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
         t_full = None
         if grid is not None:
             scan_coupling = replace(coupling, power=power, peak_rabi=omega_c)
-            wave = check_finite(psi_full(grid, z_panels, medium, pump, scan_coupling, mode,
-                                         scale=scale, threads=threads), "full")
+            wave = psi_full(grid, z_panels, medium, pump, scan_coupling, mode,
+                            scale=scale, threads=threads)
+            check_finite(wave.amplitude, "the full engine gave a non-finite amplitude")
             report = extract_coherence_time(wave.intensity, wave.tau)
             t_full = report.e_inverse_width
         points.append(ScanPoint(power=power, omega_c=omega_c, x=x,

@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .config import ConfigError
 from .dispersion import (
     eit_absorption_loss,
     eit_bandwidth_proxy,
@@ -141,9 +142,13 @@ def _next_pow2(x: float) -> int:
 
 
 def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) -> None:
-    """Reject grids that cannot resolve the transparency window or hold the waveform.
+    """Reject runs whose waveform has no time scale, or a grid that cannot hold it.
 
-    Requires the grid half-span to cover at least eight EIT linewidth proxies
+    Every waveform passes here.  Its time scale is the group delay
+    2 gamma13 OD / |Omega_c|^2 and its grid's the inverse, the EIT linewidth,
+    so both the coupling and the OD must be > 0 (:class:`ConfigError`; the
+    parser has bounded both scales to the float range).  Then the grid
+    half-span must cover at least eight EIT linewidth proxies
     (a finer tau step, i.e. larger n_omega at fixed span, widens the grid),
     and the tau window 2 pi / d_omega to span at least four group delays, so
     the group-delay support |tau| <= L/V_g cannot wrap around the periodic
@@ -153,6 +158,10 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
     and the OD, whose ratio |Omega_c|^2 / OD sets both the linewidth and the
     group delay.
     """
+    for value, where in ((coupling.peak_rabi, "coupling.peak_rabi_mhz"), (medium.od, "medium.od")):
+        if value <= 0:
+            raise ConfigError("must be > 0 for a waveform, whose time scale is the group delay "
+                              f"2 gamma13 OD / |Omega_c|^2, got {value:g}", where)
     proxy = eit_bandwidth_proxy(medium, coupling.peak_rabi)
     needed = 8.0 * proxy
     tau_span = 2.0 * np.pi / grid.d_omega

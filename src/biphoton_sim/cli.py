@@ -11,9 +11,16 @@ selftest       oracle-equivalence and invariant suite (--json: the records)
 ``main`` loads the config once, calls the subcommand's handler and only then
 writes the CSV and its sidecar (same path, ``.json`` suffix), so a failed run
 leaves no output.  Both files are written under temporary names and renamed
-into place, so a failed write leaves neither.  Every waveform engine runs
-behind the same grid check, and a waveform with a non-finite amplitude is
-rejected before anything is derived from it.
+into place, so a failed write leaves neither.
+
+Inputs are checked in two layers.  ``load_config`` checks what holds for
+every command, a non-zero coupling's EIT scales included, and ``_scan``
+holds each ``--powers`` value to the same bounds through ``check_power_mw``.
+``check_grid``, which every waveform passes (each engine's and each
+``scan --full`` power's), adds a coupling and an OD > 0 and a grid that can
+hold the waveform.  A waveform with a non-finite amplitude, or a spectrum
+with a non-finite transmission, is rejected before anything is derived from
+it.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
@@ -41,14 +48,7 @@ from .biphoton import (
     psi_full,
     psi_uniform_spectrum,
 )
-from .config import (
-    ConfigError,
-    RunConfig,
-    check_coupling_rabi,
-    check_od,
-    check_power_mw,
-    load_config,
-)
+from .config import ConfigError, RunConfig, check_power_mw, load_config
 from .dispersion import eit_absorption_loss, eit_transmission, group_delay_estimate
 from .grids import GridError, check_finite, csv_text, spectrum_to_waveform, waveform_csv_rows
 from .interference import (
@@ -85,11 +85,11 @@ ENGINES = {
 
 
 def _build_waveform(cfg: RunConfig, engine: str, threads: int):
-    check_coupling_rabi(cfg.coupling.peak_rabi, cfg.medium, "coupling.peak_rabi_mhz")
-    check_od(cfg.medium)
     grid = cfg.numerics.grid()
     check_grid(grid, cfg.medium, cfg.coupling)
-    return check_finite(ENGINES[engine](cfg, grid, threads), engine)
+    wave = ENGINES[engine](cfg, grid, threads)
+    check_finite(wave.amplitude, f"the {engine} engine gave a non-finite amplitude")
+    return wave
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +97,11 @@ def _build_waveform(cfg: RunConfig, engine: str, threads: int):
 # ---------------------------------------------------------------------------
 
 def _eit_spectrum(cfg: RunConfig, args, threads: int):
-    oc = cfg.coupling.peak_rabi
-    if oc > 0:  # zero coupling is the two-level spectrum, without a group delay
-        check_coupling_rabi(oc, cfg.medium, "coupling.peak_rabi_mhz")
+    oc = cfg.coupling.peak_rabi  # zero is the two-level spectrum, without a group delay
     span = 4.0 * oc if oc > 0 else 2.0 * math.pi * 30e6
     omega = np.linspace(-span, span, 2001)
     trans = eit_transmission(omega, oc, cfg.medium)
+    check_finite(trans, "eit-spectrum gave a non-finite transmission", "omega")
     alpha_l = eit_absorption_loss(cfg.medium, oc)
     return csv_text("omega_mhz,transmission", omega / (2e6 * math.pi), trans), {
         "alpha_l": alpha_l,
@@ -176,8 +175,6 @@ def _scan(cfg: RunConfig, args, threads: int):
                           field)
     if len(powers) < 2:
         raise ConfigError(f"need at least 2 power points, got {len(powers)}", field)
-    if args.full:
-        check_od(cfg.medium)
 
     points = coherence_scan(powers, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
                             grid=cfg.numerics.grid() if args.full else None,

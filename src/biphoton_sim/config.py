@@ -15,6 +15,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from importlib import resources
 
+from .dispersion import group_delay_estimate
 from .grids import MAX_N_OMEGA, SpectralGrid
 from .interference import InterferometerConfig
 from .params import (
@@ -154,7 +155,9 @@ def _object(val, where: str, known) -> dict:
 
 
 def _finite(val, where: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    # unlike math.isfinite, the comparison takes an integer past the float range
+    if not (number and abs(val) <= sys.float_info.max):
         raise ConfigError(f"expected a finite number, got {val!r}", where)
     return float(val)
 
@@ -213,28 +216,26 @@ def _check_rabi(rabi: float, w0: float, where: str, subject: str = "") -> None:
                           f"{w0 / MHZ:.6g} MHz, got {rabi / MHZ:g} MHz", where)
 
 
-def check_coupling_rabi(rabi: float, medium: MediumConfig, where: str,
-                        subject: str = "") -> None:
-    """Keep |Omega_c|^2 a normal double, the group delay and (gamma13/Omega_c)^2 finite."""
-    sq, ratio = rabi * rabi, (medium.gamma13 / rabi if rabi > 0 else math.inf)
-    if not (sq >= sys.float_info.min and math.isfinite(2.0 * medium.gamma13 * medium.od / sq)
-            and math.isfinite(ratio * ratio)):
-        raise ConfigError(f"{subject}must keep |Omega_c|^2 a normal double, and the group delay "
-                          f"2 gamma13 OD / |Omega_c|^2 and gamma13^2 / |Omega_c|^2 finite, "
-                          f"got {rabi / MHZ:g} MHz", where)
+def _check_eit_scales(rabi: float, medium: MediumConfig, where: str, subject: str = "") -> None:
+    """Keep a coupling Rabi frequency's EIT scales finite in the units they are written in.
 
-
-def check_od(medium: MediumConfig) -> None:
-    """A waveform needs OD > 0: its grid check divides by the EIT linewidth's OD."""
-    if medium.od <= 0:
-        raise ConfigError("must be > 0 for a waveform, whose grid scales with the EIT "
-                          f"linewidth |Omega_c|^2 / (2 gamma13 OD), got {medium.od:g}",
-                          "medium.od")
+    2 gamma13 OD comes first, so that its overflow names the OD; then
+    |Omega_c|^2 must be normal, and the coherence time 4 gamma13 OD / |Omega_c|^2
+    in ns and the scan abscissa gamma13^2 / |Omega_c|^2 finite.
+    """
+    if not math.isfinite(2.0 * medium.gamma13 * medium.od):
+        raise ConfigError(f"must keep 2 gamma13 OD finite, got {medium.od:g}", "medium.od")
+    if not (rabi * rabi >= sys.float_info.min
+            and math.isfinite(2.0 * group_delay_estimate(medium, rabi) * 1e9)
+            and math.isfinite((medium.gamma13 / rabi) * (medium.gamma13 / rabi))):
+        raise ConfigError(f"{subject}must keep |Omega_c|^2 a normal double, and the coherence "
+                          f"time 4 gamma13 OD / |Omega_c|^2 in ns and gamma13^2 / |Omega_c|^2 "
+                          f"finite, got {rabi / MHZ:g} MHz", where)
 
 
 def _build(data) -> RunConfig:
     if not isinstance(data, dict):
-        raise ConfigError("top level must be an object")
+        raise ConfigError("top level must be an object", "config")
     _object(data, "config", ("mode", *SECTIONS, "scan", "kappa_scale"))
 
     mode_raw = _require(data, "mode", "config")
@@ -249,6 +250,9 @@ def _build(data) -> RunConfig:
                 for name in ("medium", "pump", "coupling", "detection")}
     sections["numerics"] = _section("numerics", data.get("numerics", {}))
     _check_below_carrier(sections)
+    if sections["coupling"].peak_rabi > 0:  # zero is eit-spectrum's two-level medium
+        _check_eit_scales(sections["coupling"].peak_rabi, sections["medium"],
+                          "coupling.peak_rabi_mhz")
     if "interferometer" in data:
         sections["interferometer"] = _section("interferometer", data["interferometer"])
 
@@ -277,7 +281,7 @@ def check_power_mw(val, where: str, coupling: BeamField, medium: MediumConfig) -
     The power must be finite and > 0 (the Rabi scaling takes its root), and
     the coupling Rabi frequency scaled to it from ``coupling`` is held to
     the carrier bound of a configured one and to
-    :func:`check_coupling_rabi`, since the scan divides by its square.
+    :func:`_check_eit_scales`, since the scan divides by its square.
     """
     power = _finite(val, where)
     if power <= 0:
@@ -289,7 +293,7 @@ def check_power_mw(val, where: str, coupling: BeamField, medium: MediumConfig) -
                           where) from None
     subject = "the coupling Rabi frequency it gives "
     _check_rabi(rabi, medium.omega0, where, subject)
-    check_coupling_rabi(rabi, medium, where, subject)
+    _check_eit_scales(rabi, medium, where, subject)
     return power
 
 
@@ -299,8 +303,10 @@ def parse_config(text: str) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", "config"
         ) from None
+    except (RecursionError, ValueError) as exc:  # nested too deep, or too long an integer
+        raise ConfigError(f"cannot be read as JSON: {exc}", "config") from None
     return _build(data)
 
 
@@ -308,8 +314,13 @@ def load_config(path: str) -> RunConfig:
     """Load a configuration from a file path or a shipped preset name."""
     if path in PRESET_NAMES:
         return parse_config(_preset_text(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", "config") from None
+    return parse_config(text)
 
 
 def dump_config(cfg: RunConfig) -> dict:

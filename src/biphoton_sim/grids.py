@@ -75,19 +75,18 @@ class SpectralGrid:
         return (np.arange(self.n) - self.n // 2) * self.d_tau
 
 
-def check_finite(wave: "Waveform", engine: str) -> "Waveform":
-    """Return ``wave``, or raise GridError if any amplitude is not finite.
+def check_finite(values: np.ndarray, label: str, axis: str = "tau") -> None:
+    """Raise GridError if any of ``values``, sampled along ``axis``, is not finite.
 
-    Every waveform an output is derived from passes here, so an input that
-    overflows double precision cannot reach a CSV as nan or as a zero width.
+    Every waveform and transmission spectrum passes here before an output is
+    derived from it, so an input that overflows double precision cannot reach
+    a CSV as nan or as a zero width.  ``label`` says what gave the values.
     """
-    finite = np.isfinite(wave.amplitude)
+    finite = np.isfinite(values)
     if not finite.all():
         n = len(finite)
-        raise GridError(f"the {engine} engine gave a non-finite amplitude at "
-                        f"{n - np.count_nonzero(finite)} of {n} tau points: "
+        raise GridError(f"{label} at {n - np.count_nonzero(finite)} of {n} {axis} points: "
                         "some input overflows double precision")
-    return wave
 
 
 @dataclass(frozen=True)

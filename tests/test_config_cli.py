@@ -106,6 +106,16 @@ class TestConfig:
                 NumericsConfig(z_panels=m)
             assert str(info.value).startswith("numerics.z_panels: ")
 
+    def test_coupling_scales_checked_at_parse_time(self):
+        data = dump_config(load_preset("fig3d"))
+        data["coupling"]["peak_rabi_mhz"] = 1e-200
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(data))
+        assert info.value.field == "coupling.peak_rabi_mhz"
+        # zero coupling is the two-level medium of eit-spectrum, not an error
+        data["coupling"]["peak_rabi_mhz"] = 0.0
+        assert parse_config(json.dumps(data)).coupling.peak_rabi == 0.0
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             load_preset("fig9z")
@@ -388,6 +398,19 @@ class TestCli:
         assert err.endswith("with the optical depth 1e-300\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("preset", ["fig3d", "fig2c"])
+    def test_non_finite_transmission_exits_4_leaving_no_file(self, tmp_path, capsys, preset):
+        # OD 1e160 used to write hundreds of nan transmission rows with exit 0
+        data = dump_config(load_preset(preset))
+        data["medium"]["od"] = 1e160
+        cfg = write_config(tmp_path, data)
+        assert main(["eit-spectrum", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerics error: eit-spectrum gave a non-finite transmission at ")
+        assert "of 2001 omega points" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_formula_scan_at_zero_od_exits_0(self, tmp_path):
         # only a waveform needs the EIT linewidth; the formula scan is linear in OD
         data = dump_config(load_preset("fig5"))
@@ -510,6 +533,18 @@ def field_patch(section, key, value, **sections):
     (["beat"], field_patch("medium", "od", 0.0, interferometer=FIG4B_INTERFEROMETER),
      "medium.od"),
     (["scan", "--full"], field_patch("medium", "od", 0.0), "medium.od"),
+    # 2 gamma13 OD overflows: the OD is named, not the coupling it is divided by
+    (["eit-spectrum"], field_patch("medium", "od", 1e305), "medium.od"),
+    (["waveform"], field_patch("medium", "od", 1e305), "medium.od"),
+    # the coherence time is finite in seconds but not in the ns that are written
+    (["scan", "--powers=1e-306,1"], {}, "--powers"),
+    (["eit-spectrum"], rabi_patch(1.2e-152), "coupling.peak_rabi_mhz"),
+    (["waveform"], field_patch("medium", "od", 10 ** 400), "medium.od"),
+    (["waveform"], b'{"mode": "degenerate\xff"}', "config"),
+    (["waveform"], b"[" * 100_000 + b"]" * 100_000, "config"),
+    (["waveform"], b'{"kappa_scale": 1' + b"0" * 5000 + b"}", "config"),
+    (["waveform"], b"[1]", "config"),
+    (["waveform"], b"{broken", "config"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
         "no-powers", "one-power", "one-power-flag", "powers-flag-overflow",
@@ -523,11 +558,19 @@ def field_patch(section, key, value, **sections):
         "powers-flag-abscissa-overflow", "power-underflow", "length-negative",
         "theta-right-angle", "waist-zero", "duty-cycle-zero", "reflectance-above-one",
         "od-zero-full", "od-zero-uniform", "od-zero-analytic", "od-zero-beat",
-        "od-zero-scan-full"])
+        "od-zero-scan-full", "od-overflow-spectrum", "od-overflow-full",
+        "powers-flag-coherence-ns-overflow", "rabi-coherence-ns-overflow-spectrum",
+        "od-integer-past-float-range", "not-utf8", "nested-too-deep", "integer-too-long",
+        "top-level-list", "invalid-json"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
-    data = small_numerics(dump_config(load_preset("fig5")))
-    data.update(patch)
-    cfg = write_config(tmp_path, data)
+    if isinstance(patch, bytes):  # the file as written, no config document
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(patch)
+        cfg = str(cfg)
+    else:
+        data = small_numerics(dump_config(load_preset("fig5")))
+        data.update(patch)
+        cfg = write_config(tmp_path, data)
     code = main([argv[0], "--config", cfg, "--out", str(tmp_path / "x.csv"), *argv[1:]])
     assert code == 2
     # the field path leads the message once, never behind a section prefix
