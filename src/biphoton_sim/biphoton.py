@@ -37,9 +37,11 @@ from .dispersion import (
 from .grids import MAX_N_OMEGA, GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
 
-# complex128 elements (1 MiB) in the full-z working array of one psi_full
-# chunk; chunks are counted in row pairs, two full-z rows each (one in the
-# degenerate scheme), so that a worker's one working array stays cache-sized
+# (omega row, z node) cells of one psi_full chunk, counted over the full z
+# grid and both rows of each +-omega pair: a chunk takes
+# _CHUNK_ELEMENTS / (2 (z_panels + 1)) row pairs, so that a worker's
+# workspace, 80 B per row and z >= 0 node (1.3 MB at 512 panels), stays
+# cache-sized
 _CHUNK_ELEMENTS = 2 ** 16
 # With several workers each chunk holds this many times as many elements.
 # Every numpy call of a chunk hands the GIL from one worker to the other, and
@@ -70,6 +72,13 @@ def _partner_wavenumber(q_mirror, omega, mode: GenerationMode):
     return np.broadcast_to(-omega / C_LIGHT + 0j, np.shape(q_mirror))
 
 
+def _coupling_constant(medium: MediumConfig, pump: BeamField, mode: GenerationMode,
+                       scale: float) -> complex:
+    """kappa's complex constant, -i (omega0 / 2c) scale / (Delta_p + i gamma_up)."""
+    den1 = pump.detuning + 1j * _upper_dephasing(medium, mode)
+    return -1j * (medium.omega0 / (2.0 * C_LIGHT)) * scale / den1
+
+
 def _coupling(recip, envelope, medium: MediumConfig, pump: BeamField,
               mode: GenerationMode, scale: float, out=None):
     """kappa from the reciprocal 1/D(omega); see :func:`kappa`.
@@ -77,11 +86,17 @@ def _coupling(recip, envelope, medium: MediumConfig, pump: BeamField,
     D(-omega) = D(omega)*, so the symmetrized 1/D(omega) + 1/D(-omega) is
     2 Re(1/D(omega)), bit for bit: the reciprocal that feeds the
     wavenumbers serves kappa too, and no denominator is divided twice.
-    ``out`` receives kappa and must not overlap ``recip``.
+    kappa is :func:`_coupling_constant` times the real 2 envelope Re(1/D).
+    Without ``out`` kappa itself is returned.  With ``out``, a real array
+    shaped like ``recip`` that must not overlap it, only the real factor
+    envelope Re(1/D) is written there, and the caller applies twice the
+    constant (:func:`psi_full` folds it into its Simpson weights, so kappa
+    never takes a complex block).
     """
-    den1 = pump.detuning + 1j * _upper_dephasing(medium, mode)
-    prefactor = -1j * (medium.omega0 / (2.0 * C_LIGHT)) * scale / den1
-    return np.multiply(2.0 * prefactor * envelope, recip.real, out=out)
+    if out is not None:
+        return np.multiply(recip.real, envelope, out=out)
+    constant = _coupling_constant(medium, pump, mode, scale)
+    return np.multiply(2.0 * constant * envelope, recip.real)
 
 
 def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
@@ -202,23 +217,23 @@ def _check_admissible(n_omega: float, kept: str, medium: MediumConfig,
 # Full double integral
 # ---------------------------------------------------------------------------
 
-def _phase_factors(q1: np.ndarray, q2: np.ndarray, h: float, delta0: float,
-                   z0: float, factors: np.ndarray, out: np.ndarray) -> None:
-    """Propagation phase factors e^{i arg(z)} on every node of the full z grid.
+def _panel_factors(q1: np.ndarray, q2: np.ndarray, h: float, delta0: float,
+                   z0: float, factors: np.ndarray) -> None:
+    """Per-panel phase factors of the z >= 0 half and the anchor of each row.
 
     arg(z) = int_z^{L/2} q1 + int_{-L/2}^z q2 + z delta0, both integrals
     cumulative trapezoids.  ``q1`` and ``q2`` hold rows that are even in z,
     on the z >= 0 nodes, so the increment of arg over a panel,
     h/2 (q2 - q1 at its two nodes, summed) + h delta0, is the same on a
     panel and on its mirror.  Only the z >= 0 increments are exponentiated,
-    with one anchor per row, e^{i arg(z0)}, where z0 = -L/2 and
-    arg(z0) = int q1 + z0 delta0, into the C-contiguous ``factors`` (shaped
-    like ``q1``); ``out`` receives the anchor times the running product of
-    the mirrored factors.  ``q1`` is overwritten.  Every numpy call here
-    runs on whole contiguous arrays or reads one array and writes another,
-    so none of them needs a temporary copy.
+    into columns 1 .. of the C-contiguous ``factors`` (shaped like ``q1``),
+    with one anchor per row in column 0, e^{i arg(z0)}, where z0 = -L/2 and
+    arg(z0) = int q1 + z0 delta0.  The phase factor at node j is the anchor
+    times the running product of the factors of panels 1 .. j, mirrored for
+    z < 0.  ``q1`` is overwritten.  Every numpy call here runs on whole
+    contiguous arrays or reads one array and writes another, so none of
+    them needs a temporary copy.
     """
-    mh = q1.shape[1] - 1
     # photon 1's whole trapezoid integral: the two half integrals are equal
     anchor = 1j * (h * (2.0 * q1.sum(axis=1) - q1[:, 0] - q1[:, -1]) + z0 * delta0)
     np.subtract(q2, q1, out=q1)
@@ -231,10 +246,6 @@ def _phase_factors(q1: np.ndarray, q2: np.ndarray, h: float, delta0: float,
     np.multiply(flat[1:], 0.5j * h, out=flat[1:])
     factors[:, 0] = anchor
     np.exp(factors, out=factors)
-    out[:, 0] = factors[:, 0]
-    out[:, 1:mh + 1] = factors[:, :0:-1]
-    out[:, mh + 1:] = factors[:, 1:]
-    np.cumprod(out, axis=1, out=out)
 
 
 def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
@@ -264,10 +275,16 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
 
     With both wavenumbers even in z, the trapezoid increment of the phase
     argument over a panel equals the one over its mirror panel.  The phase
-    factors are therefore a running product along z (:func:`_phase_factors`):
+    factors are therefore a running product along z (:func:`_panel_factors`):
     one anchor e^{i arg(-L/2)} per row times the per-panel factors, of which
     only the z >= 0 half is exponentiated and then mirrored.  No phase
-    argument is summed up or exponentiated node by node.
+    argument is summed up or exponentiated node by node.  The product runs
+    in two passes over a half-z array: nodes -L/2 .. 0 from the anchor
+    through the mirrored factors, then nodes 0 .. L/2 on from the centre
+    value, which the first pass leaves; each pass multiplies in kappa and
+    adds its Simpson partial sum (the centre node's weight belongs to the
+    first).  Every phase factor has the bits of one product over the full z
+    grid; only the Simpson sum is grouped in two parts.
 
     In the degenerate scheme the -omega row sees the +omega row's photons
     exchanged.  Its phase argument is the +omega row's reflected in z plus
@@ -290,17 +307,21 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     discretization both evaluations are off by the rounding of their phase
     sums or running product over the z panels, a few 1e-15 of max|S|.
 
+    kappa is its complex constant times the real envelope Re(1/D(omega))
+    (:func:`_coupling`): the constant rides on the Simpson weights, formed
+    once per call, and the chunks multiply the phase block by a real plane.
+
     Rows 0 .. n/2 are split into contiguous chunks of about
     ``_CHUNK_ELEMENTS`` cells (``_SHARED_CHUNK_FACTOR`` times as many when
-    several workers share them; the degenerate scheme fills only the omega
-    half), which the workers claim one at a time.  Each worker allocates its
-    workspace once per call: one full-z working array and z >= 0 blocks for
-    the per-panel factors, the EIT reciprocal, both wavenumbers and their
-    real scratch.  A chunk writes all of them with ``out=``, forms its
-    phase factors in the working array, multiplies kappa into its two z
-    halves there and sums it with the Simpson weights.  No chunk allocates
-    a block-sized array, so the working set stays small and no chunk faults
-    in fresh pages.  Results are deterministic and independent of
+    several workers share them), which the workers claim one at a time.
+    Each worker allocates its workspace once per call, 80 B per (row,
+    z >= 0 node) in both schemes: one half-z working array, which holds
+    1/D(omega) and then the phase block of each z half of each side in
+    turn, the two wavenumbers and four real planes, their scratch, which
+    then hold the per-panel factors and the real kappa factor.  A chunk
+    writes all of them with ``out=`` and allocates no block-sized array, so
+    the working set stays small and no chunk faults in fresh pages.
+    Results are deterministic and independent of
     ``threads`` and of the chunk size: every row is evaluated the same way
     whichever worker and chunk runs it, and its outputs land in disjoint
     slices of the spectrum.
@@ -333,10 +354,17 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     # slot n takes +Omega_max, the mirror of row 0, and is dropped before the FFT
     spectrum = np.empty(n + 1, dtype=complex)
     degenerate = mode is GenerationMode.DEGENERATE
-    if degenerate:
-        # the -omega row's integrand is the +omega row's reflected in z times
-        # e^{2 i z delta0}, and kappa and the Simpson weights are even in z
-        w_minus = simpson * np.exp(-2j * (z * delta0))
+    # Weights of the +omega and the -omega rows.  The degenerate -omega row's
+    # integrand is the +omega row's reflected in z times e^{2 i z delta0}, and
+    # kappa and the Simpson weights are even in z.  Both carry kappa's complex
+    # constant, so the chunks multiply by the real envelope Re(1/D) only.
+    minus = simpson * np.exp(-2j * (z * delta0)) if degenerate else simpson
+    weights = 2.0 * _coupling_constant(medium, pump, mode, scale) * np.array([simpson, minus])
+    # the lower pass sums nodes 0 .. mh, the upper one mh .. m with the
+    # centre's weight 0, as the lower pass has taken it
+    lower = weights[:, :mh + 1]
+    upper = weights[:, mh:].copy()
+    upper[:, 0] = 0.0
     workers = threads if threads > 0 else min(8, os.cpu_count() or 1)
     cells = _CHUNK_ELEMENTS * (_SHARED_CHUNK_FACTOR if workers > 1 else 1)
     # At least two rows per chunk, and a one-row tail joins the chunk before
@@ -349,54 +377,68 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     spans = list(zip(bounds[:-1], bounds[1:]))
 
     def run_chunks(claimed) -> None:
-        # The worker's workspace, sized for the largest chunk: its one full-z
-        # working array (the degenerate -omega rows need none) and its z >= 0
-        # blocks, which every chunk writes with out=: the per-panel phase
-        # factors, 1/D(omega), q(omega) (then kappa), q(-omega) and four real
-        # scratch arrays for the wavenumbers.  The working array is allocated
-        # twice: glibc serves it by mmap, and freeing that copy lifts its
-        # dynamic mmap and trim thresholds above the size, so the workspace
-        # and what a chunk still allocates (numpy's 128 KiB casting buffers
-        # among it) come from the heap and are reused, in this call and the
-        # next, not mapped and faulted in again (minor faults of a fig2d
-        # waveform command at 1 thread: 16k without, 7.8k with; of a repeated
-        # 2-thread fig2d call: 5.1k without, 8 with).
+        # The worker's workspace: one block of 80 B per (row, z >= 0 node),
+        # sized for the largest chunk.  It holds the half-z working array
+        # (16 B), q(omega) and q(-omega) (32 B) and four real planes (32 B),
+        # the wavenumbers' scratch.  The working array takes 1/D(omega)
+        # until the wavenumbers and the real kappa factor (third plane) are
+        # formed, then the phase factors of one half of z at a time, for one
+        # side at a time; the per-panel factors take the first two planes,
+        # the susceptibility's, dead by then.  Every chunk writes the
+        # workspace with out=.  The block is allocated twice: glibc serves
+        # it by mmap, and freeing that copy lifts glibc's dynamic mmap and
+        # trim thresholds above its size, so the workspace and what a chunk
+        # still allocates (numpy's 64-128 KiB iterator buffers) come from the
+        # heap and are reused, in this call and the next, as are the arrays
+        # the command allocates after the kernel, not mapped and faulted in
+        # again.
         rows = max(stop - start for start, stop in spans)
-        sides = 1 if degenerate else 2
-        np.empty((rows * sides, m + 1), complex)  # freed at once
-        work = np.empty((rows * sides, m + 1), complex)
-        factors = np.empty((rows, mh + 1), complex)
-        zpos_blocks = np.empty((3, rows, mh + 1), complex)
-        scratch = np.empty((4, rows, mh + 1))
+        plane = rows * (mh + 1)
+        np.empty(10 * plane)  # freed at once
+        space = np.empty(10 * plane)
+        work = space[:2 * plane].view(complex).reshape(rows, mh + 1)
+        q_pair = space[2 * plane:6 * plane].view(complex).reshape(2, rows, mh + 1)
+        reals = space[6 * plane:]
+        sums = np.empty((2, 2, rows), complex)  # [lower, upper half][+omega, -omega rows]
         for start, stop in claimed:
             k = stop - start
             om = grid.omega[start:stop, None]
-            recip, q_plus, q_minus = zpos_blocks[:, :k]
-            np.divide(1.0, eit_denominator(om, oc_sq, medium, out=recip), out=recip)
-            slow_wavenumbers(om, recip, medium, out=(q_plus, q_minus), scratch=scratch[:, :k])
-            phase = work[:sides * k]
-            blocks = phase.reshape(sides, k, m + 1)
+            w = work[:k]
+            q_plus, q_minus = q_pair[:, :k]
+            planes = reals[:4 * k * (mh + 1)].reshape(4, k, mh + 1)
+            np.divide(1.0, eit_denominator(om, oc_sq, medium, out=w), out=w)
+            slow_wavenumbers(om, w, medium, out=(q_plus, q_minus), scratch=planes)
+            kap = _coupling(w, envelope, medium, pump, mode, scale, out=planes[2])
+            factors = planes[:2].reshape(-1).view(complex).reshape(k, mh + 1)
             # the photons of the omega rows and of the -omega rows, partners
-            # taken before _phase_factors overwrites photon 1's wavenumber;
-            # the degenerate -omega rows, the pair exchanged, need no block
+            # taken before _panel_factors overwrites photon 1's wavenumber,
+            # and the rows of the spectrum each phase fills: the degenerate
+            # -omega rows, the pair exchanged, take the omega rows' phases
             pairs = [(q_plus, _partner_wavenumber(q_minus, om, mode)),
                      (q_minus, _partner_wavenumber(q_plus, -om, mode))]
-            for (q1, q2), block in zip(pairs, blocks):
-                _phase_factors(q1, q2, h, delta0, z[0], factors[:k], block)
-            kap = _coupling(recip, envelope, medium, pump, mode, scale, out=q_plus)
-            # kappa is even in z and in omega
-            np.multiply(kap, blocks[..., mh:], out=blocks[..., mh:])
-            np.multiply(kap[:, :0:-1], blocks[..., :mh], out=blocks[..., :mh])
-            if degenerate:
-                # two matvecs over the same k rows: a two-column matmul may
-                # take another BLAS path and change the bits
-                minus, plus = phase @ w_minus, phase @ simpson
-            else:
-                plus, minus = np.split(phase @ simpson, 2)
+            for (q1, q2), sides in zip(pairs, [(0, 1)] if degenerate else [(0,), (1,)]):
+                _panel_factors(q1, q2, h, delta0, z[0], factors)
+                # nodes 0 .. mh: the anchor, then the mirrored panels' factors
+                w[:, 0] = factors[:, 0]
+                w[:, 1:] = factors[:, :0:-1]
+                np.cumprod(w, axis=1, out=w)
+                factors[:, 0] = w[:, mh]  # the centre, where the upper product goes on
+                # kappa is even in z and in omega
+                np.multiply(w, kap[:, ::-1], out=w)
+                # one matvec per weight vector: a two-column matmul may take
+                # another BLAS path and change the bits
+                for side in sides:
+                    np.matmul(w, lower[side], out=sums[0, side, :k])
+                # nodes mh .. m
+                np.copyto(w, factors)
+                np.cumprod(w, axis=1, out=w)
+                np.multiply(w, kap, out=w)
+                for side in sides:
+                    np.matmul(w, upper[side], out=sums[1, side, :k])
             # -omega first: row n/2 is its own mirror, and its value at
             # omega = +0 is the one kept
-            spectrum[n - start:n - stop:-1] = minus
-            spectrum[start:stop] = plus
+            np.add(sums[0, 1, :k], sums[1, 1, :k], out=spectrum[n - start:n - stop:-1])
+            np.add(sums[0, 0, :k], sums[1, 0, :k], out=spectrum[start:stop])
 
     workers = min(workers, len(spans))
     # one worker (threads == 1, or one chunk) runs in the calling thread:
@@ -412,8 +454,15 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         claims = queue.SimpleQueue()
         for span in [*spans, *[None] * workers]:  # one end mark per worker
             claims.put(span)
+        errors = np.geterr()
+
+        def run_worker(claimed) -> None:
+            # a new thread starts from numpy's default error handling, not the caller's
+            with np.errstate(**errors):
+                run_chunks(claimed)
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunks, [iter(claims.get, None) for _ in range(workers)]))
+            list(pool.map(run_worker, [iter(claims.get, None) for _ in range(workers)]))
 
     return spectrum_to_waveform(grid, spectrum[:n])
 

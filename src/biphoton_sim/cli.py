@@ -20,7 +20,8 @@ holds each ``--powers`` value to the same bounds through ``check_power_mw``.
 ``scan --full`` power's), adds a coupling and an OD > 0 and a grid that can
 hold the waveform.  A waveform with a non-finite amplitude, or a spectrum
 with a non-finite transmission, is rejected before anything is derived from
-it.
+it; numpy's floating-point warnings are off while a handler runs, so that
+rejection is the one line on stderr.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
@@ -258,7 +259,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 0:
             raise ConfigError(f"must be >= 0, got {args.threads}", "--threads")
         cfg = load_config(args.config)
-        text, sidecar = args.run(cfg, args, args.threads)
+        # an overflow reaches the output as inf or nan, which check_finite
+        # rejects in one line; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            text, sidecar = args.run(cfg, args, args.threads)
         out = Path(args.out)
         sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
         _write_all({out: text, out.with_suffix(".json"): sidecar_text})

@@ -163,7 +163,11 @@ def _finite(val, where: str) -> float:
 
 
 def _section(name: str, obj):
-    """Build one section's dataclass from its JSON object, converting to SI."""
+    """Build one section's dataclass from its JSON object, converting to SI.
+
+    A number must be finite as written and after its SI factor, so a value
+    that overflows only in SI is rejected under its own field path.
+    """
     cls, fields = SECTIONS[name]
     sec = _object(obj, name, [key for key, _, _ in fields])
     has_default = {f.name for f in dataclass_fields(cls) if f.default is not MISSING}
@@ -177,6 +181,8 @@ def _section(name: str, obj):
         val = sec[key]
         if factor is not None:
             kwargs[attr] = _finite(val, where) * factor
+            if not math.isfinite(kwargs[attr]):
+                raise ConfigError(f"must stay finite in SI units, got {val!r}", where)
         elif isinstance(val, int) and not isinstance(val, bool):
             kwargs[attr] = val
         else:

@@ -235,19 +235,31 @@ class TestPsiFull:
         with pytest.raises(ValueError):
             psi_full(grid, 129, medium, pump, coupling, DEG)
 
-    def test_working_set_stays_small(self):
-        # numpy reports its data buffers to tracemalloc; the spectrum, the
-        # waveform and one chunk's working arrays fit well inside 8 MB
+    @pytest.mark.parametrize("mode", [DEG, NONDEG], ids=["degenerate", "nondegenerate"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_working_set_stays_small(self, monkeypatch, mode, threads):
+        # numpy reports its data buffers to tracemalloc.  Each worker holds
+        # 80 B per (row, z >= 0 node) in both schemes, and the peak adds the
+        # spectrum and less than 1 MB per worker of numpy's iterator buffers
+        # and small arrays.  A full-z working array would add 32 B per cell,
+        # 2.1 MB per worker with chunks of 510 rows, four times the default,
+        # at which the workspace outweighs the buffers.
+        monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", 2 ** 18)
+        monkeypatch.setattr(biphoton, "_SHARED_CHUNK_FACTOR", 1)
         medium = make_medium()
         pump, coupling = make_pump(), make_coupling()
         grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+        m = 256
+        rows = biphoton._CHUNK_ELEMENTS // (2 * (m + 1))
+        assert 2 * rows < grid.n // 2 + 1  # each worker runs a full chunk
+        bound = (80 * rows * (m // 2 + 1) + 1e6) * threads + 16 * (grid.n + 1)
         tracemalloc.start()
         try:
-            psi_full(grid, 256, medium, pump, coupling, DEG)
+            psi_full(grid, m, medium, pump, coupling, mode, threads=threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < bound
 
     def test_nondegenerate_width_shrinks_with_loss(self):
         from biphoton_sim import extract_coherence_time

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import biphoton_sim
 from biphoton_sim import (
     ConfigError,
     dump_config,
@@ -17,6 +22,8 @@ from biphoton_sim.cli import main
 from biphoton_sim.config import MAX_Z_PANELS, PRESET_NAMES, SECTIONS, NumericsConfig
 
 from conftest import MHZ
+
+SRC = Path(biphoton_sim.__file__).resolve().parents[1]
 
 
 def approx_equal_configs(a, b, rel=1e-12):
@@ -411,6 +418,28 @@ class TestCli:
         assert "of 2001 omega points" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    @pytest.mark.parametrize("preset, section, key, value, argv", [
+        ("fig3d", "medium", "od", 1e160, ["eit-spectrum"]),
+        # the kernel's worker threads overflow too
+        ("fig5", "medium", "length_mm", 1e-300, ["scan", "--full", "--powers=2.3,1",
+                                                 "--threads=2"]),
+    ], ids=["spectrum-od", "scan-full-length-2-threads"])
+    def test_overflow_warnings_stay_off_stderr(self, tmp_path, preset, section, key, value,
+                                               argv):
+        # numpy's RuntimeWarnings, each with a source line, used to precede
+        # the error; a child process, because pytest records warnings itself
+        data = dump_config(load_preset(preset))
+        data[section][key] = value
+        cfg = write_config(tmp_path, data)
+        env = {**os.environ, "PYTHONWARNINGS": "default",
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "biphoton_sim.cli", argv[0],
+                              "--config", cfg, "--out", str(tmp_path / "x.csv"), *argv[1:]],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 4
+        assert run.stderr.startswith("numerics error: ")
+        assert len(run.stderr.splitlines()) == 1
+
     def test_formula_scan_at_zero_od_exits_0(self, tmp_path):
         # only a waveform needs the EIT linewidth; the formula scan is linear in OD
         data = dump_config(load_preset("fig5"))
@@ -540,6 +569,10 @@ def field_patch(section, key, value, **sections):
     (["scan", "--powers=1e-306,1"], {}, "--powers"),
     (["eit-spectrum"], rabi_patch(1.2e-152), "coupling.peak_rabi_mhz"),
     (["waveform"], field_patch("medium", "od", 10 ** 400), "medium.od"),
+    # finite in MHz, infinite in rad/s: the field is named, not the OD it meets next
+    (["eit-spectrum"], field_patch("medium", "gamma13_mhz", 1e308), "medium.gamma13_mhz"),
+    (["eit-spectrum"], field_patch("medium", "gamma13_mhz", 1e308, **rabi_patch(0.0)),
+     "medium.gamma13_mhz"),
     (["waveform"], b'{"mode": "degenerate\xff"}', "config"),
     (["waveform"], b"[" * 100_000 + b"]" * 100_000, "config"),
     (["waveform"], b'{"kappa_scale": 1' + b"0" * 5000 + b"}", "config"),
@@ -560,7 +593,8 @@ def field_patch(section, key, value, **sections):
         "od-zero-full", "od-zero-uniform", "od-zero-analytic", "od-zero-beat",
         "od-zero-scan-full", "od-overflow-spectrum", "od-overflow-full",
         "powers-flag-coherence-ns-overflow", "rabi-coherence-ns-overflow-spectrum",
-        "od-integer-past-float-range", "not-utf8", "nested-too-deep", "integer-too-long",
+        "od-integer-past-float-range", "gamma13-si-overflow-spectrum",
+        "gamma13-si-overflow-two-level", "not-utf8", "nested-too-deep", "integer-too-long",
         "top-level-list", "invalid-json"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     if isinstance(patch, bytes):  # the file as written, no config document
