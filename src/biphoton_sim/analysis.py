@@ -1,19 +1,18 @@
 """Observable extraction from coincidence traces.
 
 Coherence-time measures (threshold width and tail-fit time constant), the
-nonclassicality factor, and the coherence-time-versus-coupling-power scan.
+nonclassicality factor, and the group-delay formula of the
+coherence-time-versus-coupling-power scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import psi_full
 from .dispersion import group_delay_estimate
-from .grids import SpectralGrid, check_finite
-from .params import BeamField, GenerationMode, MediumConfig, rabi_at_power
+from .params import BeamField, MediumConfig, rabi_at_power
 
 # Width threshold referenced to a smoothed envelope; fit window anchored just
 # below the post-peak shoulder, one e-fold deep.  See extract_coherence_time.
@@ -157,36 +156,21 @@ class ScanPoint:
     omega_c: float          # rad/s
     x: float                # gamma13^2 / |Omega_c|^2, dimensionless
     t_coh_formula: float    # s, 2L/V_g = (4 gamma13 / |Omega_c|^2) OD
-    t_coh_full: float | None  # s, 1/e width of the full waveform, if computed
 
 
-def coherence_scan(coupling_powers, medium: MediumConfig, pump: BeamField,
-                   coupling: BeamField, mode: GenerationMode,
-                   grid: SpectralGrid | None = None, z_panels: int = 512,
-                   scale: float = 1.0, threads: int = 1) -> list[ScanPoint]:
+def coherence_scan(coupling_powers, medium: MediumConfig,
+                   coupling: BeamField) -> list[ScanPoint]:
     """Coherence time versus coupling power at fixed optical depth.
 
     Each power maps to a Rabi frequency through the sqrt(P) scaling at the
-    coupling beam's waist; the formula column is the group-delay
-    coherence time 2L/V_g = (4 gamma13/|Omega_c|^2) OD, linear in
-    x = gamma13^2/|Omega_c|^2 with slope 4 OD / gamma13.  Given a ``grid``,
-    the 1/e width of the full waveform on it is extracted as well; a waveform
-    with a non-finite amplitude raises :class:`GridError`, as in every other
-    output path.
+    coupling beam's waist; the coherence time is the group-delay formula
+    2L/V_g = (4 gamma13/|Omega_c|^2) OD, linear in
+    x = gamma13^2/|Omega_c|^2 with slope 4 OD / gamma13.
     """
-    points: list[ScanPoint] = []
+    points = []
     for power in coupling_powers:
         omega_c = rabi_at_power(coupling, power)
-        x = (medium.gamma13 / omega_c) ** 2
-        t_formula = 2.0 * group_delay_estimate(medium, omega_c)
-        t_full = None
-        if grid is not None:
-            scan_coupling = replace(coupling, power=power, peak_rabi=omega_c)
-            wave = psi_full(grid, z_panels, medium, pump, scan_coupling, mode,
-                            scale=scale, threads=threads)
-            check_finite(wave.amplitude, "the full engine gave a non-finite amplitude")
-            report = extract_coherence_time(wave.intensity, wave.tau)
-            t_full = report.e_inverse_width
-        points.append(ScanPoint(power=power, omega_c=omega_c, x=x,
-                                t_coh_formula=t_formula, t_coh_full=t_full))
+        points.append(ScanPoint(power=power, omega_c=omega_c,
+                                x=(medium.gamma13 / omega_c) ** 2,
+                                t_coh_formula=2.0 * group_delay_estimate(medium, omega_c)))
     return points

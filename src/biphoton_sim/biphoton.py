@@ -53,14 +53,6 @@ _CHUNK_ELEMENTS = 2 ** 16
 _SHARED_CHUNK_FACTOR = 4
 
 
-def _upper_dephasing(medium: MediumConfig, mode: GenerationMode) -> float:
-    # The pump-coupled upper level is a distinct state only in the
-    # nondegenerate scheme; the degenerate scheme reuses the EIT level.
-    if mode is GenerationMode.NONDEGENERATE:
-        return medium.gamma14
-    return medium.gamma13
-
-
 def _partner_wavenumber(q_mirror, omega, mode: GenerationMode):
     """Photon 2's carrier-subtracted q2(omega), partner of the slow photon 1.
 
@@ -74,29 +66,14 @@ def _partner_wavenumber(q_mirror, omega, mode: GenerationMode):
 
 def _coupling_constant(medium: MediumConfig, pump: BeamField, mode: GenerationMode,
                        scale: float) -> complex:
-    """kappa's complex constant, -i (omega0 / 2c) scale / (Delta_p + i gamma_up)."""
-    den1 = pump.detuning + 1j * _upper_dephasing(medium, mode)
-    return -1j * (medium.omega0 / (2.0 * C_LIGHT)) * scale / den1
+    """kappa's complex constant, -i (omega0 / 2c) scale / (Delta_p + i gamma_up).
 
-
-def _coupling(recip, envelope, medium: MediumConfig, pump: BeamField,
-              mode: GenerationMode, scale: float, out=None):
-    """kappa from the reciprocal 1/D(omega); see :func:`kappa`.
-
-    D(-omega) = D(omega)*, so the symmetrized 1/D(omega) + 1/D(-omega) is
-    2 Re(1/D(omega)), bit for bit: the reciprocal that feeds the
-    wavenumbers serves kappa too, and no denominator is divided twice.
-    kappa is :func:`_coupling_constant` times the real 2 envelope Re(1/D).
-    Without ``out`` kappa itself is returned.  With ``out``, a real array
-    shaped like ``recip`` that must not overlap it, only the real factor
-    envelope Re(1/D) is written there, and the caller applies twice the
-    constant (:func:`psi_full` folds it into its Simpson weights, so kappa
-    never takes a complex block).
+    The pump-coupled upper level is a distinct state, of dephasing gamma14,
+    only in the nondegenerate scheme; the degenerate scheme reuses the EIT
+    level, gamma13.
     """
-    if out is not None:
-        return np.multiply(recip.real, envelope, out=out)
-    constant = _coupling_constant(medium, pump, mode, scale)
-    return np.multiply(2.0 * constant * envelope, recip.real)
+    gamma_up = medium.gamma14 if mode is GenerationMode.NONDEGENERATE else medium.gamma13
+    return -1j * (medium.omega0 / (2.0 * C_LIGHT)) * scale / (pump.detuning + 1j * gamma_up)
 
 
 def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
@@ -110,16 +87,18 @@ def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
     Omega_c(z), gamma_up the dephasing of the pump-coupled upper level, and
     the field envelopes reduced to their normalized beam profiles (their peak
     values, the dipole matrix elements and the atomic density are absorbed by
-    ``scale``; only relative values are meaningful).  The explicit
-    symmetrization makes kappa(omega) = kappa(-omega) exact, including in
-    floating point.
+    ``scale``; only relative values are meaningful).  D(-omega) = D(omega)*,
+    so the symmetrized 1/D(omega) + 1/D(-omega) is 2 Re(1/D(omega)), bit for
+    bit: kappa(omega) = kappa(-omega) exactly, and kappa is
+    :func:`_coupling_constant` times the real 2 envelope Re(1/D), formed from
+    the reciprocal that feeds the wavenumbers (:func:`psi_full` folds the
+    constant into its Simpson weights and multiplies by envelope Re(1/D)).
     """
     om = np.asarray(omega, dtype=float)
     gc = beam_profile(coupling, z, medium.theta)
-    oc_sq = (coupling.peak_rabi * gc) ** 2
-    value = _coupling(1.0 / eit_denominator(om, oc_sq, medium),
-                      beam_profile(pump, z, medium.theta) * gc,
-                      medium, pump, mode, scale)
+    recip = 1.0 / eit_denominator(om, (coupling.peak_rabi * gc) ** 2, medium)
+    envelope = beam_profile(pump, z, medium.theta) * gc
+    value = 2.0 * _coupling_constant(medium, pump, mode, scale) * envelope * recip.real
     if np.isscalar(omega):
         return complex(value)
     return value
@@ -129,9 +108,9 @@ def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
 # Carrier bookkeeping
 # ---------------------------------------------------------------------------
 
-def drive_carrier_offset(pump: BeamField, coupling: BeamField,
-                         mode: GenerationMode) -> float:
-    """Residual pump-coupling frequency offset driving the phase mismatch.
+def _residual_wavevector(medium: MediumConfig, pump: BeamField,
+                         coupling: BeamField, mode: GenerationMode) -> float:
+    """Longitudinal drive-field wavevector residual (k_p - k_c) cos(theta), 1/m.
 
     Degenerate scheme: both photons share the carrier, so the counter-
     propagating drive fields leave a longitudinal wavevector residual
@@ -141,15 +120,9 @@ def drive_carrier_offset(pump: BeamField, coupling: BeamField,
     geometry for exact carrier phase matching, so the residual is zero and
     only dispersive terms contribute.
     """
-    if mode is GenerationMode.DEGENERATE:
-        return pump.detuning - coupling.detuning
-    return 0.0
-
-
-def _residual_wavevector(medium: MediumConfig, pump: BeamField,
-                         coupling: BeamField, mode: GenerationMode) -> float:
-    """Longitudinal drive-field wavevector residual (k_p - k_c) cos(theta), 1/m."""
-    return drive_carrier_offset(pump, coupling, mode) / C_LIGHT * np.cos(medium.theta)
+    if mode is not GenerationMode.DEGENERATE:
+        return 0.0
+    return (pump.detuning - coupling.detuning) / C_LIGHT * np.cos(medium.theta)
 
 
 def _next_pow2(x: float) -> int:
@@ -186,8 +159,7 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
         n_pow2 = _next_pow2(needed * tau_span / np.pi)
         raise GridError(
             f"grid half-span {grid.omega_max:.3e} rad/s is below 8 EIT linewidths "
-            f"({needed:.3e} rad/s); increase n_omega to at least {n_pow2}",
-            suggested_n_omega=n_pow2)
+            f"({needed:.3e} rad/s); increase n_omega to at least {n_pow2}")
     span_needed = 4.0 * group_delay_estimate(medium, coupling.peak_rabi)
     if tau_span < span_needed:
         # unrounded first: for a weak coupling n_omega * span in ns passes the float range
@@ -198,8 +170,7 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
         raise GridError(
             f"tau window {tau_span * 1e9:.6g} ns is below 4 group delays "
             f"({span_needed * 1e9:.6g} ns); increase numerics.tau_span_ns to at least "
-            f"{span_ns} and n_omega to at least {n_pow2} to keep the detuning span",
-            suggested_n_omega=n_pow2)
+            f"{span_ns} and n_omega to at least {n_pow2} to keep the detuning span")
 
 
 def _check_admissible(n_omega: float, kept: str, medium: MediumConfig,
@@ -308,7 +279,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     sums or running product over the z panels, a few 1e-15 of max|S|.
 
     kappa is its complex constant times the real envelope Re(1/D(omega))
-    (:func:`_coupling`): the constant rides on the Simpson weights, formed
+    (:func:`kappa`): the constant rides on the Simpson weights, formed
     once per call, and the chunks multiply the phase block by a real plane.
 
     Rows 0 .. n/2 are split into contiguous chunks of about
@@ -408,7 +379,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
             planes = reals[:4 * k * (mh + 1)].reshape(4, k, mh + 1)
             np.divide(1.0, eit_denominator(om, oc_sq, medium, out=w), out=w)
             slow_wavenumbers(om, w, medium, out=(q_plus, q_minus), scratch=planes)
-            kap = _coupling(w, envelope, medium, pump, mode, scale, out=planes[2])
+            kap = np.multiply(w.real, envelope, out=planes[2])
             factors = planes[:2].reshape(-1).view(complex).reshape(k, mh + 1)
             # the photons of the omega rows and of the -omega rows, partners
             # taken before _panel_factors overwrites photon 1's wavenumber,
@@ -496,7 +467,7 @@ def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
     recip = 1.0 / eit_denominator(om, coupling.peak_rabi ** 2, medium)
     q1, q_mirror = slow_wavenumbers(om, recip, medium)
     q2 = _partner_wavenumber(q_mirror, om, mode)
-    kap = _coupling(recip, 1.0, medium, pump, mode, scale)
+    kap = 2.0 * _coupling_constant(medium, pump, mode, scale) * recip.real
     # z-phase coefficient; sinc is even in it
     mismatch = q2 - q1 + _residual_wavevector(medium, pump, coupling, mode)
     L = medium.length

@@ -16,12 +16,12 @@ into place, so a failed write leaves neither.
 Inputs are checked in two layers.  ``load_config`` checks what holds for
 every command, a non-zero coupling's EIT scales included, and ``_scan``
 holds each ``--powers`` value to the same bounds through ``check_power_mw``.
-``check_grid``, which every waveform passes (each engine's and each
-``scan --full`` power's), adds a coupling and an OD > 0 and a grid that can
-hold the waveform.  A waveform with a non-finite amplitude, or a spectrum
-with a non-finite transmission, is rejected before anything is derived from
-it; numpy's floating-point warnings are off while a handler runs, so that
-rejection is the one line on stderr.
+Every waveform, each engine's and each ``scan --full`` power's, is built by
+``_build_waveform``: ``check_grid`` adds a coupling and an OD > 0 and a grid
+that can hold the waveform, then the engine runs, and a non-finite amplitude
+is rejected before anything is derived from it, as is a spectrum with a
+non-finite transmission; numpy's floating-point warnings are off while a
+handler runs, so that rejection is the one line on stderr.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
@@ -34,6 +34,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -177,14 +178,17 @@ def _scan(cfg: RunConfig, args, threads: int):
     if len(powers) < 2:
         raise ConfigError(f"need at least 2 power points, got {len(powers)}", field)
 
-    points = coherence_scan(powers, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
-                            grid=cfg.numerics.grid() if args.full else None,
-                            z_panels=cfg.numerics.z_panels,
-                            scale=cfg.kappa_scale, threads=threads)
+    points = coherence_scan(powers, cfg.medium, cfg.coupling)
+
+    def full_width_ns(p) -> float:
+        coupling = replace(cfg.coupling, power=p.power, peak_rabi=p.omega_c)
+        wave = _build_waveform(replace(cfg, coupling=coupling), "full", threads)
+        return extract_coherence_time(wave.intensity, wave.tau).e_inverse_width * 1e9
+
     return csv_text(
         "x_gamma13sq_over_omegac_sq,t_coh_formula_ns,t_coh_full_ns",
         [p.x for p in points], [p.t_coh_formula * 1e9 for p in points],
-        [float("nan") if p.t_coh_full is None else p.t_coh_full * 1e9 for p in points],
+        [full_width_ns(p) if args.full else math.nan for p in points],
     ), {
         "n_points": len(points),
         "t_coh_formula_first_us": points[0].t_coh_formula * 1e6,

@@ -14,10 +14,6 @@ MAX_N_OMEGA = 2 ** 20
 class GridError(ValueError):
     """Spectral grid cannot support the requested evaluation (Nyquist/span)."""
 
-    def __init__(self, message: str, suggested_n_omega: int | None = None):
-        super().__init__(message)
-        self.suggested_n_omega = suggested_n_omega
-
 
 @dataclass(frozen=True)
 class SpectralGrid:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dispersion
 from .biphoton import (
-    drive_carrier_offset,
+    _residual_wavevector,
     kappa,
     psi_analytic_rect,
     psi_full,
@@ -26,7 +26,7 @@ from .biphoton import (
 )
 from .dispersion import PTRegime, eit_denominator, pt_mode_analysis, slow_wavenumbers
 from .grids import SpectralGrid, spectrum_to_waveform
-from .params import BeamField, GenerationMode, MediumConfig
+from .params import C_LIGHT, BeamField, GenerationMode, MediumConfig
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -186,10 +186,13 @@ def check_group_delay_slope() -> CheckResult:
 
 
 def check_carrier_offset() -> CheckResult:
+    # collinear drives, cos(theta) = 1: the residual is the pump-minus-coupling
+    # detuning over c, with the coupling on resonance
+    medium = _medium(theta=0.0)
     pump, coupling = _beams(pump_det_mhz=6800.0)
-    off = drive_carrier_offset(pump, coupling, GenerationMode.DEGENERATE)
-    ok = off == pump.detuning
-    off_n = drive_carrier_offset(pump, coupling, GenerationMode.NONDEGENERATE)
+    off = _residual_wavevector(medium, pump, coupling, GenerationMode.DEGENERATE)
+    ok = off == pump.detuning / C_LIGHT
+    off_n = _residual_wavevector(medium, pump, coupling, GenerationMode.NONDEGENERATE)
     ok &= off_n == 0.0
     return CheckResult("biphoton", "drive carrier offset wiring", ok,
                        0.0 if ok else 1.0, "degenerate offset, matched nondegenerate")

@@ -118,8 +118,7 @@ class TestCriterion4GroupDelayFormula:
 
     def test_scan_endpoints(self):
         cfg = load_preset("fig5")
-        points = coherence_scan(list(cfg.scan_powers), cfg.medium, cfg.pump,
-                                cfg.coupling, cfg.mode)
+        points = coherence_scan(list(cfg.scan_powers), cfg.medium, cfg.coupling)
         first = points[0].t_coh_formula
         last = points[-1].t_coh_formula
         report(f"criterion 4b: scan endpoints {first * 1e6:.2f} us / "

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biphoton_sim import (
-    GenerationMode,
     InsufficientSignalError,
-    SpectralGrid,
     cauchy_schwarz_factor,
     coherence_scan,
     extract_coherence_time,
 )
 
-from conftest import make_coupling, make_medium, make_pump
+from conftest import make_coupling, make_medium
 
 
 class TestExtractCoherenceTime:
@@ -84,31 +82,18 @@ class TestCauchySchwarz:
 class TestCoherenceScan:
     def test_formula_endpoints_reproduce_quoted_range(self):
         medium = make_medium(od=150.0, g12_mhz=0.0039722893)
-        points = coherence_scan([2.50711615e-3, 0.45750295e-3], medium,
-                                make_pump(), make_coupling(), GenerationMode.DEGENERATE)
+        points = coherence_scan([2.50711615e-3, 0.45750295e-3], medium, make_coupling())
         assert points[0].t_coh_formula == pytest.approx(1.25e-6, rel=1e-6)
         assert points[-1].t_coh_formula == pytest.approx(6.85e-6, rel=1e-6)
 
     def test_line_is_linear_in_x(self):
         medium = make_medium(od=150.0)
         powers = [0.5e-3, 1.0e-3, 2.0e-3]
-        points = coherence_scan(powers, medium, make_pump(), make_coupling(),
-                                GenerationMode.DEGENERATE)
+        points = coherence_scan(powers, medium, make_coupling())
         slope = 4.0 * medium.od / medium.gamma13
         for p in points:
             assert p.t_coh_formula == pytest.approx(slope * p.x, rel=1e-12)
 
-    def test_full_width_tracks_formula_low_loss(self):
-        medium = make_medium(od=150.0, g12_mhz=0.0039722893)
-        grid = SpectralGrid.from_numerics(2 ** 13, 40e-6)
-        points = coherence_scan([2.3e-3], medium, make_pump(), make_coupling(),
-                                GenerationMode.DEGENERATE, grid=grid,
-                                z_panels=128, threads=2)
-        p = points[0]
-        assert p.t_coh_full == pytest.approx(p.t_coh_formula, rel=0.10)
-
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
-            coherence_scan([0.0], make_medium(), make_pump(), make_coupling(),
-                           GenerationMode.DEGENERATE)
-
+            coherence_scan([0.0], make_medium(), make_coupling())

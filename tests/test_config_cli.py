@@ -290,6 +290,16 @@ class TestCli:
         assert side["t_coh_formula_first_us"] == pytest.approx(1.25, rel=1e-4)
         assert side["t_coh_formula_last_us"] == pytest.approx(6.85, rel=1e-4)
 
+    def test_scan_full_width_tracks_formula_low_loss(self, tmp_path):
+        cfg = write_config(tmp_path, small_numerics(dump_config(load_preset("fig5")),
+                                                    n_omega=8192, tau_span_ns=40000.0))
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", cfg, "--full", "--powers", "2.3,1.0",
+                     "--threads", "2", "--out", str(out)]) == 0
+        for row in out.read_text().splitlines()[1:]:
+            _, formula_ns, full_ns = map(float, row.split(","))
+            assert full_ns == pytest.approx(formula_ns, rel=0.10)
+
     def test_scan_rejects_single_point(self, tmp_path):
         code = main(["scan", "--config", "fig5", "--out",
                      str(tmp_path / "s.csv"), "--powers", "1.0"])
