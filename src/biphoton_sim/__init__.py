@@ -54,6 +54,7 @@ from .interference import (
 )
 from .params import (
     BeamField,
+    CouplingField,
     DetectionConfig,
     GenerationMode,
     MediumConfig,
@@ -63,7 +64,7 @@ from .params import (
 from .reference import psi_reference
 
 __all__ = [
-    "BeamField", "CoherenceReport", "ConfigError",
+    "BeamField", "CoherenceReport", "ConfigError", "CouplingField",
     "DetectionConfig", "GenerationMode", "GridError", "InsufficientSignalError",
     "InterferometerConfig", "MediumConfig", "NumericsConfig",
     "PTModeResult", "PTRegime", "RunConfig", "ScanPoint",

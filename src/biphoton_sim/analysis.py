@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import group_delay_estimate
-from .params import BeamField, MediumConfig, rabi_at_power
+from .params import CouplingField, MediumConfig, rabi_at_power
 
 # Width threshold referenced to a smoothed envelope; fit window anchored just
 # below the post-peak shoulder, one e-fold deep.  See extract_coherence_time.
@@ -159,7 +159,7 @@ class ScanPoint:
 
 
 def coherence_scan(coupling_powers, medium: MediumConfig,
-                   coupling: BeamField) -> list[ScanPoint]:
+                   coupling: CouplingField) -> list[ScanPoint]:
     """Coherence time versus coupling power at fixed optical depth.
 
     Each power maps to a Rabi frequency through the sqrt(P) scaling at the

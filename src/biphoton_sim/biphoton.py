@@ -35,7 +35,8 @@ from .dispersion import (
     slow_wavenumbers,
 )
 from .grids import MAX_N_OMEGA, GridError, SpectralGrid, Waveform, spectrum_to_waveform
-from .params import C_LIGHT, BeamField, DetectionConfig, GenerationMode, MediumConfig, beam_profile
+from .params import (C_LIGHT, BeamField, CouplingField, DetectionConfig, GenerationMode,
+                     MediumConfig, beam_profile)
 
 # (omega row, z node) cells of one psi_full chunk, counted over the full z
 # grid and both rows of each +-omega pair: a chunk takes
@@ -77,7 +78,7 @@ def _coupling_constant(medium: MediumConfig, pump: BeamField, mode: GenerationMo
 
 
 def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
-          coupling: BeamField, mode: GenerationMode, scale: float = 1.0):
+          coupling: CouplingField, mode: GenerationMode, scale: float = 1.0):
     """Parametric gain per unit length at detuning omega and position z.
 
     kappa = -i (omega0 / 2c) E_p(z) E_c(z) [chi3(omega) + chi3(-omega)],
@@ -129,7 +130,7 @@ def _next_pow2(x: float) -> int:
     return 1 << max(int(np.ceil(np.log2(x))), 1)
 
 
-def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) -> None:
+def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField) -> None:
     """Reject runs whose waveform has no time scale, or a grid that cannot hold it.
 
     Every waveform passes here.  Its time scale is the group delay
@@ -174,7 +175,7 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: BeamField) ->
 
 
 def _check_admissible(n_omega: float, kept: str, medium: MediumConfig,
-                      coupling: BeamField) -> None:
+                      coupling: CouplingField) -> None:
     if n_omega > MAX_N_OMEGA:
         raise GridError(
             f"no admissible grid resolves this run: at its {kept} it needs n_omega of about "
@@ -220,7 +221,7 @@ def _panel_factors(q1: np.ndarray, q2: np.ndarray, h: float, delta0: float,
 
 
 def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
-             pump: BeamField, coupling: BeamField, mode: GenerationMode,
+             pump: BeamField, coupling: CouplingField, mode: GenerationMode,
              scale: float = 1.0, threads: int = 1) -> Waveform:
     """Joint amplitude from the full detuning/position double integral.
 
@@ -450,7 +451,7 @@ def _complex_sinc(x: np.ndarray) -> np.ndarray:
 
 
 def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
-                         pump: BeamField, coupling: BeamField,
+                         pump: BeamField, coupling: CouplingField,
                          mode: GenerationMode, scale: float = 1.0) -> np.ndarray:
     """Spectral amplitude kappa(omega) Phi(omega) L for uniform drive beams.
 
@@ -480,13 +481,13 @@ def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
 # ---------------------------------------------------------------------------
 
 def psi_analytic_rect(grid: SpectralGrid, medium: MediumConfig,
-                      coupling: BeamField, mode: GenerationMode,
-                      kappa0: complex, pump: BeamField | None = None) -> Waveform:
+                      coupling: CouplingField, mode: GenerationMode,
+                      kappa0: complex, pump: BeamField) -> Waveform:
     """Group-delay-limit rectangle of the degenerate scheme.
 
     psi(tau) = |kappa0| L e^{-alpha L} on |tau| <= L/V_g, zero outside,
     times the residual linear phase e^{-i dk_cp V_g tau / 2} from the
-    pump-coupling wavevector offset (zero when ``pump`` is omitted).  Both
+    pump-coupling wavevector offset (zero for equal detunings).  Both
     photons share the same absorption, so loss rescales the amplitude without
     touching the support: the coherence time is protected by the exchange
     symmetry of the pair.
@@ -498,7 +499,7 @@ def psi_analytic_rect(grid: SpectralGrid, medium: MediumConfig,
     alpha_l = eit_absorption_loss(medium, coupling.peak_rabi)
     tau = grid.tau
     box = (np.abs(tau) <= delay).astype(float)
-    dk_cp = 0.0 if pump is None else _residual_wavevector(medium, pump, coupling, mode)
+    dk_cp = _residual_wavevector(medium, pump, coupling, mode)
     amp = (abs(kappa0) * medium.length * np.exp(-alpha_l)
            * box * np.exp(-0.5j * dk_cp * vg * tau))
     return Waveform(tau=tau, amplitude=amp)

@@ -21,6 +21,7 @@ from .interference import InterferometerConfig
 from .params import (
     C_LIGHT,
     BeamField,
+    CouplingField,
     DetectionConfig,
     GenerationMode,
     MediumConfig,
@@ -85,7 +86,7 @@ class RunConfig:
     mode: GenerationMode
     medium: MediumConfig
     pump: BeamField
-    coupling: BeamField
+    coupling: CouplingField
     detection: DetectionConfig
     numerics: NumericsConfig
     interferometer: InterferometerConfig | None = None
@@ -96,14 +97,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # The file format: one table for parsing, validation and dumping
 # ---------------------------------------------------------------------------
-
-_BEAM = (
-    ("wavelength_nm", "wavelength", 1e-9),
-    ("power_mw", "power", 1e-3),
-    ("waist_mm", "waist", 1e-3),
-    ("detuning_mhz", "detuning", MHZ),
-    ("peak_rabi_mhz", "peak_rabi", MHZ),
-)
 
 # section -> (dataclass, (json key, attribute, SI factor) per field); a factor
 # of None marks a JSON integer, stored as is
@@ -117,8 +110,13 @@ SECTIONS = {
         ("theta_deg", "theta", math.pi / 180.0),  # == math.radians, bitwise
         ("lambda0_nm", "lambda0", 1e-9),
     )),
-    "pump": (BeamField, _BEAM),
-    "coupling": (BeamField, _BEAM),
+    "pump": (BeamField, (("waist_mm", "waist", 1e-3), ("detuning_mhz", "detuning", MHZ))),
+    "coupling": (CouplingField, (
+        ("power_mw", "power", 1e-3),
+        ("waist_mm", "waist", 1e-3),
+        ("detuning_mhz", "detuning", MHZ),
+        ("peak_rabi_mhz", "peak_rabi", MHZ),
+    )),
     "detection": (DetectionConfig, (
         ("duty_cycle", "duty_cycle", 1.0),
         ("joint_efficiency", "joint_efficiency", 1.0),
@@ -137,6 +135,11 @@ SECTIONS = {
         ("noise_counts", "noise_counts", 1.0),
     )),
 }
+
+# keys of older files that no output reads (kappa_scale absorbs the pump's
+# peak field, and medium.lambda0_nm is the carrier): finite numbers, dropped
+IGNORED = {"pump": ("wavelength_nm", "power_mw", "peak_rabi_mhz"),
+           "coupling": ("wavelength_nm",)}
 
 
 def _require(section: dict, key: str, where: str):
@@ -166,10 +169,15 @@ def _section(name: str, obj):
     """Build one section's dataclass from its JSON object, converting to SI.
 
     A number must be finite as written and after its SI factor, so a value
-    that overflows only in SI is rejected under its own field path.
+    that overflows only in SI is rejected under its own field path.  A key
+    of ``IGNORED`` must only be a finite number; it is dropped.
     """
     cls, fields = SECTIONS[name]
-    sec = _object(obj, name, [key for key, _, _ in fields])
+    ignored = IGNORED.get(name, ())
+    sec = _object(obj, name, [*(key for key, _, _ in fields), *ignored])
+    for key in ignored:
+        if key in sec:
+            _finite(sec[key], f"{name}.{key}")
     has_default = {f.name for f in dataclass_fields(cls) if f.default is not MISSING}
     kwargs = {}
     for key, attr, factor in fields:
@@ -200,7 +208,7 @@ def _check_below_carrier(sections: dict) -> None:
     The photon frequencies omega0 +- omega must stay positive over the whole
     detuning grid, whose half-span n_omega pi / tau_span stays below omega0
     only for tau_span > n_omega lambda0 / 2c; and the rotating-wave model of
-    the drive fields needs Rabi frequencies below omega0.  Both bounds also
+    the coupling needs its Rabi frequency below omega0.  Both bounds also
     keep every squared frequency of the engines finite.
     """
     medium, numerics = sections["medium"], sections["numerics"]
@@ -211,12 +219,11 @@ def _check_below_carrier(sections: dict) -> None:
             f"must exceed n_omega * lambda0 / 2c = {bound_ns:.6g} ns, where the detuning "
             f"grid reaches the optical carrier, got {numerics.tau_span * 1e9:g}",
             "numerics.tau_span_ns")
-    for name in ("pump", "coupling"):
-        _check_rabi(sections[name].peak_rabi, w0, f"{name}.peak_rabi_mhz")
+    _check_rabi(sections["coupling"].peak_rabi, w0, "coupling.peak_rabi_mhz")
 
 
 def _check_rabi(rabi: float, w0: float, where: str, subject: str = "") -> None:
-    """The rotating-wave model of the drive fields needs Rabi frequencies below omega0."""
+    """The rotating-wave model of the coupling needs its Rabi frequency below omega0."""
     if rabi >= w0:
         raise ConfigError(f"{subject}must be below the optical carrier frequency "
                           f"{w0 / MHZ:.6g} MHz, got {rabi / MHZ:g} MHz", where)
@@ -281,7 +288,7 @@ def _build(data) -> RunConfig:
                      kappa_scale=kappa_scale)
 
 
-def check_power_mw(val, where: str, coupling: BeamField, medium: MediumConfig) -> float:
+def check_power_mw(val, where: str, coupling: CouplingField, medium: MediumConfig) -> float:
     """A scan coupling power in mW, checked with the Rabi frequency it gives.
 
     The power must be finite and > 0 (the Rabi scaling takes its root), and

@@ -90,21 +90,31 @@ class MediumConfig:
 
 @dataclass(frozen=True)
 class BeamField:
-    """One driving laser field.
+    """One driving laser field, holding all that the model reads of the pump.
 
     ``detuning`` is the detuning of the field from its atomic transition
-    (Delta_p for the pump, 0 for an on-resonance coupling beam) and
-    ``peak_rabi`` the Rabi frequency at the beam center.
+    (Delta_p for the pump, 0 for an on-resonance coupling beam).  The pump's
+    peak field is absorbed by kappa's scale, and the photons' carrier is
+    ``MediumConfig.lambda0``.
     """
 
-    wavelength: float  # m
-    power: float       # W
     waist: float       # m, e^-2 intensity radius
     detuning: float    # rad/s
+
+    def __post_init__(self) -> None:
+        check_ranges(self, waist="> 0")
+
+
+@dataclass(frozen=True)
+class CouplingField(BeamField):
+    """The coupling beam: Rabi frequency ``peak_rabi`` at its center when driven at ``power``."""
+
+    power: float       # W
     peak_rabi: float   # rad/s
 
     def __post_init__(self) -> None:
-        check_ranges(self, wavelength="> 0", waist="> 0", power=">= 0", peak_rabi=">= 0")
+        super().__post_init__()
+        check_ranges(self, power=">= 0", peak_rabi=">= 0")
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ class DetectionConfig:
 # Derived-parameter helpers
 # ---------------------------------------------------------------------------
 
-def rabi_at_power(beam: BeamField, power: float) -> float:
+def rabi_at_power(beam: CouplingField, power: float) -> float:
     """Peak Rabi frequency of ``beam`` driven at ``power`` instead (same waist).
 
     The Rabi frequency of a Gaussian beam obeys Omega ~ sqrt(P) / w0

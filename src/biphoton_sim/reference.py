@@ -13,11 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import SpectralGrid, Waveform
-from .params import C_LIGHT, BeamField, GenerationMode, MediumConfig
+from .params import C_LIGHT, BeamField, CouplingField, GenerationMode, MediumConfig
 
 
 def psi_reference(grid: SpectralGrid, z_points: int, medium: MediumConfig,
-                  pump: BeamField, coupling: BeamField, mode: GenerationMode,
+                  pump: BeamField, coupling: CouplingField, mode: GenerationMode,
                   scale: float = 1.0) -> Waveform:
     """Trapezoid/direct-sum evaluation of the same double integral as psi_full."""
     L = medium.length

@@ -26,7 +26,7 @@ from .biphoton import (
 )
 from .dispersion import PTRegime, eit_denominator, pt_mode_analysis, slow_wavenumbers
 from .grids import SpectralGrid, spectrum_to_waveform
-from .params import C_LIGHT, BeamField, GenerationMode, MediumConfig
+from .params import C_LIGHT, BeamField, CouplingField, GenerationMode, MediumConfig
 
 MHZ = 2.0 * math.pi * 1e6
 
@@ -47,10 +47,8 @@ def _medium(od=150.0, g12_mhz=0.004, theta=0.0) -> MediumConfig:
 
 
 def _beams(oc_mhz=14.5, pump_det_mhz=6800.0, waist=1e3):
-    pump = BeamField(wavelength=795e-9, power=0.15, waist=waist,
-                     detuning=pump_det_mhz * MHZ, peak_rabi=218.6 * MHZ)
-    coupling = BeamField(wavelength=795e-9, power=2.3e-3, waist=waist,
-                         detuning=0.0, peak_rabi=oc_mhz * MHZ)
+    pump = BeamField(waist=waist, detuning=pump_det_mhz * MHZ)
+    coupling = CouplingField(power=2.3e-3, waist=waist, detuning=0.0, peak_rabi=oc_mhz * MHZ)
     return pump, coupling
 
 

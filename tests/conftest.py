@@ -4,6 +4,7 @@ import pytest
 
 from biphoton_sim import (
     BeamField,
+    CouplingField,
     MediumConfig,
     coincidence_counts,
     extract_coherence_time,
@@ -21,16 +22,12 @@ def make_medium(od=150.0, length=0.017, g12_mhz=0.004, g13_mhz=3.0,
                         theta=math.radians(theta_deg), lambda0=lambda0)
 
 
-def make_pump(rabi_mhz=218.6, det_mhz=6800.0, waist=1.6e-3, power=0.15,
-              wavelength=795e-9) -> BeamField:
-    return BeamField(wavelength=wavelength, power=power, waist=waist,
-                     detuning=det_mhz * MHZ, peak_rabi=rabi_mhz * MHZ)
+def make_pump(det_mhz=6800.0, waist=1.6e-3) -> BeamField:
+    return BeamField(waist=waist, detuning=det_mhz * MHZ)
 
 
-def make_coupling(rabi_mhz=14.5, waist=2.3e-3, power=2.3e-3,
-                  wavelength=795e-9) -> BeamField:
-    return BeamField(wavelength=wavelength, power=power, waist=waist,
-                     detuning=0.0, peak_rabi=rabi_mhz * MHZ)
+def make_coupling(rabi_mhz=14.5, waist=2.3e-3, power=2.3e-3) -> CouplingField:
+    return CouplingField(power=power, waist=waist, detuning=0.0, peak_rabi=rabi_mhz * MHZ)
 
 
 @pytest.fixture(scope="session")

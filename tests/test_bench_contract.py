@@ -51,9 +51,10 @@ def test_psi_full_parameters_bound_by_name():
 
 
 def test_benchmark_inputs_parse_strictly():
-    from biphoton_sim.config import parse_config
+    from biphoton_sim.config import load_preset, parse_config
 
     inputs = sorted((PERFBENCH / "inputs").glob("*.json"))
     assert len(inputs) == 10
     for path in inputs:
-        parse_config(path.read_text(encoding="utf-8"))
+        # the frozen inputs still carry the keys the presets dropped
+        assert parse_config(path.read_text(encoding="utf-8")) == load_preset(path.stem)

@@ -29,6 +29,8 @@ from conftest import MHZ, make_coupling, make_medium, make_pump
 
 DEG = GenerationMode.DEGENERATE
 NONDEG = GenerationMode.NONDEGENERATE
+# equal pump and coupling detunings: the rectangle has no residual linear phase
+FLAT_PUMP = make_pump(det_mhz=0.0)
 
 
 def small_grid(n=2 ** 9, span=20e-6):
@@ -181,7 +183,7 @@ class TestPsiFull:
 
     def test_matches_reference_nondegenerate(self):
         medium = make_medium(od=88.0, g12_mhz=0.2, theta_deg=3.0)
-        pump = make_pump(rabi_mhz=3.6, det_mhz=200.0, waist=2.9e-3, wavelength=780e-9)
+        pump = make_pump(det_mhz=200.0, waist=2.9e-3)
         coupling = make_coupling(rabi_mhz=12.2, waist=2.9e-3)
         grid = small_grid(n=2 ** 9)
         fast = psi_full(grid, 128, medium, pump, coupling, NONDEG)
@@ -269,8 +271,7 @@ class TestPsiFull:
         grid = SpectralGrid.from_numerics(2 ** 13, 40e-6)
         for g12_mhz in (0.004, 0.08, 0.20):
             medium = make_medium(od=88.0, g12_mhz=g12_mhz)
-            pump = make_pump(rabi_mhz=3.6, det_mhz=200.0, waist=2.9e-3,
-                             wavelength=780e-9)
+            pump = make_pump(det_mhz=200.0, waist=2.9e-3)
             coupling = make_coupling(rabi_mhz=12.2, waist=2.9e-3)
             wave = psi_full(grid, 128, medium, pump, coupling, NONDEG, threads=2)
             rep = extract_coherence_time(wave.intensity, wave.tau)
@@ -518,7 +519,7 @@ class TestAnalyticLimits:
         medium = make_medium(g12_mhz=0.0)
         coupling = make_coupling()
         grid = small_grid(n=2 ** 10)
-        wave = psi_analytic_rect(grid, medium, coupling, DEG, kappa0=2.0 + 0j)
+        wave = psi_analytic_rect(grid, medium, coupling, DEG, kappa0=2.0 + 0j, pump=FLAT_PUMP)
         delay = group_delay_estimate(medium, coupling.peak_rabi)
         inside = np.abs(grid.tau) <= delay
         assert np.all(wave.amplitude[~inside] == 0.0)
@@ -529,8 +530,8 @@ class TestAnalyticLimits:
         grid = small_grid(n=2 ** 10)
         lossless = make_medium(g12_mhz=0.0)
         lossy = make_medium(g12_mhz=0.2)  # alpha L = 0.846
-        w0 = psi_analytic_rect(grid, lossless, coupling, DEG, kappa0=1.0)
-        w1 = psi_analytic_rect(grid, lossy, coupling, DEG, kappa0=1.0)
+        w0 = psi_analytic_rect(grid, lossless, coupling, DEG, kappa0=1.0, pump=FLAT_PUMP)
+        w1 = psi_analytic_rect(grid, lossy, coupling, DEG, kappa0=1.0, pump=FLAT_PUMP)
         support0 = np.abs(w0.amplitude) > 0
         support1 = np.abs(w1.amplitude) > 0
         assert np.all(support0 == support1)
@@ -543,14 +544,14 @@ class TestAnalyticLimits:
         medium = make_medium()
         coupling = make_coupling()
         grid = small_grid(n=2 ** 10)
-        wave = psi_analytic_rect(grid, medium, coupling, DEG, kappa0=1.0)
+        wave = psi_analytic_rect(grid, medium, coupling, DEG, kappa0=1.0, pump=FLAT_PUMP)
         mag = np.abs(wave.amplitude)
         assert np.all(mag[1:] == mag[1:][::-1])
 
     def test_rect_rejects_nondegenerate(self):
         with pytest.raises(ValueError):
             psi_analytic_rect(small_grid(), make_medium(), make_coupling(),
-                              NONDEG, kappa0=1.0)
+                              NONDEG, kappa0=1.0, pump=FLAT_PUMP)
 
     def test_exp_decay_constant(self):
         # alpha = 41.8 1/m and V_g = 3.0e4 m/s give an intensity constant

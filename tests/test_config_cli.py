@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from biphoton_sim import (
     parse_config,
 )
 from biphoton_sim.cli import main
-from biphoton_sim.config import MAX_Z_PANELS, PRESET_NAMES, SECTIONS, NumericsConfig
+from biphoton_sim.config import IGNORED, MAX_Z_PANELS, PRESET_NAMES, SECTIONS, NumericsConfig
 
 from conftest import MHZ
 
@@ -32,7 +33,7 @@ def approx_equal_configs(a, b, rel=1e-12):
         assert getattr(a.medium, field) == pytest.approx(getattr(b.medium, field),
                                                          rel=rel)
     for beam in ("pump", "coupling"):
-        for field in ("wavelength", "power", "waist", "detuning", "peak_rabi"):
+        for field in (f.name for f in dataclasses.fields(getattr(a, beam))):
             assert getattr(getattr(a, beam), field) == pytest.approx(
                 getattr(getattr(b, beam), field), rel=rel)
     assert a.numerics == b.numerics
@@ -498,6 +499,15 @@ class TestCli:
         assert longest == 9
 
 
+def test_ignored_keys_parse_at_any_finite_value():
+    # no output reads them, so neither their sign nor the carrier bounds them
+    for value in (-1.0, 1e300):
+        data = dump_config(load_preset("fig5"))
+        for section, keys in IGNORED.items():
+            data[section].update(dict.fromkeys(keys, value))
+        assert parse_config(json.dumps(data)) == load_preset("fig5")
+
+
 def rabi_patch(peak_rabi_mhz, **sections):
     """fig5's coupling at another Rabi frequency, without its scan powers.
 
@@ -583,6 +593,8 @@ def field_patch(section, key, value, **sections):
     (["eit-spectrum"], field_patch("medium", "gamma13_mhz", 1e308), "medium.gamma13_mhz"),
     (["eit-spectrum"], field_patch("medium", "gamma13_mhz", 1e308, **rabi_patch(0.0)),
      "medium.gamma13_mhz"),
+    # an ignored key of older files is still a number
+    (["waveform"], field_patch("pump", "power_mw", "x"), "pump.power_mw"),
     (["waveform"], b'{"mode": "degenerate\xff"}', "config"),
     (["waveform"], b"[" * 100_000 + b"]" * 100_000, "config"),
     (["waveform"], b'{"kappa_scale": 1' + b"0" * 5000 + b"}", "config"),
@@ -604,8 +616,8 @@ def field_patch(section, key, value, **sections):
         "od-zero-scan-full", "od-overflow-spectrum", "od-overflow-full",
         "powers-flag-coherence-ns-overflow", "rabi-coherence-ns-overflow-spectrum",
         "od-integer-past-float-range", "gamma13-si-overflow-spectrum",
-        "gamma13-si-overflow-two-level", "not-utf8", "nested-too-deep", "integer-too-long",
-        "top-level-list", "invalid-json"])
+        "gamma13-si-overflow-two-level", "ignored-key-string", "not-utf8", "nested-too-deep",
+        "integer-too-long", "top-level-list", "invalid-json"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     if isinstance(patch, bytes):  # the file as written, no config document
         cfg = tmp_path / "cfg.json"
@@ -624,7 +636,8 @@ def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch
 
 DELETE = object()
 KNOWN_KEYS = sorted({"mode", "scan", "powers_mw", "kappa_scale", *SECTIONS,
-                     *(key for _, fields in SECTIONS.values() for key, _, _ in fields)})
+                     *(key for _, fields in SECTIONS.values() for key, _, _ in fields),
+                     *(key for keys in IGNORED.values() for key in keys)})
 MUTATIONS = st.lists(st.tuples(
     st.sampled_from([None, *SECTIONS, "scan"]),
     st.sampled_from(KNOWN_KEYS) | st.text(max_size=6),

@@ -16,7 +16,7 @@ from biphoton_sim import (
     visibility_with_noise,
 )
 
-from conftest import make_coupling, make_medium
+from conftest import make_coupling, make_medium, make_pump
 
 
 @pytest.fixture()
@@ -24,7 +24,8 @@ def psi0():
     """Exchange-symmetric rectangle waveform, 4.88 ns steps over +-10 us."""
     grid = SpectralGrid.from_numerics(2 ** 12, 20e-6)
     return psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_coupling(),
-                             GenerationMode.DEGENERATE, kappa0=1.0)
+                             GenerationMode.DEGENERATE, kappa0=1.0,
+                             pump=make_pump(det_mhz=0.0))
 
 
 class TestBeatCorrelation:
@@ -52,7 +53,8 @@ class TestBeatCorrelation:
     def test_nonnegative(self, r, delta):
         grid = SpectralGrid.from_numerics(2 ** 8, 20e-6)
         wave = psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_coupling(),
-                                 GenerationMode.DEGENERATE, kappa0=1.0)
+                                 GenerationMode.DEGENERATE, kappa0=1.0,
+                                 pump=make_pump(det_mhz=0.0))
         cfg = InterferometerConfig(reflectance=r, shift_delta=delta)
         assert np.all(beat_correlation(wave, cfg) >= 0.0)
 

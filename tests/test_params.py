@@ -68,8 +68,7 @@ class TestDensityPrefactor:
 
 class TestBeamProfile:
     def _beam(self, waist=1.6e-3):
-        return BeamField(wavelength=795e-9, power=1e-3, waist=waist,
-                         detuning=0.0, peak_rabi=MHZ)
+        return BeamField(waist=waist, detuning=0.0)
 
     def test_center(self):
         assert beam_profile(self._beam(), 0.0, math.radians(3.0)) == 1.0
