@@ -99,10 +99,7 @@ def kappa(omega, z: float, medium: MediumConfig, pump: BeamField,
     gc = beam_profile(coupling, z, medium.theta)
     recip = 1.0 / eit_denominator(om, (coupling.peak_rabi * gc) ** 2, medium)
     envelope = beam_profile(pump, z, medium.theta) * gc
-    value = 2.0 * _coupling_constant(medium, pump, mode, scale) * envelope * recip.real
-    if np.isscalar(omega):
-        return complex(value)
-    return value
+    return 2.0 * _coupling_constant(medium, pump, mode, scale) * envelope * recip.real
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +136,7 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField
     parser has bounded both scales to the float range).  Then the grid
     half-span must cover at least eight EIT linewidth proxies
     (a finer tau step, i.e. larger n_omega at fixed span, widens the grid),
-    and the tau window 2 pi / d_omega to span at least four group delays, so
+    and the tau window to span at least four group delays, so
     the group-delay support |tau| <= L/V_g cannot wrap around the periodic
     window of the FFT.  The message suggests the grid that would pass; when
     that grid needs more than ``MAX_N_OMEGA`` points, which no configuration
@@ -153,7 +150,7 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField
                               f"2 gamma13 OD / |Omega_c|^2, got {value:g}", where)
     proxy = eit_bandwidth_proxy(medium, coupling.peak_rabi)
     needed = 8.0 * proxy
-    tau_span = 2.0 * np.pi / grid.d_omega
+    tau_span = grid.tau_span
     if grid.omega_max < needed:
         # unrounded first: at a vanishing OD the linewidth passes the float range
         _check_admissible(needed * tau_span / np.pi, "tau span", medium, coupling)
@@ -347,6 +344,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     spans = list(zip(bounds[:-1], bounds[1:]))
+    omega = grid.omega  # fetched before any worker starts: the cached axis has no lock
 
     def run_chunks(claimed) -> None:
         # The worker's workspace: one block of 80 B per (row, z >= 0 node),
@@ -357,16 +355,9 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         # formed, then the phase factors of one half of z at a time, for one
         # side at a time; the per-panel factors take the first two planes,
         # the susceptibility's, dead by then.  Every chunk writes the
-        # workspace with out=.  The block is allocated twice: glibc serves
-        # it by mmap, and freeing that copy lifts glibc's dynamic mmap and
-        # trim thresholds above its size, so the workspace and what a chunk
-        # still allocates (numpy's 64-128 KiB iterator buffers) come from the
-        # heap and are reused, in this call and the next, as are the arrays
-        # the command allocates after the kernel, not mapped and faulted in
-        # again.
+        # workspace with out=.
         rows = max(stop - start for start, stop in spans)
         plane = rows * (mh + 1)
-        np.empty(10 * plane)  # freed at once
         space = np.empty(10 * plane)
         work = space[:2 * plane].view(complex).reshape(rows, mh + 1)
         q_pair = space[2 * plane:6 * plane].view(complex).reshape(2, rows, mh + 1)
@@ -374,7 +365,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         sums = np.empty((2, 2, rows), complex)  # [lower, upper half][+omega, -omega rows]
         for start, stop in claimed:
             k = stop - start
-            om = grid.omega[start:stop, None]
+            om = omega[start:stop, None]
             w = work[:k]
             q_plus, q_minus = q_pair[:, :k]
             planes = reals[:4 * k * (mh + 1)].reshape(4, k, mh + 1)
@@ -502,7 +493,7 @@ def psi_analytic_rect(grid: SpectralGrid, medium: MediumConfig,
     dk_cp = _residual_wavevector(medium, pump, coupling, mode)
     amp = (abs(kappa0) * medium.length * np.exp(-alpha_l)
            * box * np.exp(-0.5j * dk_cp * vg * tau))
-    return Waveform(tau=tau, amplitude=amp)
+    return Waveform(grid, amp)
 
 
 def psi_analytic_exp(alpha: float, vg: float, medium: MediumConfig,
@@ -520,7 +511,7 @@ def psi_analytic_exp(alpha: float, vg: float, medium: MediumConfig,
     tau = grid.tau
     support = (tau >= 0.0) & (tau <= medium.length / vg)
     amp = np.where(support, np.exp(-alpha * vg * np.where(support, tau, 0.0)), 0.0)
-    return Waveform(tau=tau, amplitude=amp.astype(complex))
+    return Waveform(grid, amp.astype(complex))
 
 
 def coincidence_counts(waveform: Waveform, det: DetectionConfig) -> np.ndarray:

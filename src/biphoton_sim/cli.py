@@ -141,6 +141,9 @@ def _beat(cfg: RunConfig, args, threads: int):
     if itf is None:
         raise ConfigError("missing required section for the beat command",
                           "interferometer")
+    if cfg.mode is not GenerationMode.DEGENERATE:
+        raise ConfigError("the beat formulas assume |psi(tau)| = |psi(-tau)|, which only the "
+                          f"degenerate scheme gives, got {cfg.mode.value!r}", "config.mode")
     wave = _build_waveform(cfg, "full", threads)
     envelope = wave.intensity
     g34 = beat_correlation(wave, itf)

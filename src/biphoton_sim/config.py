@@ -76,7 +76,7 @@ class NumericsConfig:
                               "numerics.tau_span_ns")
 
     def grid(self) -> SpectralGrid:
-        return SpectralGrid.from_numerics(self.n_omega, self.tau_span)
+        return SpectralGrid(self.n_omega, self.tau_span)
 
 
 @dataclass(frozen=True)

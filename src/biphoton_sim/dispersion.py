@@ -155,10 +155,7 @@ def eit_transmission(omega_grid, omega_c: float, medium: MediumConfig):
     :func:`eit_absorption_loss`.
     """
     q1 = _slow_wavenumber_at(omega_grid, omega_c, medium)
-    t = np.exp(-2.0 * np.imag(q1) * medium.length)
-    if np.isscalar(omega_grid):
-        return float(t)
-    return t
+    return np.exp(-2.0 * np.imag(q1) * medium.length)
 
 
 def group_delay_estimate(medium: MediumConfig, omega_c: float) -> float:

@@ -1,9 +1,10 @@
-"""Paired frequency/time grids, the waveform container, and CSV output."""
+"""Mirror-exact frequency/time grids, the waveform on its grid, and CSV output."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,43 +18,28 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform detuning grid, symmetric about zero, length a power of two.
+    """Detuning grid of ``n`` points, a power of two, whose time axis spans ``tau_span`` s.
 
-    ``omega[i] = (i - n/2) * d_omega``, so every positive frequency has its
-    exact mirror on the grid (the single extreme negative point excepted);
-    :func:`biphoton_sim.biphoton.psi_full` relies on it.  The
-    conjugate time grid has step ``d_tau = 2 pi / (n * d_omega)`` and is built
-    the same way, which fixes the transform convention of
-    :func:`spectrum_to_waveform`.
+    ``omega[i] = (i - n/2) * d_omega`` with ``d_omega = 2 pi / tau_span``: an
+    integer times the step, so ``omega[n/2]`` is 0 and ``omega[n - i]`` is
+    ``-omega[i]`` exactly, by construction (:func:`~biphoton_sim.biphoton.psi_full`
+    relies on it).  The time axis, step ``d_tau = 2 pi / (n * d_omega)``, is
+    built the same way, which fixes the convention of :func:`spectrum_to_waveform`.
+    Both axes are computed once and read-only; equality is that of (n, tau_span).
     """
 
-    omega: np.ndarray = field(repr=False)
-    d_omega: float
+    n: int
+    tau_span: float  # s
 
     def __post_init__(self) -> None:
-        n = len(self.omega)
-        if n < 2 or n & (n - 1) != 0:
-            raise ValueError(f"grid length must be a power of two, got {n}")
-        steps = np.diff(self.omega)
-        if not np.allclose(steps, self.d_omega, rtol=1e-9, atol=0.0):
-            raise ValueError("grid spacing is not uniform")
-        if self.omega[n // 2] != 0.0:
-            raise ValueError("grid must contain omega = 0 at index n/2")
-        if not np.array_equal(self.omega[:0:-1], -self.omega[1:]):
-            raise ValueError("grid must be mirror-symmetric: omega[n - i] == -omega[i]")
-
-    @classmethod
-    def from_numerics(cls, n_omega: int, tau_span: float) -> "SpectralGrid":
-        """Build the grid whose conjugate time axis spans ``tau_span`` seconds."""
-        if tau_span <= 0:  # __post_init__ checks n_omega, but would pass a negative span
-            raise ValueError(f"tau_span must be > 0, got {tau_span}")
-        d_omega = 2.0 * math.pi / tau_span
-        idx = np.arange(n_omega) - n_omega // 2
-        return cls(omega=idx * d_omega, d_omega=d_omega)
+        if self.n < 2 or self.n & (self.n - 1) != 0:
+            raise ValueError(f"grid length must be a power of two >= 2, got {self.n}")
+        if not (math.isfinite(self.tau_span) and self.tau_span > 0):
+            raise ValueError(f"tau_span must be finite and > 0, got {self.tau_span}")
 
     @property
-    def n(self) -> int:
-        return len(self.omega)
+    def d_omega(self) -> float:
+        return 2.0 * math.pi / self.tau_span
 
     @property
     def d_tau(self) -> float:
@@ -64,9 +50,19 @@ class SpectralGrid:
         """Largest represented |omega| (half the grid span)."""
         return (self.n // 2) * self.d_omega
 
-    @property
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return _centred_axis(self.n, self.d_omega)
+
+    @cached_property
     def tau(self) -> np.ndarray:
-        return (np.arange(self.n) - self.n // 2) * self.d_tau
+        return _centred_axis(self.n, self.d_tau)
+
+
+def _centred_axis(n: int, step: float) -> np.ndarray:
+    axis = (np.arange(n) - n // 2) * step
+    axis.flags.writeable = False
+    return axis
 
 
 def check_finite(values: np.ndarray, label: str, axis: str = "tau") -> None:
@@ -83,19 +79,20 @@ def check_finite(values: np.ndarray, label: str, axis: str = "tau") -> None:
                         "some input overflows double precision")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
-    """Relative-time joint amplitude psi(tau) on a uniform time grid."""
+    """Relative-time joint amplitude psi(tau) on the time axis of ``grid``, equal only to itself."""
 
-    tau: np.ndarray = field(repr=False)
+    grid: SpectralGrid
     amplitude: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.tau) != len(self.amplitude):
-            raise ValueError("tau and amplitude must have equal length")
-        steps = np.diff(self.tau)
-        if len(steps) and not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("tau grid is not uniform")
+        if len(self.amplitude) != self.grid.n:
+            raise ValueError(f"amplitude has {len(self.amplitude)} points, its grid {self.grid.n}")
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.grid.tau
 
     @property
     def intensity(self) -> np.ndarray:
@@ -114,11 +111,9 @@ def spectrum_to_waveform(grid: SpectralGrid, spectrum: np.ndarray) -> Waveform:
     normalization Parseval's identity holds exactly:
     sum |psi|^2 d_tau = (1/2pi) sum |S|^2 d_omega.
     """
-    if len(spectrum) != grid.n:
-        raise ValueError("spectrum length does not match grid")
     shifted = np.fft.ifftshift(spectrum)
     psi = np.fft.fftshift(np.fft.fft(shifted)) * (grid.d_omega / (2.0 * math.pi))
-    return Waveform(tau=grid.tau, amplitude=psi)
+    return Waveform(grid, psi)
 
 
 # rows per formatting pass: few enough that the temporary Python floats of a

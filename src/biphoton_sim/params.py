@@ -171,7 +171,4 @@ def beam_profile(beam: BeamField, z, theta: float):
     Accepts scalar or array z.
     """
     offset = np.asarray(z) * math.sin(theta)
-    out = np.exp(-((offset / beam.waist) ** 2))
-    if np.isscalar(z):
-        return float(out)
-    return out
+    return np.exp(-((offset / beam.waist) ** 2))

@@ -71,9 +71,8 @@ def psi_reference(grid: SpectralGrid, z_points: int, medium: MediumConfig,
         kap = -1j * (w0 / (2.0 * C_LIGHT)) * scale * g_p * g_c * chi3_sym
         spectrum[i] = np.sum(trap_w * kap * phase)
 
-    tau = grid.tau
     psi = np.empty(grid.n, dtype=complex)
-    for m, t in enumerate(tau):
+    for m, t in enumerate(grid.tau):
         psi[m] = np.sum(spectrum * np.exp(-1j * grid.omega * t))
     psi *= grid.d_omega / (2.0 * np.pi)
-    return Waveform(tau=tau, amplitude=psi)
+    return Waveform(grid, psi)

@@ -55,7 +55,7 @@ def _beams(oc_mhz=14.5, pump_det_mhz=6800.0, waist=1e3):
 def check_kappa_symmetry() -> CheckResult:
     medium = _medium(theta=math.radians(3.0))
     pump, coupling = _beams(waist=2e-3)
-    grid = SpectralGrid.from_numerics(2 ** 10, 20e-6)
+    grid = SpectralGrid(2 ** 10, 20e-6)
     val = kappa(grid.omega, 0.3 * medium.length, medium, pump, coupling,
                 GenerationMode.DEGENERATE)
     mirrored = val[1:][::-1]
@@ -66,7 +66,7 @@ def check_kappa_symmetry() -> CheckResult:
 
 def check_wavenumber_mirror() -> CheckResult:
     medium = _medium()
-    om = SpectralGrid.from_numerics(2 ** 10, 20e-6).omega
+    om = SpectralGrid(2 ** 10, 20e-6).omega
     oc_sq = (14.5 * MHZ) ** 2
     # the degenerate partner k2(w) is the slow photon at -w
     q1, q2 = slow_wavenumbers(om, 1.0 / eit_denominator(om, oc_sq, medium), medium)
@@ -94,7 +94,7 @@ def check_pt_modes() -> CheckResult:
 def check_parseval() -> CheckResult:
     medium = _medium(theta=math.radians(3.0))
     pump, coupling = _beams(waist=2e-3)
-    grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+    grid = SpectralGrid(2 ** 12, 40e-6)
     spec = psi_uniform_spectrum(grid, medium, pump, coupling,
                                 GenerationMode.DEGENERATE)
     wave = spectrum_to_waveform(grid, spec)
@@ -109,7 +109,7 @@ def check_reference_agreement() -> CheckResult:
 
     medium = _medium(theta=math.radians(3.0))
     pump, coupling = _beams(waist=2e-3)
-    grid = SpectralGrid.from_numerics(2 ** 9, 20e-6)
+    grid = SpectralGrid(2 ** 9, 20e-6)
     fast = psi_full(grid, 128, medium, pump, coupling, GenerationMode.DEGENERATE)
     slow = psi_reference(grid, 129, medium, pump, coupling, GenerationMode.DEGENERATE)
     rel = float(np.linalg.norm(fast.amplitude - slow.amplitude)
@@ -122,7 +122,7 @@ def check_rect_limit() -> CheckResult:
     # deep group-delay regime, flat beams, lossless, collinear
     medium = _medium(od=800.0, g12_mhz=0.0, theta=0.0)
     pump, coupling = _beams(oc_mhz=20.0, pump_det_mhz=0.0)
-    grid = SpectralGrid.from_numerics(2 ** 14, 80e-6)
+    grid = SpectralGrid(2 ** 14, 80e-6)
     full = psi_full(grid, 256, medium, pump, coupling, GenerationMode.DEGENERATE)
     rect = psi_analytic_rect(grid, medium, coupling, GenerationMode.DEGENERATE,
                              kappa0=1.0, pump=pump)
@@ -139,7 +139,7 @@ def check_rect_limit() -> CheckResult:
 def check_z_convergence() -> CheckResult:
     medium = _medium(theta=math.radians(3.0))
     pump, coupling = _beams(waist=2e-3)
-    grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+    grid = SpectralGrid(2 ** 12, 40e-6)
     coarse = psi_full(grid, 256, medium, pump, coupling, GenerationMode.DEGENERATE)
     fine = psi_full(grid, 512, medium, pump, coupling, GenerationMode.DEGENERATE)
     n_c = np.linalg.norm(coarse.amplitude)
@@ -152,7 +152,7 @@ def check_z_convergence() -> CheckResult:
 def check_uniform_route() -> CheckResult:
     medium = _medium(theta=0.0)
     pump, coupling = _beams()
-    grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+    grid = SpectralGrid(2 ** 12, 40e-6)
     spec = psi_uniform_spectrum(grid, medium, pump, coupling,
                                 GenerationMode.DEGENERATE)
     full = psi_full(grid, 256, medium, pump, coupling, GenerationMode.DEGENERATE)

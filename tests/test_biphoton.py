@@ -10,6 +10,7 @@ from biphoton_sim import (
     GenerationMode,
     GridError,
     SpectralGrid,
+    Waveform,
     coincidence_counts,
     eit_absorption_loss,
     group_delay_estimate,
@@ -34,7 +35,7 @@ FLAT_PUMP = make_pump(det_mhz=0.0)
 
 
 def small_grid(n=2 ** 9, span=20e-6):
-    return SpectralGrid.from_numerics(n, span)
+    return SpectralGrid(n, span)
 
 
 class TestChi3:
@@ -133,15 +134,45 @@ class TestPartnerWavenumber:
 
 
 class TestSpectralTransform:
-    def test_grid_validation(self):
+    @pytest.mark.parametrize("n, span", [
+        (1000, 20e-6), (1, 20e-6),  # not a power of two >= 2
+        (1024, 0.0), (1024, -1.0), (1024, math.inf), (1024, math.nan),
+    ])
+    def test_grid_validation(self, n, span):
         with pytest.raises(ValueError):
-            SpectralGrid.from_numerics(1000, 20e-6)  # not a power of two
-        with pytest.raises(ValueError):
-            SpectralGrid.from_numerics(1024, -1.0)
-        omega = SpectralGrid.from_numerics(8, 1e-6).omega.copy()
-        omega[5] *= 1.0 + 1e-12  # uniform to 1e-9, but no longer an exact mirror
-        with pytest.raises(ValueError, match="mirror"):
-            SpectralGrid(omega=omega, d_omega=omega[5] - omega[4])
+            SpectralGrid(n, span)
+
+    def test_grid_is_its_two_numbers(self):
+        grid = SpectralGrid(1024, 20e-6)
+        assert grid == SpectralGrid(1024, 20e-6)
+        assert hash(grid) == hash(SpectralGrid(1024, 20e-6))
+        assert grid != SpectralGrid(2048, 20e-6)
+        assert grid != SpectralGrid(1024, 40e-6)
+
+    @pytest.mark.parametrize("n", [2, 8, 2 ** 10, 2 ** 20])
+    def test_axes_are_exact_mirrors(self, n):
+        grid = SpectralGrid(n, 80e-6)
+        idx = np.arange(n) - n // 2
+        for axis, step in ((grid.omega, grid.d_omega), (grid.tau, grid.d_tau)):
+            assert np.array_equal(axis, idx * step)
+            assert axis[n // 2] == 0.0
+            assert np.array_equal(axis[:0:-1], -axis[1:])
+
+    def test_axes_are_read_only(self):
+        grid = SpectralGrid(8, 1e-6)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.omega[5] *= 1.0 + 1e-12
+        with pytest.raises(ValueError, match="read-only"):
+            grid.tau[0] = 0.0
+
+    def test_waveform_length_must_match_its_grid(self):
+        grid = SpectralGrid(8, 1e-6)
+        with pytest.raises(ValueError, match="grid"):
+            Waveform(grid, np.zeros(16, complex))
+        with pytest.raises(ValueError, match="grid"):
+            spectrum_to_waveform(grid, np.zeros(4, complex))
+        wave = Waveform(grid, np.zeros(8, complex))
+        assert wave.tau is grid.tau
 
     def test_tau_grid_relation(self):
         grid = small_grid(n=2 ** 10, span=20e-6)
@@ -195,7 +226,7 @@ class TestPsiFull:
     def test_panel_doubling_converges(self):
         medium = make_medium()
         pump, coupling = make_pump(), make_coupling()
-        grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+        grid = SpectralGrid(2 ** 12, 40e-6)
         coarse = psi_full(grid, 256, medium, pump, coupling, DEG)
         fine = psi_full(grid, 512, medium, pump, coupling, DEG)
         rel = abs(np.linalg.norm(fine.amplitude) - np.linalg.norm(coarse.amplitude))
@@ -206,7 +237,7 @@ class TestPsiFull:
         medium = make_medium()
         pump = make_pump(det_mhz=0.0)
         coupling = make_coupling()
-        grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+        grid = SpectralGrid(2 ** 12, 40e-6)
         wave = psi_full(grid, 128, medium, pump, coupling, DEG)
         mag = np.abs(wave.amplitude)
         asym = np.max(np.abs(mag[1:] - mag[1:][::-1])) / mag.max()
@@ -223,7 +254,7 @@ class TestPsiFull:
     def test_nyquist_violation_raises_with_suggestion(self):
         medium = make_medium()
         pump, coupling = make_pump(), make_coupling()
-        grid = SpectralGrid.from_numerics(2 ** 10, 1e-3)  # very coarse d_tau
+        grid = SpectralGrid(2 ** 10, 1e-3)  # very coarse d_tau
         with pytest.raises(GridError) as err:
             psi_full(grid, 128, medium, pump, coupling, DEG)
         suggested = re.search(r"increase n_omega to at least (\d+)", str(err.value))
@@ -251,7 +282,7 @@ class TestPsiFull:
         monkeypatch.setattr(biphoton, "_SHARED_CHUNK_FACTOR", 1)
         medium = make_medium()
         pump, coupling = make_pump(), make_coupling()
-        grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+        grid = SpectralGrid(2 ** 12, 40e-6)
         m = 256
         rows = biphoton._CHUNK_ELEMENTS // (2 * (m + 1))
         assert 2 * rows < grid.n // 2 + 1  # each worker runs a full chunk
@@ -268,7 +299,7 @@ class TestPsiFull:
         from biphoton_sim import extract_coherence_time
 
         widths = []
-        grid = SpectralGrid.from_numerics(2 ** 13, 40e-6)
+        grid = SpectralGrid(2 ** 13, 40e-6)
         for g12_mhz in (0.004, 0.08, 0.20):
             medium = make_medium(od=88.0, g12_mhz=g12_mhz)
             pump = make_pump(det_mhz=200.0, waist=2.9e-3)
@@ -478,7 +509,7 @@ class TestUniformSpectrum:
     def test_flat_beam_route_equivalence(self):
         medium = make_medium(theta_deg=0.0)
         pump, coupling = make_pump(), make_coupling()
-        grid = SpectralGrid.from_numerics(2 ** 12, 40e-6)
+        grid = SpectralGrid(2 ** 12, 40e-6)
         spec = psi_uniform_spectrum(grid, medium, pump, coupling, DEG)
         uni = spectrum_to_waveform(grid, spec)
         full = psi_full(grid, 256, medium, pump, coupling, DEG)
@@ -505,7 +536,7 @@ class TestUniformSpectrum:
         medium = make_medium(g12_mhz=0.0, theta_deg=0.0)
         pump = make_pump(det_mhz=0.0)
         coupling = make_coupling()
-        grid = SpectralGrid.from_numerics(2 ** 14, 160e-6)
+        grid = SpectralGrid(2 ** 14, 160e-6)
         spec = psi_uniform_spectrum(grid, medium, pump, coupling, DEG)
         delay = group_delay_estimate(medium, coupling.peak_rabi)
         omega_root = math.pi / delay
@@ -557,7 +588,7 @@ class TestAnalyticLimits:
         # alpha = 41.8 1/m and V_g = 3.0e4 m/s give an intensity constant
         # 1/(2 alpha V_g) of 399 ns
         medium = make_medium()
-        grid = SpectralGrid.from_numerics(2 ** 12, 8e-6)
+        grid = SpectralGrid(2 ** 12, 8e-6)
         alpha, vg = 41.8, 3.0e4
         wave = psi_analytic_exp(alpha, vg, medium, grid)
         intensity = wave.intensity

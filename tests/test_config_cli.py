@@ -576,6 +576,8 @@ def field_patch(section, key, value, **sections):
     (["waveform"], field_patch("detection", "duty_cycle", 0.0), "detection.duty_cycle"),
     (["beat"], {"interferometer": {**FIG4B_INTERFEROMETER, "reflectance": 1.5}},
      "interferometer.reflectance"),
+    # the beat formulas assume |psi(tau)| = |psi(-tau)|, which only the degenerate scheme gives
+    (["beat"], {"mode": "nondegenerate", "interferometer": FIG4B_INTERFEROMETER}, "config.mode"),
     (["waveform"], field_patch("medium", "od", 0.0), "medium.od"),
     (["waveform", "--engine", "uniform"], field_patch("medium", "od", 0.0), "medium.od"),
     (["waveform", "--engine", "analytic"], field_patch("medium", "od", 0.0), "medium.od"),
@@ -612,6 +614,7 @@ def field_patch(section, key, value, **sections):
         "rabi-underflow-beat", "rabi-underflow-spectrum", "powers-flag-underflow",
         "powers-flag-abscissa-overflow", "power-underflow", "length-negative",
         "theta-right-angle", "waist-zero", "duty-cycle-zero", "reflectance-above-one",
+        "beat-nondegenerate",
         "od-zero-full", "od-zero-uniform", "od-zero-analytic", "od-zero-beat",
         "od-zero-scan-full", "od-overflow-spectrum", "od-overflow-full",
         "powers-flag-coherence-ns-overflow", "rabi-coherence-ns-overflow-spectrum",

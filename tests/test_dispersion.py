@@ -92,7 +92,7 @@ class TestWavenumber:
         # beam-edge coupling on a z axis; == because a zero's sign may differ
         cfg = load_preset("fig2e")
         medium, coupling = cfg.medium, cfg.coupling
-        grid = SpectralGrid.from_numerics(2 ** 10, cfg.numerics.tau_span)
+        grid = SpectralGrid(2 ** 10, cfg.numerics.tau_span)
         om = np.append(grid.omega, grid.omega_max)[:, None]
         z = np.linspace(0.0, medium.length / 2.0, 5)
         oc_sq = (coupling.peak_rabi * beam_profile(coupling, z, medium.theta)) ** 2

@@ -22,7 +22,7 @@ from conftest import make_coupling, make_medium, make_pump
 @pytest.fixture()
 def psi0():
     """Exchange-symmetric rectangle waveform, 4.88 ns steps over +-10 us."""
-    grid = SpectralGrid.from_numerics(2 ** 12, 20e-6)
+    grid = SpectralGrid(2 ** 12, 20e-6)
     return psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_coupling(),
                              GenerationMode.DEGENERATE, kappa0=1.0,
                              pump=make_pump(det_mhz=0.0))
@@ -51,7 +51,7 @@ class TestBeatCorrelation:
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 30e6))
     def test_nonnegative(self, r, delta):
-        grid = SpectralGrid.from_numerics(2 ** 8, 20e-6)
+        grid = SpectralGrid(2 ** 8, 20e-6)
         wave = psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_coupling(),
                                  GenerationMode.DEGENERATE, kappa0=1.0,
                                  pump=make_pump(det_mhz=0.0))
@@ -73,7 +73,7 @@ class TestBeatCorrelation:
         lopsided = np.where(psi0.tau > 0, 2.0, 1.0) * psi0.amplitude
         from biphoton_sim import Waveform
 
-        wave = Waveform(tau=psi0.tau, amplitude=lopsided)
+        wave = Waveform(psi0.grid, lopsided)
         cfg = InterferometerConfig(reflectance=0.5, shift_delta=11e6)
         with pytest.warns(UserWarning, match="exchange symmetry"):
             beat_correlation(wave, cfg)
