@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import group_delay_estimate
-from .params import CouplingField, MediumConfig, rabi_at_power
+from .params import CouplingField, MediumConfig
 
 # Width threshold referenced to a smoothed envelope; fit window anchored just
 # below the post-peak shoulder, one e-fold deep.  See extract_coherence_time.
@@ -150,27 +150,23 @@ def cauchy_schwarz_factor(g12_max: float, g11_0: float, g22_0: float) -> float:
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One coupling-power point of the coherence-time scan."""
+    """One point of the coherence-time scan: the coupling beam at one power."""
 
-    power: float            # W
-    omega_c: float          # rad/s
-    x: float                # gamma13^2 / |Omega_c|^2, dimensionless
-    t_coh_formula: float    # s, 2L/V_g = (4 gamma13 / |Omega_c|^2) OD
+    coupling: CouplingField  # the configured beam driven at the point's power
+    x: float                 # gamma13^2 / |Omega_c|^2, dimensionless
+    t_coh_formula: float     # s, 2L/V_g = (4 gamma13 / |Omega_c|^2) OD
 
 
 def coherence_scan(coupling_powers, medium: MediumConfig,
                    coupling: CouplingField) -> list[ScanPoint]:
-    """Coherence time versus coupling power at fixed optical depth.
+    """Coherence time versus coupling power (W, each > 0) at fixed optical depth.
 
-    Each power maps to a Rabi frequency through the sqrt(P) scaling at the
-    coupling beam's waist; the coherence time is the group-delay formula
-    2L/V_g = (4 gamma13/|Omega_c|^2) OD, linear in
+    Each power gives the beam ``coupling.at_power(power)``, whose Rabi
+    frequency scales as sqrt(P) at the beam's waist; the coherence time is
+    the group-delay formula 2L/V_g = (4 gamma13/|Omega_c|^2) OD, linear in
     x = gamma13^2/|Omega_c|^2 with slope 4 OD / gamma13.
     """
-    points = []
-    for power in coupling_powers:
-        omega_c = rabi_at_power(coupling, power)
-        points.append(ScanPoint(power=power, omega_c=omega_c,
-                                x=(medium.gamma13 / omega_c) ** 2,
-                                t_coh_formula=2.0 * group_delay_estimate(medium, omega_c)))
-    return points
+    beams = [coupling.at_power(power) for power in coupling_powers]
+    return [ScanPoint(coupling=beam, x=(medium.gamma13 / beam.peak_rabi) ** 2,
+                      t_coh_formula=2.0 * group_delay_estimate(medium, beam.peak_rabi))
+            for beam in beams]

@@ -471,43 +471,41 @@ def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
 # Group-delay analytic limits
 # ---------------------------------------------------------------------------
 
-def psi_analytic_rect(grid: SpectralGrid, medium: MediumConfig,
-                      coupling: CouplingField, mode: GenerationMode,
-                      kappa0: complex, pump: BeamField) -> Waveform:
+def psi_analytic_rect(grid: SpectralGrid, medium: MediumConfig, pump: BeamField,
+                      coupling: CouplingField, scale: float = 1.0) -> Waveform:
     """Group-delay-limit rectangle of the degenerate scheme.
 
-    psi(tau) = |kappa0| L e^{-alpha L} on |tau| <= L/V_g, zero outside,
+    psi(tau) = |kappa(0, 0)| L e^{-alpha L} on |tau| <= L/V_g, zero outside,
     times the residual linear phase e^{-i dk_cp V_g tau / 2} from the
     pump-coupling wavevector offset (zero for equal detunings).  Both
     photons share the same absorption, so loss rescales the amplitude without
     touching the support: the coherence time is protected by the exchange
     symmetry of the pair.
     """
-    if mode is not GenerationMode.DEGENERATE:
-        raise ValueError("the rectangular limit applies to the degenerate scheme")
+    kappa0 = kappa(0.0, 0.0, medium, pump, coupling, GenerationMode.DEGENERATE, scale)
     delay = group_delay_estimate(medium, coupling.peak_rabi)
     vg = medium.length / delay
     alpha_l = eit_absorption_loss(medium, coupling.peak_rabi)
     tau = grid.tau
     box = (np.abs(tau) <= delay).astype(float)
-    dk_cp = _residual_wavevector(medium, pump, coupling, mode)
+    dk_cp = _residual_wavevector(medium, pump, coupling, GenerationMode.DEGENERATE)
     amp = (abs(kappa0) * medium.length * np.exp(-alpha_l)
            * box * np.exp(-0.5j * dk_cp * vg * tau))
     return Waveform(grid, amp)
 
 
-def psi_analytic_exp(alpha: float, vg: float, medium: MediumConfig,
-                     grid: SpectralGrid) -> Waveform:
+def psi_analytic_exp(grid: SpectralGrid, medium: MediumConfig,
+                     coupling: CouplingField) -> Waveform:
     """Loss-shortened one-sided exponential of the nondegenerate scheme.
 
-    psi(tau) = e^{-alpha V_g tau} on 0 <= tau <= L/V_g, zero outside: only the
-    slow photon is absorbed, so pairs born deeper in the medium (larger tau)
-    are attenuated more and the intensity decays with constant 1/(2 alpha V_g).
+    psi(tau) = e^{-alpha V_g tau} on 0 <= tau <= L/V_g, zero outside, with
+    alpha L and L/V_g the EIT loss and group delay at the coupling's peak:
+    only the slow photon is absorbed, so pairs born deeper in the medium
+    (larger tau) are attenuated more and the intensity decays with constant
+    1/(2 alpha V_g).  The amplitude is 1 at tau = 0, whatever the pump and scale.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    if vg <= 0:
-        raise ValueError(f"vg must be > 0, got {vg}")
+    alpha = eit_absorption_loss(medium, coupling.peak_rabi) / medium.length
+    vg = medium.length / group_delay_estimate(medium, coupling.peak_rabi)
     tau = grid.tau
     support = (tau >= 0.0) & (tau <= medium.length / vg)
     amp = np.where(support, np.exp(-alpha * vg * np.where(support, tau, 0.0)), 0.0)

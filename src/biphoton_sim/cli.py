@@ -18,10 +18,11 @@ every command, a non-zero coupling's EIT scales included, and ``_scan``
 holds each ``--powers`` value to the same bounds through ``check_power_mw``.
 Every waveform, each engine's and each ``scan --full`` power's, is built by
 ``_build_waveform``: ``check_grid`` adds a coupling and an OD > 0 and a grid
-that can hold the waveform, then the engine runs, and a non-finite amplitude
-is rejected before anything is derived from it, as is a spectrum with a
-non-finite transmission; numpy's floating-point warnings are off while a
-handler runs, so that rejection is the one line on stderr.
+that can hold the waveform, then the engine runs, and a |psi|^2 or counts
+not finite or peaking below a normal double (``check_level``) are rejected
+before anything is derived from them, as is a non-finite transmission;
+numpy's floating-point warnings are off while a handler runs, so that
+rejection is the one line on stderr.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
@@ -44,7 +45,6 @@ from .analysis import InsufficientSignalError, coherence_scan, extract_coherence
 from .biphoton import (
     check_grid,
     coincidence_counts,
-    kappa,
     psi_analytic_exp,
     psi_analytic_rect,
     psi_full,
@@ -52,7 +52,8 @@ from .biphoton import (
 )
 from .config import ConfigError, RunConfig, check_power_mw, load_config
 from .dispersion import eit_absorption_loss, eit_transmission, group_delay_estimate
-from .grids import GridError, check_finite, csv_text, spectrum_to_waveform, waveform_csv_rows
+from .grids import (GridError, check_finite, check_level, csv_text, spectrum_to_waveform,
+                    waveform_csv_rows)
 from .interference import (
     beat_correlation,
     extract_beat_frequency,
@@ -64,17 +65,6 @@ from .params import GenerationMode
 from .selftest import run_selftest
 
 
-def _analytic(cfg: RunConfig, grid, threads: int):
-    if cfg.mode is GenerationMode.DEGENERATE:
-        k0 = kappa(0.0, 0.0, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
-                   scale=cfg.kappa_scale)
-        return psi_analytic_rect(grid, cfg.medium, cfg.coupling, cfg.mode,
-                                 kappa0=k0, pump=cfg.pump)
-    alpha = eit_absorption_loss(cfg.medium, cfg.coupling.peak_rabi) / cfg.medium.length
-    vg = cfg.medium.length / group_delay_estimate(cfg.medium, cfg.coupling.peak_rabi)
-    return psi_analytic_exp(alpha, vg, cfg.medium, grid)
-
-
 # waveform engines: (cfg, grid, threads) -> Waveform
 ENGINES = {
     "full": lambda cfg, grid, threads: psi_full(
@@ -82,7 +72,10 @@ ENGINES = {
         scale=cfg.kappa_scale, threads=threads),
     "uniform": lambda cfg, grid, threads: spectrum_to_waveform(grid, psi_uniform_spectrum(
         grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode, scale=cfg.kappa_scale)),
-    "analytic": _analytic,
+    "analytic": lambda cfg, grid, threads: (
+        psi_analytic_rect(grid, cfg.medium, cfg.pump, cfg.coupling, scale=cfg.kappa_scale)
+        if cfg.mode is GenerationMode.DEGENERATE
+        else psi_analytic_exp(grid, cfg.medium, cfg.coupling)),
 }
 
 
@@ -90,7 +83,7 @@ def _build_waveform(cfg: RunConfig, engine: str, threads: int):
     grid = cfg.numerics.grid()
     check_grid(grid, cfg.medium, cfg.coupling)
     wave = ENGINES[engine](cfg, grid, threads)
-    check_finite(wave.amplitude, f"the {engine} engine gave a non-finite amplitude")
+    check_level(wave.intensity, f"the {engine} engine's |psi|^2")
     return wave
 
 
@@ -118,6 +111,7 @@ def _eit_spectrum(cfg: RunConfig, args, threads: int):
 def _waveform(cfg: RunConfig, args, threads: int):
     wave = _build_waveform(cfg, args.engine, threads)
     counts = coincidence_counts(wave, cfg.detection)
+    check_level(counts, "the coincidence trace")
     text = waveform_csv_rows(wave, counts)
     try:
         report = extract_coherence_time(counts, wave.tau, floor=cfg.detection.accidental_floor)
@@ -158,6 +152,7 @@ def _beat(cfg: RunConfig, args, threads: int):
         scale = (cfg.detection.duty_cycle * cfg.detection.joint_efficiency
                  * cfg.detection.bin_width * cfg.detection.collection_time)
         cc = scale * g34
+        check_level(cc, "the beat coincidence trace")
         payload["visibility_with_noise"] = visibility_with_noise(
             itf.reflectance, itf.noise_counts, float(cc.max()), float(cc.min()))
     return csv_text("tau_ns,g34,envelope", wave.tau * 1e9, g34, envelope), payload
@@ -172,7 +167,7 @@ def _scan(cfg: RunConfig, args, threads: int):
         except ValueError:
             raise ConfigError(f"must be comma-separated numbers, got {args.powers!r}",
                               field) from None
-        powers = [check_power_mw(p, field, cfg.coupling, cfg.medium) * 1e-3 for p in values]
+        powers = [check_power_mw(p, field, cfg.coupling, cfg.medium) for p in values]
     elif cfg.scan_powers is not None:
         powers = list(cfg.scan_powers)
     else:
@@ -184,8 +179,7 @@ def _scan(cfg: RunConfig, args, threads: int):
     points = coherence_scan(powers, cfg.medium, cfg.coupling)
 
     def full_width_ns(p) -> float:
-        coupling = replace(cfg.coupling, power=p.power, peak_rabi=p.omega_c)
-        wave = _build_waveform(replace(cfg, coupling=coupling), "full", threads)
+        wave = _build_waveform(replace(cfg, coupling=p.coupling), "full", threads)
         return extract_coherence_time(wave.intensity, wave.tau).e_inverse_width * 1e9
 
     return csv_text(
@@ -266,8 +260,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 0:
             raise ConfigError(f"must be >= 0, got {args.threads}", "--threads")
         cfg = load_config(args.config)
-        # an overflow reaches the output as inf or nan, which check_finite
-        # rejects in one line; numpy's warnings would only precede it
+        # an overflow reaches the output as inf or nan, which check_finite and
+        # check_level reject in one line; numpy's warnings would only precede it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             text, sidecar = args.run(cfg, args, args.threads)
         out = Path(args.out)

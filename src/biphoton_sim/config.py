@@ -26,7 +26,6 @@ from .params import (
     GenerationMode,
     MediumConfig,
     RangeError,
-    rabi_at_power,
 )
 
 MHZ = 2.0 * math.pi * 1e6  # linear MHz -> rad/s
@@ -277,7 +276,7 @@ def _build(data) -> RunConfig:
                 raise ConfigError("must be a non-empty list", "scan.powers_mw")
             scan_powers = tuple(
                 check_power_mw(p, f"scan.powers_mw[{i}]", sections["coupling"],
-                               sections["medium"]) * 1e-3
+                               sections["medium"])
                 for i, p in enumerate(powers))
 
     kappa_scale = _finite(data.get("kappa_scale", 1.0), "config.kappa_scale")
@@ -289,21 +288,22 @@ def _build(data) -> RunConfig:
 
 
 def check_power_mw(val, where: str, coupling: CouplingField, medium: MediumConfig) -> float:
-    """A scan coupling power in mW, checked with the Rabi frequency it gives.
+    """A scan coupling power given in mW, returned in W, checked with the beam it gives.
 
-    The power must be finite and > 0 (the Rabi scaling takes its root), and
-    the coupling Rabi frequency scaled to it from ``coupling`` is held to
-    the carrier bound of a configured one and to
-    :func:`_check_eit_scales`, since the scan divides by its square.
+    The power must be finite and > 0 in W (the Rabi scaling takes its root),
+    and the Rabi frequency of ``coupling.at_power`` is held to the carrier
+    bound of a configured one and to :func:`_check_eit_scales`, since the
+    scan divides by its square.
     """
-    power = _finite(val, where)
+    power = _finite(val, where) * 1e-3
     if power <= 0:
-        raise ConfigError(f"coupling power must be > 0, got {val!r}", where)
+        raise ConfigError(f"coupling power must be > 0 in W, got {val!r} mW", where)
     try:
-        rabi = rabi_at_power(coupling, power * 1e-3)
-    except ValueError as exc:  # a reference beam of zero power or Rabi frequency
-        raise ConfigError(f"cannot scale the coupling Rabi frequency to it: {exc}",
-                          where) from None
+        rabi = coupling.at_power(power).peak_rabi
+    except RangeError as exc:  # a configured beam of zero power or Rabi frequency
+        key = next(key for key, attr, _ in SECTIONS["coupling"][1] if attr == exc.attr)
+        raise ConfigError(f"{exc.rule} to scale the coupling beam to the scan powers "
+                          f"({where}), got 0", f"coupling.{key}") from None
     subject = "the coupling Rabi frequency it gives "
     _check_rabi(rabi, medium.omega0, where, subject)
     _check_eit_scales(rabi, medium, where, subject)

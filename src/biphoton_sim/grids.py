@@ -79,6 +79,18 @@ def check_finite(values: np.ndarray, label: str, axis: str = "tau") -> None:
                         "some input overflows double precision")
 
 
+def check_level(values: np.ndarray, label: str) -> None:
+    """Raise GridError unless ``values``, named ``label``, are finite and peak at a normal double.
+
+    Every waveform's |psi|^2 and counts pass here, so an input scale that
+    overflows or underflows them cannot reach a CSV as inf or as a zero width.
+    """
+    check_finite(values, f"{label} is not finite")
+    if not values.max() >= np.finfo(float).tiny:
+        raise GridError(f"{label} peaks at {values.max():.3g}, below the smallest normal "
+                        "double: some input underflows double precision")
+
+
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """Relative-time joint amplitude psi(tau) on the time axis of ``grid``, equal only to itself."""

@@ -12,7 +12,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -116,6 +116,20 @@ class CouplingField(BeamField):
         super().__post_init__()
         check_ranges(self, power=">= 0", peak_rabi=">= 0")
 
+    def at_power(self, power: float) -> CouplingField:
+        """This beam driven at ``power`` > 0 instead, at the same waist.
+
+        The Rabi frequency of a Gaussian beam obeys Omega ~ sqrt(P) / w0
+        (from Omega = mu E / hbar with peak intensity I0 = 2P/(pi w0^2)); at a
+        fixed waist Omega = peak_rabi sqrt(power / self.power).  This beam's
+        zero power or Rabi frequency raises :class:`RangeError` naming it.
+        """
+        if not power > 0:
+            raise ValueError(f"the power to scale to must be > 0, got {power}")
+        check_ranges(self, power="> 0", peak_rabi="> 0")
+        return replace(self, power=power,
+                       peak_rabi=self.peak_rabi * math.sqrt(power / self.power))
+
 
 @dataclass(frozen=True)
 class DetectionConfig:
@@ -135,20 +149,6 @@ class DetectionConfig:
 # ---------------------------------------------------------------------------
 # Derived-parameter helpers
 # ---------------------------------------------------------------------------
-
-def rabi_at_power(beam: CouplingField, power: float) -> float:
-    """Peak Rabi frequency of ``beam`` driven at ``power`` instead (same waist).
-
-    The Rabi frequency of a Gaussian beam obeys Omega ~ sqrt(P) / w0
-    (from Omega = mu E / hbar with peak intensity I0 = 2P/(pi w0^2)); at a
-    fixed waist Omega = peak_rabi sqrt(power / beam.power).
-    """
-    for name, val in (("power", power), ("ref_power", beam.power),
-                      ("ref_rabi", beam.peak_rabi)):
-        if val <= 0:
-            raise ValueError(f"{name} must be > 0, got {val}")
-    return beam.peak_rabi * math.sqrt(power / beam.power)
-
 
 def density_prefactor(medium: MediumConfig) -> float:
     """Atomic-density prefactor (1/s) of the linear susceptibility.

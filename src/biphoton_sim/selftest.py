@@ -124,8 +124,7 @@ def check_rect_limit() -> CheckResult:
     pump, coupling = _beams(oc_mhz=20.0, pump_det_mhz=0.0)
     grid = SpectralGrid(2 ** 14, 80e-6)
     full = psi_full(grid, 256, medium, pump, coupling, GenerationMode.DEGENERATE)
-    rect = psi_analytic_rect(grid, medium, coupling, GenerationMode.DEGENERATE,
-                             kappa0=1.0, pump=pump)
+    rect = psi_analytic_rect(grid, medium, pump, coupling)
     delay = dispersion.group_delay_estimate(medium, coupling.peak_rabi)
     inner = np.abs(grid.tau) <= 0.9 * delay
     a = np.abs(full.amplitude[inner])

@@ -6,9 +6,13 @@ from hypothesis import given, strategies as st
 
 from biphoton_sim import (
     InsufficientSignalError,
+    SpectralGrid,
     cauchy_schwarz_factor,
     coherence_scan,
+    coincidence_counts,
     extract_coherence_time,
+    load_preset,
+    psi_full,
 )
 
 from conftest import make_coupling, make_medium
@@ -77,6 +81,28 @@ class TestCauchySchwarz:
         lo, hi = sorted((a, b))
         assert (cauchy_schwarz_factor(hi, 2.0, 2.0)
                 >= cauchy_schwarz_factor(lo, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("preset", [
+    "fig2d",
+    # The counts sample |psi|^2 every d_tau times the bin width, so a finer
+    # grid picks up more of the transient at tau = 0, which lifts the smoothed
+    # peak that sets the 1/e threshold: 1267.99 -> 1231.80 ns.  Exact bin
+    # integrals are to mend it.
+    pytest.param("fig3f", marks=pytest.mark.xfail(
+        strict=True, reason="the sampled counts pick up the tau = 0 transient")),
+])
+def test_width_converges_as_n_omega_goes_x4(preset):
+    # at a fixed 80 us span, so the tau step shrinks 4x and the band widens 4x
+    cfg = load_preset(preset)
+    widths = []
+    for n_omega in (16384, 65536):
+        wave = psi_full(SpectralGrid(n_omega, 80e-6), 64, cfg.medium, cfg.pump, cfg.coupling,
+                        cfg.mode, scale=cfg.kappa_scale)
+        counts = coincidence_counts(wave, cfg.detection)
+        widths.append(extract_coherence_time(counts, wave.tau,
+                                             floor=cfg.detection.accidental_floor).e_inverse_width)
+    assert widths[1] == pytest.approx(widths[0], rel=0.01)
 
 
 class TestCoherenceScan:

@@ -550,67 +550,73 @@ class TestAnalyticLimits:
         medium = make_medium(g12_mhz=0.0)
         coupling = make_coupling()
         grid = small_grid(n=2 ** 10)
-        wave = psi_analytic_rect(grid, medium, coupling, DEG, kappa0=2.0 + 0j, pump=FLAT_PUMP)
+        wave = psi_analytic_rect(grid, medium, FLAT_PUMP, coupling, scale=2.0)
         delay = group_delay_estimate(medium, coupling.peak_rabi)
         inside = np.abs(grid.tau) <= delay
+        kappa0 = kappa(0.0, 0.0, medium, FLAT_PUMP, coupling, DEG, scale=2.0)
         assert np.all(wave.amplitude[~inside] == 0.0)
-        assert np.allclose(np.abs(wave.amplitude[inside]), 2.0 * medium.length)
+        assert np.allclose(np.abs(wave.amplitude[inside]), abs(kappa0) * medium.length,
+                           rtol=1e-14, atol=0.0)
 
     def test_loss_rescales_amplitude_not_width(self):
         coupling = make_coupling()
         grid = small_grid(n=2 ** 10)
         lossless = make_medium(g12_mhz=0.0)
         lossy = make_medium(g12_mhz=0.2)  # alpha L = 0.846
-        w0 = psi_analytic_rect(grid, lossless, coupling, DEG, kappa0=1.0, pump=FLAT_PUMP)
-        w1 = psi_analytic_rect(grid, lossy, coupling, DEG, kappa0=1.0, pump=FLAT_PUMP)
+        w0 = psi_analytic_rect(grid, lossless, FLAT_PUMP, coupling)
+        w1 = psi_analytic_rect(grid, lossy, FLAT_PUMP, coupling)
         support0 = np.abs(w0.amplitude) > 0
         support1 = np.abs(w1.amplitude) > 0
         assert np.all(support0 == support1)
         ratio = np.max(np.abs(w1.amplitude)) / np.max(np.abs(w0.amplitude))
         loss = eit_absorption_loss(lossy, coupling.peak_rabi)
         assert loss == pytest.approx(0.85, abs=0.01)
-        assert ratio == pytest.approx(math.exp(-loss), rel=1e-9)
+        # the ground-state dephasing also enters kappa0 through D(0)
+        kappa_ratio = abs(kappa(0.0, 0.0, lossy, FLAT_PUMP, coupling, DEG)
+                          / kappa(0.0, 0.0, lossless, FLAT_PUMP, coupling, DEG))
+        assert ratio == pytest.approx(math.exp(-loss) * kappa_ratio, rel=1e-9)
 
     def test_rect_magnitude_even_without_offset(self):
         medium = make_medium()
         coupling = make_coupling()
         grid = small_grid(n=2 ** 10)
-        wave = psi_analytic_rect(grid, medium, coupling, DEG, kappa0=1.0, pump=FLAT_PUMP)
+        wave = psi_analytic_rect(grid, medium, FLAT_PUMP, coupling)
         mag = np.abs(wave.amplitude)
         assert np.all(mag[1:] == mag[1:][::-1])
 
-    def test_rect_rejects_nondegenerate(self):
-        with pytest.raises(ValueError):
-            psi_analytic_rect(small_grid(), make_medium(), make_coupling(),
-                              NONDEG, kappa0=1.0, pump=FLAT_PUMP)
-
     def test_exp_decay_constant(self):
-        # alpha = 41.8 1/m and V_g = 3.0e4 m/s give an intensity constant
-        # 1/(2 alpha V_g) of 399 ns
-        medium = make_medium()
+        # alpha L = 0.846 and tau_g = 681 ns give an intensity constant
+        # 1/(2 alpha V_g) = tau_g / (2 alpha L) of 402 ns
+        medium = make_medium(g12_mhz=0.2)
+        coupling = make_coupling()
         grid = SpectralGrid(2 ** 12, 8e-6)
-        alpha, vg = 41.8, 3.0e4
-        wave = psi_analytic_exp(alpha, vg, medium, grid)
+        wave = psi_analytic_exp(grid, medium, coupling)
+        delay = group_delay_estimate(medium, coupling.peak_rabi)
         intensity = wave.intensity
-        sel = (wave.tau > 0) & (wave.tau < 0.9 * medium.length / vg) & (intensity > 0)
+        sel = (wave.tau > 0) & (wave.tau < 0.9 * delay) & (intensity > 0)
         slope = np.polyfit(wave.tau[sel], np.log(intensity[sel]), 1)[0]
-        assert -1.0 / slope == pytest.approx(1.0 / (2 * alpha * vg), rel=1e-6)
-        assert -1.0 / slope == pytest.approx(400e-9, rel=0.01)
+        alpha_l = eit_absorption_loss(medium, coupling.peak_rabi)
+        assert -1.0 / slope == pytest.approx(delay / (2.0 * alpha_l), rel=1e-6)
+        assert -1.0 / slope == pytest.approx(402e-9, rel=0.01)
 
     def test_exp_lossless_is_flat(self):
-        medium = make_medium()
+        medium = make_medium(g12_mhz=0.0)
+        coupling = make_coupling()
         grid = small_grid(n=2 ** 10, span=8e-6)
-        wave = psi_analytic_exp(0.0, 3.0e4, medium, grid)
-        support = (wave.tau >= 0) & (wave.tau <= medium.length / 3.0e4)
+        wave = psi_analytic_exp(grid, medium, coupling)
+        delay = group_delay_estimate(medium, coupling.peak_rabi)
+        support = (wave.tau >= 0) & (wave.tau <= delay)
         assert np.all(wave.amplitude[support] == 1.0)
         assert np.all(wave.amplitude[~support] == 0.0)
 
     def test_exp_vanishes_outside_medium(self):
-        medium = make_medium()
+        medium = make_medium(g12_mhz=0.2)
+        coupling = make_coupling()
         grid = small_grid(n=2 ** 10, span=8e-6)
-        wave = psi_analytic_exp(41.8, 3.0e4, medium, grid)
-        beyond = wave.tau > medium.length / 3.0e4
+        wave = psi_analytic_exp(grid, medium, coupling)
+        beyond = wave.tau > group_delay_estimate(medium, coupling.peak_rabi)
         assert np.all(wave.amplitude[beyond] == 0.0)
+        assert np.all(wave.amplitude[~beyond & (wave.tau >= 0)] > 0.0)
 
 
 class TestCoincidenceCounts:
@@ -621,15 +627,15 @@ class TestCoincidenceCounts:
 
     def test_zero_amplitude_gives_floor(self):
         grid = small_grid(n=2 ** 8)
-        wave = psi_analytic_exp(0.0, 3.0e4, make_medium(), grid)
-        dead = psi_analytic_exp(0.0, 3.0e4, make_medium(), grid)
+        wave = psi_analytic_exp(grid, make_medium(), make_coupling())
+        dead = psi_analytic_exp(grid, make_medium(), make_coupling())
         object.__setattr__(dead, "amplitude", np.zeros_like(wave.amplitude))
         counts = coincidence_counts(dead, self._det(floor=2.5))
         assert np.all(counts == 2.5)
 
     def test_linear_in_collection_time(self):
         grid = small_grid(n=2 ** 8)
-        wave = psi_analytic_exp(41.8, 3.0e4, make_medium(), grid)
+        wave = psi_analytic_exp(grid, make_medium(g12_mhz=0.2), make_coupling())
         det1 = self._det()
         det2 = DetectionConfig(duty_cycle=0.04, joint_efficiency=0.049,
                                bin_width=10e-9, collection_time=2400.0)
@@ -639,7 +645,7 @@ class TestCoincidenceCounts:
     def test_quoted_efficiency_scale(self):
         # eta_d = 4% and eta_c = 4.9% give 1.96e-3 per |psi|^2 dt T unit
         grid = small_grid(n=2 ** 8)
-        wave = psi_analytic_exp(0.0, 3.0e4, make_medium(), grid)
+        wave = psi_analytic_exp(grid, make_medium(g12_mhz=0.0), make_coupling())
         det = DetectionConfig(duty_cycle=0.04, joint_efficiency=0.049,
                               bin_width=1.0, collection_time=1.0)
         counts = coincidence_counts(wave, det)

@@ -370,32 +370,68 @@ class TestCli:
 
     # numpy warns of the overflow, also from psi_full's worker threads
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("engine", ["full", "uniform"])
-    def test_non_finite_waveform_exits_4_leaving_no_file(self, tmp_path, capsys, engine):
+    @pytest.mark.parametrize("preset, argv, patch, message", [
         # a 1e-300 mm medium overflows the susceptibility; the waveform used
         # to be written as rows of nan with exit 0
-        data = small_numerics(dump_config(load_preset("fig3d")))
-        data["medium"]["length_mm"] = 1e-300
+        *[("fig3d", ["waveform", "--engine", engine], ("medium", "length_mm", 1e-300),
+           f"the {engine} engine's |psi|^2 is not finite at 4096 of 4096 tau points")
+          for engine in ("full", "uniform")],
+        # an input scale that under- or overflows |psi|^2 or the counts used to
+        # exit 0 with a zero width, or with inf rows and the whole window as
+        # the width (the analytic engine: a ValueError traceback)
+        *[("fig3d", ["waveform", "--engine", engine], (None, "kappa_scale", scale),
+           f"the {engine} engine's |psi|^2 {message}")
+          for engine in ("full", "uniform", "analytic")
+          for scale, message in ((1e-150, "peaks at 0, below the smallest normal double"),
+                                 (1e200, "is not finite at "))],
+        *[("fig3d", ["waveform", "--engine", engine], ("detection", key, 1e-300),
+           "the coincidence trace peaks at 0, below the smallest normal double")
+          for engine, key in (("full", "collection_time_s"), ("uniform", "bin_width_ns"),
+                              ("analytic", "collection_time_s"))],
+        # beat used to report a beat frequency of 0, and with noise counts end
+        # in visibility_with_noise's ValueError traceback
+        ("fig4b", ["beat"], (None, "kappa_scale", 1e-200),
+         "the full engine's |psi|^2 peaks at 0, below the smallest normal double"),
+        ("fig4b", ["beat"], ("detection", "collection_time_s", 1e-300),
+         "the beat coincidence trace peaks at 0, below the smallest normal double"),
+    ], ids=["length-full", "length-uniform",
+            *(f"scale-{size}-{engine}" for engine in ("full", "uniform", "analytic")
+              for size in ("tiny", "huge")),
+            "collection-time-full", "bin-width-uniform", "collection-time-analytic",
+            "scale-tiny-beat", "collection-time-beat-noise"])
+    def test_non_finite_waveform_exits_4_leaving_no_file(self, tmp_path, capsys, preset, argv,
+                                                          patch, message):
+        data = small_numerics(dump_config(load_preset(preset)))
+        section, key, value = patch
+        (data if section is None else data[section])[key] = value
+        if argv == ["beat"]:
+            data["interferometer"]["noise_counts"] = 1.0
         cfg = write_config(tmp_path, data)
-        code = main(["waveform", "--config", cfg, "--engine", engine,
-                     "--out", str(tmp_path / "x.csv")])
+        code = main([argv[0], "--config", cfg, "--out", str(tmp_path / "x.csv"), *argv[1:]])
         assert code == 4
-        assert capsys.readouterr().err.startswith(
-            f"numerics error: the {engine} engine gave a non-finite amplitude at 4096 of 4096")
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerics error: {message}")
+        assert len(err.splitlines()) == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_scan_waveform_exits_4_leaving_no_file(self, tmp_path, capsys):
-        # scan --full took its widths from the same overflowing waveforms and
-        # wrote t_coh_full_ns 0 in every row with exit 0
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("medium", "length_mm", 1e-300, "is not finite at 4096 of 4096 tau points"),
+        (None, "kappa_scale", 1e-150, "peaks at 0, below the smallest normal double"),
+        (None, "kappa_scale", 1e200, "is not finite at 4096 of 4096 tau points"),
+    ], ids=["length", "scale-tiny", "scale-huge"])
+    def test_non_finite_scan_waveform_exits_4_leaving_no_file(self, tmp_path, capsys, section,
+                                                               key, value, message):
+        # scan --full took its widths from the same waveforms and wrote
+        # t_coh_full_ns 0 in every row with exit 0
         data = small_numerics(dump_config(load_preset("fig5")))
-        data["medium"]["length_mm"] = 1e-300
+        (data if section is None else data[section])[key] = value
         cfg = write_config(tmp_path, data)
         code = main(["scan", "--config", cfg, "--full", "--powers", "2.3,1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 4
         assert capsys.readouterr().err.startswith(
-            "numerics error: the full engine gave a non-finite amplitude at 4096 of 4096")
+            f"numerics error: the full engine's |psi|^2 {message}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("argv", [["waveform", "--engine", "full"],
@@ -602,6 +638,17 @@ def field_patch(section, key, value, **sections):
     (["waveform"], b'{"kappa_scale": 1' + b"0" * 5000 + b"}", "config"),
     (["waveform"], b"[1]", "config"),
     (["waveform"], b"{broken", "config"),
+    # a configured beam with nothing to scale the scan powers from
+    (["scan"], field_patch("coupling", "power_mw", 0.0), "coupling.power_mw"),
+    (["scan", "--powers=1,2"], field_patch("coupling", "power_mw", 0.0, scan={}),
+     "coupling.power_mw"),
+    (["scan"], field_patch("coupling", "peak_rabi_mhz", 0.0), "coupling.peak_rabi_mhz"),
+    (["waveform"], {"mode": "both"}, "config.mode"),
+    (["scan"], {"scan": {"powers_mw": []}}, "scan.powers_mw"),
+    (["scan"], {"scan": {"powers_mw": "x"}}, "scan.powers_mw"),
+    (["waveform"], {"kappa_scale": 0}, "config.kappa_scale"),
+    (["waveform"], {"kappa_scale": -1}, "config.kappa_scale"),
+    (["waveform"], {"numerics": {"tau_span_ns": -5}}, "numerics.tau_span_ns"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
         "no-powers", "one-power", "one-power-flag", "powers-flag-overflow",
@@ -620,7 +667,10 @@ def field_patch(section, key, value, **sections):
         "powers-flag-coherence-ns-overflow", "rabi-coherence-ns-overflow-spectrum",
         "od-integer-past-float-range", "gamma13-si-overflow-spectrum",
         "gamma13-si-overflow-two-level", "ignored-key-string", "not-utf8", "nested-too-deep",
-        "integer-too-long", "top-level-list", "invalid-json"])
+        "integer-too-long", "top-level-list", "invalid-json",
+        "reference-power-zero", "reference-power-zero-flag", "reference-rabi-zero",
+        "mode-both", "powers-empty", "powers-string", "scale-zero", "scale-negative",
+        "tau-span-negative"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     if isinstance(patch, bytes):  # the file as written, no config document
         cfg = tmp_path / "cfg.json"

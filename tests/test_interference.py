@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from biphoton_sim import (
-    GenerationMode,
     InterferometerConfig,
     SpectralGrid,
     beat_correlation,
@@ -23,9 +22,8 @@ from conftest import make_coupling, make_medium, make_pump
 def psi0():
     """Exchange-symmetric rectangle waveform, 4.88 ns steps over +-10 us."""
     grid = SpectralGrid(2 ** 12, 20e-6)
-    return psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_coupling(),
-                             GenerationMode.DEGENERATE, kappa0=1.0,
-                             pump=make_pump(det_mhz=0.0))
+    return psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_pump(det_mhz=0.0),
+                             make_coupling())
 
 
 class TestBeatCorrelation:
@@ -52,9 +50,8 @@ class TestBeatCorrelation:
     @given(st.floats(0.0, 1.0), st.floats(0.0, 30e6))
     def test_nonnegative(self, r, delta):
         grid = SpectralGrid(2 ** 8, 20e-6)
-        wave = psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_coupling(),
-                                 GenerationMode.DEGENERATE, kappa0=1.0,
-                                 pump=make_pump(det_mhz=0.0))
+        wave = psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_pump(det_mhz=0.0),
+                                 make_coupling())
         cfg = InterferometerConfig(reflectance=r, shift_delta=delta)
         assert np.all(beat_correlation(wave, cfg) >= 0.0)
 

@@ -10,38 +10,41 @@ from biphoton_sim import (
     beam_profile,
     density_prefactor,
 )
-from biphoton_sim.params import rabi_at_power
+from biphoton_sim.params import RangeError
 
 from conftest import MHZ, make_coupling, make_medium
 
 
-class TestRabiAtPower:
+class TestAtPower:
     def test_identity(self):
         beam = make_coupling(rabi_mhz=14.5, power=2.3e-3)
-        assert rabi_at_power(beam, 2.3e-3) == 14.5 * MHZ
+        assert beam.at_power(2.3e-3) == beam
 
     def test_quadruple_power_doubles(self):
         beam = make_coupling(rabi_mhz=5.0 / MHZ, power=1.0)
-        assert rabi_at_power(beam, 4.0) == pytest.approx(10.0, rel=1e-12)
+        scaled = beam.at_power(4.0)
+        assert scaled.peak_rabi == pytest.approx(10.0, rel=1e-12)
+        assert (scaled.power, scaled.waist, scaled.detuning) == (4.0, beam.waist, beam.detuning)
 
     def test_degenerate_pump_anchor(self):
         # 150 mW vs 100 mW at equal waist is a sqrt(1.5) step, and the two
         # quoted operating points sit on that curve: 178.5 -> 218.6 (2pi MHz)
         beam = make_coupling(rabi_mhz=178.5, waist=1.6e-3, power=100e-3)
-        scaled = rabi_at_power(beam, 150e-3)
+        scaled = beam.at_power(150e-3).peak_rabi
         assert scaled == pytest.approx(178.5 * MHZ * math.sqrt(1.5), rel=1e-12)
         assert scaled == pytest.approx(218.6 * MHZ, rel=2e-4)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError, match="power must be > 0"):
-            rabi_at_power(make_coupling(), bad)
+        with pytest.raises(ValueError, match="power to scale to must be > 0"):
+            make_coupling().at_power(bad)
 
-    def test_rejects_zero_reference(self):
-        with pytest.raises(ValueError, match="ref_power must be > 0"):
-            rabi_at_power(make_coupling(power=0.0), 1.0)
-        with pytest.raises(ValueError, match="ref_rabi must be > 0"):
-            rabi_at_power(make_coupling(rabi_mhz=0.0), 1.0)
+    @pytest.mark.parametrize("attr, beam", [("power", make_coupling(power=0.0)),
+                                            ("peak_rabi", make_coupling(rabi_mhz=0.0))])
+    def test_rejects_zero_reference_naming_the_field(self, attr, beam):
+        with pytest.raises(RangeError, match=f"^{attr} must be > 0, got 0.0$") as info:
+            beam.at_power(1.0)
+        assert info.value.attr == attr
 
 
 class TestDensityPrefactor:
