@@ -29,14 +29,13 @@ import numpy as np
 from .config import ConfigError
 from .dispersion import (
     eit_absorption_loss,
-    eit_bandwidth_proxy,
     eit_denominator,
     group_delay_estimate,
     slow_wavenumbers,
 )
-from .grids import MAX_N_OMEGA, GridError, SpectralGrid, Waveform, spectrum_to_waveform
-from .params import (C_LIGHT, BeamField, CouplingField, DetectionConfig, GenerationMode,
-                     MediumConfig, beam_profile)
+from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
+from .params import (C_LIGHT, MAX_N_OMEGA, BeamField, CouplingField, DetectionConfig,
+                     GenerationMode, MediumConfig, beam_profile)
 
 # (omega row, z node) cells of one psi_full chunk, counted over the full z
 # grid and both rows of each +-omega pair: a chunk takes
@@ -131,26 +130,47 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField
     """Reject runs whose waveform has no time scale, or a grid that cannot hold it.
 
     Every waveform passes here.  Its time scale is the group delay
-    2 gamma13 OD / |Omega_c|^2 and its grid's the inverse, the EIT linewidth,
-    so both the coupling and the OD must be > 0 (:class:`ConfigError`; the
-    parser has bounded both scales to the float range).  Then the grid
-    half-span must cover at least eight EIT linewidth proxies
-    (a finer tau step, i.e. larger n_omega at fixed span, widens the grid),
-    and the tau window to span at least four group delays, so
-    the group-delay support |tau| <= L/V_g cannot wrap around the periodic
-    window of the FFT.  The message suggests the grid that would pass; when
-    that grid needs more than ``MAX_N_OMEGA`` points, which no configuration
-    may ask for, it says so instead and names the coupling Rabi frequency
-    and the OD, whose ratio |Omega_c|^2 / OD sets both the linewidth and the
-    group delay.
+    tau_g = 2 gamma13 OD / |Omega_c|^2 and its grid's the EIT linewidth
+    1/tau_g, so both the coupling and the OD must be > 0 (:class:`ConfigError`;
+    the parser has bounded both scales to the float range).  Three rules
+    then tie the grid to the run, each raising :class:`GridError` with a
+    grid that passes all three:
+
+    * the detuning edge n_omega pi / tau_span stays below the optical
+      carrier omega0, so the photon frequencies omega0 +- omega stay positive;
+    * the grid half-span covers eight linewidths (a finer tau step, i.e.
+      larger n_omega at fixed span, widens the grid);
+    * the tau window spans four group delays, so the support |tau| <= L/V_g
+      cannot wrap around the periodic window of the FFT.  The suggestion
+      keeps the tau step, and so the detuning span, if that takes at most
+      ``MAX_N_OMEGA`` points, else the fewest points that cover eight
+      linewidths at the new window.
+
+    When no grid of at most ``MAX_N_OMEGA`` points, which no configuration
+    may exceed, passes at the window kept or suggested, the message says so
+    and names the coupling Rabi frequency and the OD, whose ratio
+    |Omega_c|^2 / OD sets both the linewidth and the group delay.
     """
     for value, where in ((coupling.peak_rabi, "coupling.peak_rabi_mhz"), (medium.od, "medium.od")):
         if value <= 0:
             raise ConfigError("must be > 0 for a waveform, whose time scale is the group delay "
                               f"2 gamma13 OD / |Omega_c|^2, got {value:g}", where)
-    proxy = eit_bandwidth_proxy(medium, coupling.peak_rabi)
-    needed = 8.0 * proxy
+    delay = group_delay_estimate(medium, coupling.peak_rabi)
+    needed = 8.0 / delay if delay > 0 else math.inf  # the delay underflows at a vanishing OD
+    span_needed = 4.0 * delay
+    # whole ns, rounded up; past the float range no window holds the run
+    span_ns = span_needed * 1e9
+    span_ns = math.ceil(span_ns) if math.isfinite(span_ns) else span_ns
     tau_span = grid.tau_span
+    if grid.omega_max >= medium.omega0:
+        bound_ns = grid.n * medium.lambda0 / (2.0 * C_LIGHT) * 1e9
+        window_ns = max(math.floor(bound_ns) + 1, span_ns)
+        _check_admissible(needed * window_ns * 1e-9 / np.pi, "suggested tau window",
+                          medium, coupling)
+        raise GridError(
+            f"tau window {tau_span * 1e9:.6g} ns does not exceed n_omega lambda0 / 2c = "
+            f"{bound_ns:.6g} ns, where the detuning grid reaches the optical carrier; "
+            f"increase numerics.tau_span_ns to at least {window_ns}")
     if grid.omega_max < needed:
         # unrounded first: at a vanishing OD the linewidth passes the float range
         _check_admissible(needed * tau_span / np.pi, "tau span", medium, coupling)
@@ -158,17 +178,21 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField
         raise GridError(
             f"grid half-span {grid.omega_max:.3e} rad/s is below 8 EIT linewidths "
             f"({needed:.3e} rad/s); increase n_omega to at least {n_pow2}")
-    span_needed = 4.0 * group_delay_estimate(medium, coupling.peak_rabi)
     if tau_span < span_needed:
+        message = (f"tau window {tau_span * 1e9:.6g} ns is below 4 group delays "
+                   f"({span_needed * 1e9:.6g} ns); increase numerics.tau_span_ns to at least "
+                   f"{span_ns}")
         # unrounded first: for a weak coupling n_omega * span in ns passes the float range
-        _check_admissible(grid.n * (span_needed / tau_span), "tau step", medium, coupling)
-        span_ns = math.ceil(span_needed * 1e9)
-        n_pow2 = _next_pow2(grid.n * span_ns * 1e-9 / tau_span)
-        _check_admissible(n_pow2, "tau step", medium, coupling)
-        raise GridError(
-            f"tau window {tau_span * 1e9:.6g} ns is below 4 group delays "
-            f"({span_needed * 1e9:.6g} ns); increase numerics.tau_span_ns to at least "
-            f"{span_ns} and n_omega to at least {n_pow2} to keep the detuning span")
+        if math.isfinite(span_ns) and grid.n * (span_needed / tau_span) <= MAX_N_OMEGA:
+            n_pow2 = _next_pow2(grid.n * span_ns * 1e-9 / tau_span)
+            if n_pow2 <= MAX_N_OMEGA:
+                raise GridError(f"{message} and n_omega to at least {n_pow2} "
+                                "to keep the detuning span")
+        # keeping the tau step takes too many points: the fewest, from the
+        # parser's 2^10 up, that cover 8 linewidths at the new window
+        n_lines = needed * span_ns * 1e-9 / np.pi
+        _check_admissible(n_lines, "suggested tau window", medium, coupling)
+        raise GridError(f"{message}, with n_omega at least {max(2 ** 10, _next_pow2(n_lines))}")
 
 
 def _check_admissible(n_omega: float, kept: str, medium: MediumConfig,

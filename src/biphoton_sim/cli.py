@@ -20,7 +20,8 @@ Every waveform, each engine's and each ``scan --full`` power's, is built by
 ``_build_waveform``: ``check_grid`` adds a coupling and an OD > 0 and a grid
 that can hold the waveform, then the engine runs, and a |psi|^2 or counts
 not finite or peaking below a normal double (``check_level``) are rejected
-before anything is derived from them, as is a non-finite transmission;
+before anything is derived from them, as is a non-finite transmission
+and a beat shift the tau grid cannot resolve (``beat_correlation``);
 numpy's floating-point warnings are off while a handler runs, so that
 rejection is the one line on stderr.
 

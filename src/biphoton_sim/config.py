@@ -16,16 +16,16 @@ from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from importlib import resources
 
 from .dispersion import group_delay_estimate
-from .grids import MAX_N_OMEGA, SpectralGrid
+from .grids import SpectralGrid
 from .interference import InterferometerConfig
 from .params import (
-    C_LIGHT,
     BeamField,
     CouplingField,
     DetectionConfig,
     GenerationMode,
     MediumConfig,
     RangeError,
+    check_ranges,
 )
 
 MHZ = 2.0 * math.pi * 1e6  # linear MHz -> rad/s
@@ -47,32 +47,20 @@ class ConfigError(ValueError):
         self.field = field
 
 
-# More z panels gain nothing: the z-quadrature error falls as 1/z_panels^2
-# from about 3e-7 at 512 panels to 2e-11 at 2^16, where the rounding of the
-# running phase product over the panels (about z_panels * 2.2e-16) takes over.
-MAX_Z_PANELS = 2 ** 16
-
-
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Spectral/positional discretization: grid size, z panels, time span."""
+    """Spectral/positional discretization: grid size, z panels, time span.
+
+    The rules that tie the grid to a run are :func:`~biphoton_sim.biphoton.check_grid`'s.
+    """
 
     n_omega: int = 16384
     z_panels: int = 512
     tau_span: float = 80e-6  # s
 
     def __post_init__(self) -> None:
-        n = self.n_omega
-        if n < 2 ** 10 or n > MAX_N_OMEGA or n & (n - 1) != 0:
-            raise ConfigError(f"must be a power of two in [2^10, 2^20], got {n}",
-                              "numerics.n_omega")
-        m = self.z_panels
-        if m < 64 or m > MAX_Z_PANELS or m % 2:
-            raise ConfigError(f"must be an even count in [64, 2^16], got {m}",
-                              "numerics.z_panels")
-        if not (math.isfinite(self.tau_span) and self.tau_span > 0):
-            raise ConfigError(f"must be finite and > 0, got {self.tau_span * 1e9:g}",
-                              "numerics.tau_span_ns")
+        check_ranges(self, n_omega="a power of two in [2^10, 2^20]",
+                     z_panels="an even count in [64, 2^16]", tau_span="> 0")
 
     def grid(self) -> SpectralGrid:
         return SpectralGrid(self.n_omega, self.tau_span)
@@ -201,40 +189,19 @@ def _section(name: str, obj):
         raise ConfigError(f"{exc.rule}, got {sec[key]!r}", f"{name}.{key}") from None
 
 
-def _check_below_carrier(sections: dict) -> None:
-    """Keep the model's angular frequencies below the optical carrier omega0.
-
-    The photon frequencies omega0 +- omega must stay positive over the whole
-    detuning grid, whose half-span n_omega pi / tau_span stays below omega0
-    only for tau_span > n_omega lambda0 / 2c; and the rotating-wave model of
-    the coupling needs its Rabi frequency below omega0.  Both bounds also
-    keep every squared frequency of the engines finite.
-    """
-    medium, numerics = sections["medium"], sections["numerics"]
-    w0 = medium.omega0
-    if numerics.n_omega * math.pi / numerics.tau_span >= w0:
-        bound_ns = numerics.n_omega * medium.lambda0 / (2.0 * C_LIGHT) * 1e9
-        raise ConfigError(
-            f"must exceed n_omega * lambda0 / 2c = {bound_ns:.6g} ns, where the detuning "
-            f"grid reaches the optical carrier, got {numerics.tau_span * 1e9:g}",
-            "numerics.tau_span_ns")
-    _check_rabi(sections["coupling"].peak_rabi, w0, "coupling.peak_rabi_mhz")
-
-
-def _check_rabi(rabi: float, w0: float, where: str, subject: str = "") -> None:
-    """The rotating-wave model of the coupling needs its Rabi frequency below omega0."""
-    if rabi >= w0:
-        raise ConfigError(f"{subject}must be below the optical carrier frequency "
-                          f"{w0 / MHZ:.6g} MHz, got {rabi / MHZ:g} MHz", where)
-
-
 def _check_eit_scales(rabi: float, medium: MediumConfig, where: str, subject: str = "") -> None:
-    """Keep a coupling Rabi frequency's EIT scales finite in the units they are written in.
+    """Hold a coupling Rabi frequency below the carrier, with its EIT scales finite.
 
-    2 gamma13 OD comes first, so that its overflow names the OD; then
-    |Omega_c|^2 must be normal, and the coherence time 4 gamma13 OD / |Omega_c|^2
-    in ns and the scan abscissa gamma13^2 / |Omega_c|^2 finite.
+    The rotating-wave model of the coupling needs the Rabi frequency below
+    the optical carrier omega0.  Then 2 gamma13 OD must be finite, checked
+    before the Rabi frequency's own scales so that its overflow names the
+    OD; then |Omega_c|^2 must be normal, and the coherence time
+    4 gamma13 OD / |Omega_c|^2 in ns and the scan abscissa
+    gamma13^2 / |Omega_c|^2 finite.
     """
+    if rabi >= medium.omega0:
+        raise ConfigError(f"{subject}must be below the optical carrier frequency "
+                          f"{medium.omega0 / MHZ:.6g} MHz, got {rabi / MHZ:g} MHz", where)
     if not math.isfinite(2.0 * medium.gamma13 * medium.od):
         raise ConfigError(f"must keep 2 gamma13 OD finite, got {medium.od:g}", "medium.od")
     if not (rabi * rabi >= sys.float_info.min
@@ -261,7 +228,6 @@ def _build(data) -> RunConfig:
     sections = {name: _section(name, _require(data, name, "config"))
                 for name in ("medium", "pump", "coupling", "detection")}
     sections["numerics"] = _section("numerics", data.get("numerics", {}))
-    _check_below_carrier(sections)
     if sections["coupling"].peak_rabi > 0:  # zero is eit-spectrum's two-level medium
         _check_eit_scales(sections["coupling"].peak_rabi, sections["medium"],
                           "coupling.peak_rabi_mhz")
@@ -291,9 +257,9 @@ def check_power_mw(val, where: str, coupling: CouplingField, medium: MediumConfi
     """A scan coupling power given in mW, returned in W, checked with the beam it gives.
 
     The power must be finite and > 0 in W (the Rabi scaling takes its root),
-    and the Rabi frequency of ``coupling.at_power`` is held to the carrier
-    bound of a configured one and to :func:`_check_eit_scales`, since the
-    scan divides by its square.
+    and the Rabi frequency of ``coupling.at_power`` is held to
+    :func:`_check_eit_scales`, as a configured one is, since the scan
+    divides by its square.
     """
     power = _finite(val, where) * 1e-3
     if power <= 0:
@@ -304,9 +270,7 @@ def check_power_mw(val, where: str, coupling: CouplingField, medium: MediumConfi
         key = next(key for key, attr, _ in SECTIONS["coupling"][1] if attr == exc.attr)
         raise ConfigError(f"{exc.rule} to scale the coupling beam to the scan powers "
                           f"({where}), got 0", f"coupling.{key}") from None
-    subject = "the coupling Rabi frequency it gives "
-    _check_rabi(rabi, medium.omega0, where, subject)
-    _check_eit_scales(rabi, medium, where, subject)
+    _check_eit_scales(rabi, medium, where, "the coupling Rabi frequency it gives ")
     return power
 
 

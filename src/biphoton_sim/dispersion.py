@@ -168,24 +168,13 @@ def group_delay_estimate(medium: MediumConfig, omega_c: float) -> float:
 def group_delay_numeric(medium: MediumConfig, omega_c: float) -> float:
     """Group delay from the slope of Re k1 at line center, L * dRe(k1)/domega.
 
-    Central finite difference with a step of 1e-3 of the EIT linewidth proxy
-    |Omega_c|^2 / (2 gamma13 OD); small enough for sub-0.1% discretization
-    error, large enough to avoid cancellation.
+    Central finite difference with a step of 1e-3 of the EIT linewidth
+    1/tau_g, the inverse of :func:`group_delay_estimate`; small enough for
+    sub-0.1% discretization error, large enough to avoid cancellation.
     """
-    if omega_c <= 0:
-        raise ValueError("omega_c must be > 0")
-    h = 1e-3 * eit_bandwidth_proxy(medium, omega_c)
+    h = 1e-3 / group_delay_estimate(medium, omega_c)
     q = _slow_wavenumber_at(np.array([h, -h]), omega_c, medium).real
     return medium.length * (q[0] - q[1]) / (2.0 * h)
-
-
-def eit_bandwidth_proxy(medium: MediumConfig, omega_c: float) -> float:
-    """Inverse group delay |Omega_c|^2 / (2 gamma13 OD), rad/s; a linewidth scale."""
-    if omega_c <= 0:
-        raise ValueError("omega_c must be > 0")
-    if medium.od <= 0:
-        raise ValueError("medium.od must be > 0 for an EIT bandwidth scale")
-    return omega_c ** 2 / (2.0 * medium.gamma13 * medium.od)
 
 
 def eit_absorption_loss(medium: MediumConfig, omega_c: float) -> float:

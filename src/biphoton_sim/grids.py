@@ -8,9 +8,6 @@ from functools import cached_property
 
 import numpy as np
 
-# largest detuning grid a configuration may ask for
-MAX_N_OMEGA = 2 ** 20
-
 
 class GridError(ValueError):
     """Spectral grid cannot support the requested evaluation (Nyquist/span)."""

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Waveform
-from .params import check_ranges
+from .grids import GridError, Waveform
+from .params import MAX_N_OMEGA, check_ranges
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,20 @@ def beat_correlation(psi0: Waveform, cfg: InterferometerConfig) -> np.ndarray:
     G34(tau) = [R^2 + (1-R)^2 - 2 R (1-R) cos(2 pi delta tau)] |psi0(tau)|^2
 
     At R = 1/2 this is (1 - cos)/2 times the envelope: full-visibility
-    beating, and identically zero for delta = 0.
+    beating, and identically zero for delta = 0.  A shift at or above the
+    tau grid's Nyquist frequency n_omega / (2 tau_span) would alias to a
+    lower beat, so it raises :class:`GridError`, suggesting the n_omega
+    that resolves it.
     """
+    grid = psi0.grid
+    nyquist = grid.n / (2.0 * grid.tau_span)
+    if cfg.shift_delta >= nyquist:
+        need = 2.0 * cfg.shift_delta * grid.tau_span  # n_omega must exceed it
+        hint = (f"increase n_omega to at least {1 << int(need).bit_length()}"
+                if need < MAX_N_OMEGA else "no n_omega up to 2^20 resolves it")
+        raise GridError(f"beat shift {cfg.shift_delta / 1e6:.6g} MHz is at or above the tau "
+                        f"grid's Nyquist frequency n_omega / (2 tau_span) = "
+                        f"{nyquist / 1e6:.6g} MHz; {hint}")
     _check_exchange_symmetry(psi0)
     r = cfg.reflectance
     mod = (r ** 2 + (1.0 - r) ** 2

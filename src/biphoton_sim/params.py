@@ -35,6 +35,13 @@ class RangeError(ValueError):
         self.attr, self.rule = attr, rule
 
 
+# largest detuning grid a configuration may ask for
+MAX_N_OMEGA = 2 ** 20
+# More z panels gain nothing: the z-quadrature error falls as 1/z_panels^2
+# from about 3e-7 at 512 panels to 2e-11 at 2^16, where the rounding of the
+# running phase product over the panels (about z_panels * 2.2e-16) takes over.
+MAX_Z_PANELS = 2 ** 16
+
 # the ranges of the configuration fields, each stated once, with its test
 _RANGES = {
     "> 0": lambda v: v > 0,
@@ -42,6 +49,8 @@ _RANGES = {
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     ">= 0 and below a right angle": lambda v: 0.0 <= v < math.pi / 2,
+    "a power of two in [2^10, 2^20]": lambda v: 2 ** 10 <= v <= MAX_N_OMEGA and not v & (v - 1),
+    "an even count in [64, 2^16]": lambda v: 64 <= v <= MAX_Z_PANELS and v % 2 == 0,
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -15,6 +16,7 @@ from biphoton_sim import (
     eit_absorption_loss,
     group_delay_estimate,
     kappa,
+    load_preset,
     psi_analytic_exp,
     psi_analytic_rect,
     psi_full,
@@ -308,6 +310,60 @@ class TestPsiFull:
             rep = extract_coherence_time(wave.intensity, wave.tau)
             widths.append(rep.e_inverse_width)
         assert widths[0] > widths[1] > widths[2]
+
+
+# One distinct configuration per medium and scheme; spans from past the
+# optical carrier (n_omega lambda0 / 2c is 0.0014 ns at 2^10 points and
+# 1.4 ns at 2^20) to a second; couplings from a group delay of 1e293 s to
+# one of 0.6 ns.  Stronger couplings, whose 8 EIT linewidths approach the
+# carrier, are left out.
+SWEEP_PRESETS = ("fig2c", "fig2e", "fig3c", "fig3e", "fig5")
+SWEEP_N = [2 ** k for k in range(10, 21)]
+SWEEP_SPANS_NS = (1e-3, 0.5, 2.0, 40.0, 300.0, 2e3, 2e4, 8e4, 1e6, 1e9)
+SWEEP_COUPLING = (1e-150, 1e-20, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 30.0)
+# a phrase of each rule's message and of each kind of window suggestion
+SWEEP_MESSAGES = ("no admissible grid", "optical carrier", "EIT linewidths",
+                  "keep the detuning span", "with n_omega")
+
+
+def grid_verdict(n, span_ns, medium, coupling):
+    """check_grid's message on ``n`` points over ``span_ns``, or None if the grid passes."""
+    try:
+        biphoton.check_grid(SpectralGrid(n, span_ns * 1e-9), medium, coupling)
+    except GridError as exc:
+        return str(exc)
+    return None
+
+
+def test_every_grid_suggestion_is_workable():
+    # the grid a message suggests passes every rule within the parser's
+    # n_omega bounds; a run said to have no admissible grid has none at the
+    # window it keeps or needs
+    seen = set()
+    for name in SWEEP_PRESETS:
+        cfg = load_preset(name)
+        for scale in SWEEP_COUPLING:
+            coupling = dataclasses.replace(cfg.coupling,
+                                           peak_rabi=cfg.coupling.peak_rabi * scale)
+            window_ns = math.ceil(4e9 * group_delay_estimate(cfg.medium, coupling.peak_rabi))
+            for n in SWEEP_N:
+                for span_ns in SWEEP_SPANS_NS:
+                    message = grid_verdict(n, span_ns, cfg.medium, coupling)
+                    case = (name, scale, n, span_ns, message)
+                    if message is None:
+                        continue
+                    seen.update(kind for kind in SWEEP_MESSAGES if kind in message)
+                    if message.startswith("no admissible grid"):
+                        assert all(grid_verdict(m, max(span_ns, window_ns), cfg.medium,
+                                                coupling) for m in SWEEP_N), case
+                        continue
+                    new_n = re.search(r"n_omega (?:to )?at least (\d+)", message)
+                    new_span = re.search(r"tau_span_ns to at least (\d+)", message)
+                    new_n = int(new_n.group(1)) if new_n else n
+                    new_span = int(new_span.group(1)) if new_span else span_ns
+                    assert new_n in SWEEP_N, case
+                    assert grid_verdict(new_n, new_span, cfg.medium, coupling) is None, case
+    assert seen == set(SWEEP_MESSAGES)
 
 
 def direct_spectrum(grid, m, medium, pump, coupling, mode):

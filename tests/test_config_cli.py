@@ -20,7 +20,8 @@ from biphoton_sim import (
     parse_config,
 )
 from biphoton_sim.cli import main
-from biphoton_sim.config import IGNORED, MAX_Z_PANELS, PRESET_NAMES, SECTIONS, NumericsConfig
+from biphoton_sim.config import IGNORED, PRESET_NAMES, SECTIONS
+from biphoton_sim.params import MAX_Z_PANELS
 
 from conftest import MHZ
 
@@ -108,11 +109,15 @@ class TestConfig:
         assert str(info.value) == f"{section}.{key}: {message}"
 
     def test_z_panels_bounds_name_the_field(self):
-        assert NumericsConfig(z_panels=MAX_Z_PANELS).z_panels == 2 ** 16
+        data = dump_config(load_preset("fig3d"))
+        data["numerics"]["z_panels"] = MAX_Z_PANELS
+        assert parse_config(json.dumps(data)).numerics.z_panels == 2 ** 16
         for m in (62, 65, MAX_Z_PANELS + 2):
+            data["numerics"]["z_panels"] = m
             with pytest.raises(ConfigError) as info:
-                NumericsConfig(z_panels=m)
-            assert str(info.value).startswith("numerics.z_panels: ")
+                parse_config(json.dumps(data))
+            assert str(info.value) == (
+                f"numerics.z_panels: must be an even count in [64, 2^16], got {m}")
 
     def test_coupling_scales_checked_at_parse_time(self):
         data = dump_config(load_preset("fig3d"))
@@ -496,30 +501,77 @@ class TestCli:
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((tmp_path / "scan.json").read_text())["slope_s"] == 0.0
 
-    def test_scan_power_without_admissible_grid_exits_4(self, tmp_path, capsys):
+    def test_scan_power_of_weak_coupling_exits_4_suggesting_a_window(self, tmp_path, capsys):
         # 1e-300 mW used to draw a suggested tau_span_ns and n_omega of about
-        # 300 digits each, which the parser would reject
+        # 300 digits each, which the parser would reject, and then the verdict
+        # that no grid resolves the run, though 1024 points over four group
+        # delays pass every grid rule
         code = main(["scan", "--config", "fig5", "--full", "--powers", "1e-300,1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 4
         err = capsys.readouterr().err
-        assert err.startswith("numerics error: no admissible grid resolves this run: ")
-        assert "above the largest accepted 2^20" in err
-        assert "(coupling power 1e-300 mW) sets this scale" in err
-        assert len(err) < 300
+        assert err.startswith("numerics error: tau window 80000 ns is below 4 group delays "
+                              "(6.26779e+303 ns); increase numerics.tau_span_ns to at least ")
+        assert err.endswith(", with n_omega at least 1024\n")
+        assert len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
 
-    def test_weak_coupling_without_admissible_grid_exits_4(self, tmp_path, capsys):
+    def test_weak_coupling_exits_4_suggesting_a_window(self, tmp_path, capsys):
         # a finite group delay whose span in ns times n_omega passes the float
-        # range used to end in an OverflowError in the grid check
+        # range used to end in an OverflowError in the grid check, and then
+        # in the verdict that no grid resolves the run
         data = dump_config(load_preset("fig3d"))
         data["coupling"]["peak_rabi_mhz"] = 1e-150
         cfg = write_config(tmp_path, data)
         assert main(["waveform", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("numerics error: no admissible grid resolves this run: ")
-        assert "coupling Rabi frequency 1e-150 MHz" in err
+        assert err.startswith("numerics error: tau window 80000 ns is below 4 group delays "
+                              "(5.72958e+305 ns); increase numerics.tau_span_ns to at least ")
+        assert err.endswith(", with n_omega at least 1024\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["waveform"], 4), (["waveform", "--engine", "analytic"], 4), (["beat"], 4),
+        (["scan", "--full", "--powers=2.3,1"], 4),
+        (["eit-spectrum"], 0), (["scan", "--powers=2.3,1"], 0),
+    ], ids=["full", "analytic", "beat", "scan-full", "spectrum", "scan-formula"])
+    def test_tau_window_reaching_the_carrier(self, tmp_path, capsys, argv, code):
+        # a 1e-300 ns window puts the detuning grid past the optical carrier:
+        # every waveform exits 4 with a window that also spans 4 group delays,
+        # while the spectrum and the formula scan read no numerics.  The
+        # parser used to reject it for every command (exit 2).
+        data = small_numerics(dump_config(load_preset("fig4b")), tau_span_ns=1e-300)
+        cfg = write_config(tmp_path, data)
+        assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     *argv[1:]]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("numerics error: tau window 1e-300 ns does not exceed n_omega "
+                           "lambda0 / 2c = 0.00543096 ns, where the detuning grid reaches the "
+                           "optical carrier; increase numerics.tau_span_ns to at least 2726\n")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        else:
+            assert err == ""
+
+    def test_beat_shift_above_nyquist_exits_4_with_a_workable_n_omega(self, tmp_path, capsys):
+        # 1024 points over 5000 ns resolve beats below 102.4 MHz; a 150 MHz
+        # shift used to be reported as a 54.8 MHz beat
+        data = small_numerics(dump_config(load_preset("fig4b")), n_omega=1024,
+                              tau_span_ns=5000.0, z_panels=64)
+        data["interferometer"]["shift_mhz"] = 150.0
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "x.csv"
+        assert main(["beat", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == ("numerics error: beat shift 150 MHz is at or above the tau grid's "
+                       "Nyquist frequency n_omega / (2 tau_span) = 102.4 MHz; increase n_omega "
+                       "to at least 2048\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+        data["numerics"]["n_omega"] = 2048
+        cfg = write_config(tmp_path, data)
+        assert main(["beat", "--config", cfg, "--out", str(out)]) == 0
+        side = json.loads(out.with_suffix(".json").read_text())
+        assert abs(side["beat_frequency_mhz"] - 150.0) <= side["fft_bin_mhz"]
 
     def test_csv_has_nine_significant_digits(self, tmp_path):
         data = small_numerics(dump_config(load_preset("fig3d")))
@@ -583,7 +635,6 @@ def field_patch(section, key, value, **sections):
     (["waveform"], {"numerics": {"n_omega": "4096"}}, "numerics.n_omega"),
     (["waveform"], {"numerics": {"n_omega": True}}, "numerics.n_omega"),
     (["waveform"], {"numerics": {"n_omega": math.inf}}, "numerics.n_omega"),
-    (["waveform"], {"numerics": {"tau_span_ns": 1e-300}}, "numerics.tau_span_ns"),
     (["waveform"],
      {"coupling": {**dump_config(load_preset("fig5"))["coupling"], "peak_rabi_mhz": 1e200}},
      "coupling.peak_rabi_mhz"),
@@ -654,7 +705,7 @@ def field_patch(section, key, value, **sections):
         "no-powers", "one-power", "one-power-flag", "powers-flag-overflow",
         "power-overflow", "scale-nan", "noise-nan",
         "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
-        "tau-span-subnormal", "rabi-overflow", "unknown-section", "unknown-field",
+        "rabi-overflow", "unknown-section", "unknown-field",
         "threads-negative", "threads-negative-spectrum",
         "floor-swamps-signal", "rabi-zero-full", "rabi-zero-uniform",
         "rabi-underflow-analytic", "rabi-underflow-full", "rabi-zero-beat",

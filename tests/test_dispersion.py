@@ -18,7 +18,6 @@ from biphoton_sim import (
 )
 from biphoton_sim.dispersion import (
     _susceptibility,
-    eit_bandwidth_proxy,
     eit_denominator,
     slow_wavenumbers,
 )
@@ -122,7 +121,7 @@ class TestWavenumber:
         edge = beam_profile(coupling, medium.length / 2.0, medium.theta)
         w_max = cfg.numerics.grid().omega_max
         for oc in (coupling.peak_rabi, coupling.peak_rabi * edge):
-            window = eit_bandwidth_proxy(medium, oc)
+            window = 1.0 / group_delay_estimate(medium, oc)
             detunings = np.array([0.0, 0.3 * window, oc / 2.0, w_max])
             q1, q2 = slow_q(detunings, oc, medium)
             with mpmath.workdps(40):

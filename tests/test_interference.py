@@ -49,7 +49,7 @@ class TestBeatCorrelation:
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 30e6))
     def test_nonnegative(self, r, delta):
-        grid = SpectralGrid(2 ** 8, 20e-6)
+        grid = SpectralGrid(2 ** 11, 20e-6)  # Nyquist frequency 51.2 MHz
         wave = psi_analytic_rect(grid, make_medium(g12_mhz=0.0), make_pump(det_mhz=0.0),
                                  make_coupling())
         cfg = InterferometerConfig(reflectance=r, shift_delta=delta)
