@@ -35,7 +35,7 @@ from .dispersion import (
 )
 from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import (C_LIGHT, MAX_N_OMEGA, BeamField, CouplingField, DetectionConfig,
-                     GenerationMode, MediumConfig, beam_profile)
+                     GenerationMode, MediumConfig, beam_profile, n_omega_at_least)
 
 # (omega row, z node) cells of one psi_full chunk, counted over the full z
 # grid and both rows of each +-omega pair: a chunk takes
@@ -122,34 +122,28 @@ def _residual_wavevector(medium: MediumConfig, pump: BeamField,
     return (pump.detuning - coupling.detuning) / C_LIGHT * np.cos(medium.theta)
 
 
-def _next_pow2(x: float) -> int:
-    return 1 << max(int(np.ceil(np.log2(x))), 1)
-
-
 def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField) -> None:
     """Reject runs whose waveform has no time scale, or a grid that cannot hold it.
 
     Every waveform passes here.  Its time scale is the group delay
     tau_g = 2 gamma13 OD / |Omega_c|^2 and its grid's the EIT linewidth
-    1/tau_g, so both the coupling and the OD must be > 0 (:class:`ConfigError`;
-    the parser has bounded both scales to the float range).  Three rules
-    then tie the grid to the run, each raising :class:`GridError` with a
-    grid that passes all three:
+    1/tau_g, so the coupling and the OD must be > 0 (:class:`ConfigError`).
+    Three rules tie the grid to the run, each raising :class:`GridError`
+    with a grid that passes all three:
 
     * the detuning edge n_omega pi / tau_span stays below the optical
       carrier omega0, so the photon frequencies omega0 +- omega stay positive;
-    * the grid half-span covers eight linewidths (a finer tau step, i.e.
-      larger n_omega at fixed span, widens the grid);
+    * the grid half-span covers eight linewidths;
     * the tau window spans four group delays, so the support |tau| <= L/V_g
-      cannot wrap around the periodic window of the FFT.  The suggestion
-      keeps the tau step, and so the detuning span, if that takes at most
-      ``MAX_N_OMEGA`` points, else the fewest points that cover eight
-      linewidths at the new window.
+      cannot wrap around the FFT window.  The suggestion keeps the tau step
+      if at most ``MAX_N_OMEGA`` points do, else takes the fewest points
+      that cover eight linewidths at the window.
 
-    When no grid of at most ``MAX_N_OMEGA`` points, which no configuration
-    may exceed, passes at the window kept or suggested, the message says so
-    and names the coupling Rabi frequency and the OD, whose ratio
-    |Omega_c|^2 / OD sets both the linewidth and the group delay.
+    A window is suggested in whole ns, rounded up, below 2^53 ns (104 days),
+    past which a double no longer holds every whole ns.  When no grid of at
+    most ``MAX_N_OMEGA`` points passes at the window kept or suggested, or
+    the window would pass 2^53 ns, the message says so and names the
+    coupling Rabi frequency and the OD, whose ratio sets the run's scales.
     """
     for value, where in ((coupling.peak_rabi, "coupling.peak_rabi_mhz"), (medium.od, "medium.od")):
         if value <= 0:
@@ -162,19 +156,28 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField
     span_ns = span_needed * 1e9
     span_ns = math.ceil(span_ns) if math.isfinite(span_ns) else span_ns
     tau_span = grid.tau_span
+    # the points that keep the tau step over 4 group delays, unrounded: for a
+    # weak coupling n_omega * span in ns passes the float range
+    n_step = grid.n * (span_needed / tau_span)
+
+    def points_over(window_ns: float) -> int:
+        if window_ns < 2 ** 53:
+            return _admissible(needed * window_ns * 1e-9 / np.pi, "suggested tau window",
+                               medium, coupling)
+        return _admissible(max(n_step, 2 * MAX_N_OMEGA), "tau step", medium, coupling)
+
     if grid.omega_max >= medium.omega0:
         bound_ns = grid.n * medium.lambda0 / (2.0 * C_LIGHT) * 1e9
         window_ns = max(math.floor(bound_ns) + 1, span_ns)
-        _check_admissible(needed * window_ns * 1e-9 / np.pi, "suggested tau window",
-                          medium, coupling)
+        n_lines = points_over(window_ns)
         raise GridError(
             f"tau window {tau_span * 1e9:.6g} ns does not exceed n_omega lambda0 / 2c = "
             f"{bound_ns:.6g} ns, where the detuning grid reaches the optical carrier; "
-            f"increase numerics.tau_span_ns to at least {window_ns}")
+            f"increase numerics.tau_span_ns to at least {window_ns}"
+            + (f", with n_omega at least {n_lines}" if n_lines > grid.n else ""))
     if grid.omega_max < needed:
         # unrounded first: at a vanishing OD the linewidth passes the float range
-        _check_admissible(needed * tau_span / np.pi, "tau span", medium, coupling)
-        n_pow2 = _next_pow2(needed * tau_span / np.pi)
+        n_pow2 = _admissible(needed * tau_span / np.pi, "tau span", medium, coupling)
         raise GridError(
             f"grid half-span {grid.omega_max:.3e} rad/s is below 8 EIT linewidths "
             f"({needed:.3e} rad/s); increase n_omega to at least {n_pow2}")
@@ -182,21 +185,17 @@ def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField
         message = (f"tau window {tau_span * 1e9:.6g} ns is below 4 group delays "
                    f"({span_needed * 1e9:.6g} ns); increase numerics.tau_span_ns to at least "
                    f"{span_ns}")
-        # unrounded first: for a weak coupling n_omega * span in ns passes the float range
-        if math.isfinite(span_ns) and grid.n * (span_needed / tau_span) <= MAX_N_OMEGA:
-            n_pow2 = _next_pow2(grid.n * span_ns * 1e-9 / tau_span)
+        if math.isfinite(span_ns) and n_step <= MAX_N_OMEGA:
+            n_pow2 = n_omega_at_least(grid.n * span_ns * 1e-9 / tau_span)
             if n_pow2 <= MAX_N_OMEGA:
                 raise GridError(f"{message} and n_omega to at least {n_pow2} "
                                 "to keep the detuning span")
-        # keeping the tau step takes too many points: the fewest, from the
-        # parser's 2^10 up, that cover 8 linewidths at the new window
-        n_lines = needed * span_ns * 1e-9 / np.pi
-        _check_admissible(n_lines, "suggested tau window", medium, coupling)
-        raise GridError(f"{message}, with n_omega at least {max(2 ** 10, _next_pow2(n_lines))}")
+        raise GridError(f"{message}, with n_omega at least {points_over(span_ns)}")
 
 
-def _check_admissible(n_omega: float, kept: str, medium: MediumConfig,
-                      coupling: CouplingField) -> None:
+def _admissible(n_omega: float, kept: str, medium: MediumConfig,
+                coupling: CouplingField) -> int:
+    """The accepted n_omega for ``n_omega`` points at the run's ``kept``, or no grid past 2^20."""
     if n_omega > MAX_N_OMEGA:
         raise GridError(
             f"no admissible grid resolves this run: at its {kept} it needs n_omega of about "
@@ -204,6 +203,7 @@ def _check_admissible(n_omega: float, kept: str, medium: MediumConfig,
             f"coupling Rabi frequency {coupling.peak_rabi / (2e6 * math.pi):.6g} MHz "
             f"(coupling power {coupling.power * 1e3:.6g} mW) sets this scale, with the "
             f"optical depth {medium.od:.6g}")
+    return n_omega_at_least(n_omega)
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Spectral/positional discretization: grid size, z panels, time span.
-
-    The rules that tie the grid to a run are :func:`~biphoton_sim.biphoton.check_grid`'s.
-    """
+    """Grid size, z panels, time span; ``biphoton.check_grid`` ties the grid to a run."""
 
     n_omega: int = 16384
     z_panels: int = 512

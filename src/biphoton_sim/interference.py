@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridError, Waveform
-from .params import MAX_N_OMEGA, check_ranges
+from .params import MAX_N_OMEGA, check_ranges, n_omega_at_least
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,10 @@ def beat_correlation(psi0: Waveform, cfg: InterferometerConfig) -> np.ndarray:
     grid = psi0.grid
     nyquist = grid.n / (2.0 * grid.tau_span)
     if cfg.shift_delta >= nyquist:
-        need = 2.0 * cfg.shift_delta * grid.tau_span  # n_omega must exceed it
-        hint = (f"increase n_omega to at least {1 << int(need).bit_length()}"
-                if need < MAX_N_OMEGA else "no n_omega up to 2^20 resolves it")
+        # the least n_omega above 2 delta tau_span
+        n_omega = n_omega_at_least(math.nextafter(2.0 * cfg.shift_delta * grid.tau_span, math.inf))
+        hint = (f"increase n_omega to at least {n_omega}"
+                if n_omega <= MAX_N_OMEGA else "no n_omega up to 2^20 resolves it")
         raise GridError(f"beat shift {cfg.shift_delta / 1e6:.6g} MHz is at or above the tau "
                         f"grid's Nyquist frequency n_omega / (2 tau_span) = "
                         f"{nyquist / 1e6:.6g} MHz; {hint}")

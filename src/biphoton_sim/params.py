@@ -35,8 +35,8 @@ class RangeError(ValueError):
         self.attr, self.rule = attr, rule
 
 
-# largest detuning grid a configuration may ask for
-MAX_N_OMEGA = 2 ** 20
+# the detuning grids a configuration may ask for: powers of two in [2^10, 2^20]
+MIN_N_OMEGA, MAX_N_OMEGA = 2 ** 10, 2 ** 20
 # More z panels gain nothing: the z-quadrature error falls as 1/z_panels^2
 # from about 3e-7 at 512 panels to 2e-11 at 2^16, where the rounding of the
 # running phase product over the panels (about z_panels * 2.2e-16) takes over.
@@ -49,9 +49,14 @@ _RANGES = {
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     ">= 0 and below a right angle": lambda v: 0.0 <= v < math.pi / 2,
-    "a power of two in [2^10, 2^20]": lambda v: 2 ** 10 <= v <= MAX_N_OMEGA and not v & (v - 1),
+    "a power of two in [2^10, 2^20]": lambda v: MIN_N_OMEGA <= v <= MAX_N_OMEGA and not v & (v - 1),
     "an even count in [64, 2^16]": lambda v: 64 <= v <= MAX_Z_PANELS and v % 2 == 0,
 }
+
+
+def n_omega_at_least(x: float) -> int:
+    """The smallest power of two >= x and >= 2^10, unbounded above: compare it to MAX_N_OMEGA."""
+    return max(MIN_N_OMEGA, 1 << max(math.ceil(math.log2(x)), 0))
 
 
 def check_ranges(obj, **ranges: str) -> None:

@@ -314,13 +314,15 @@ class TestPsiFull:
 
 # One distinct configuration per medium and scheme; spans from past the
 # optical carrier (n_omega lambda0 / 2c is 0.0014 ns at 2^10 points and
-# 1.4 ns at 2^20) to a second; couplings from a group delay of 1e293 s to
-# one of 0.6 ns.  Stronger couplings, whose 8 EIT linewidths approach the
-# carrier, are left out.
+# 1.4 ns at 2^20) to a second; couplings from a group delay of 1e293 s,
+# through the 2^53 ns past which no window is suggested, to one of 5e-4 ns.
+# Stronger couplings, whose 8 EIT linewidths approach the carrier, are left
+# out.
 SWEEP_PRESETS = ("fig2c", "fig2e", "fig3c", "fig3e", "fig5")
 SWEEP_N = [2 ** k for k in range(10, 21)]
 SWEEP_SPANS_NS = (1e-3, 0.5, 2.0, 40.0, 300.0, 2e3, 2e4, 8e4, 1e6, 1e9)
-SWEEP_COUPLING = (1e-150, 1e-20, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 30.0)
+SWEEP_COUPLING = (1e-150, 1e-20, 1e-5, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 30.0, 100.0,
+                  1e3)
 # a phrase of each rule's message and of each kind of window suggestion
 SWEEP_MESSAGES = ("no admissible grid", "optical carrier", "EIT linewidths",
                   "keep the detuning span", "with n_omega")
@@ -338,7 +340,7 @@ def grid_verdict(n, span_ns, medium, coupling):
 def test_every_grid_suggestion_is_workable():
     # the grid a message suggests passes every rule within the parser's
     # n_omega bounds; a run said to have no admissible grid has none at the
-    # window it keeps or needs
+    # window it keeps or needs, or needs a window past 2^53 ns
     seen = set()
     for name in SWEEP_PRESETS:
         cfg = load_preset(name)
@@ -354,16 +356,39 @@ def test_every_grid_suggestion_is_workable():
                         continue
                     seen.update(kind for kind in SWEEP_MESSAGES if kind in message)
                     if message.startswith("no admissible grid"):
-                        assert all(grid_verdict(m, max(span_ns, window_ns), cfg.medium,
-                                                coupling) for m in SWEEP_N), case
+                        assert window_ns >= 2 ** 53 or all(
+                            grid_verdict(m, max(span_ns, window_ns), cfg.medium, coupling)
+                            for m in SWEEP_N), case
                         continue
                     new_n = re.search(r"n_omega (?:to )?at least (\d+)", message)
                     new_span = re.search(r"tau_span_ns to at least (\d+)", message)
                     new_n = int(new_n.group(1)) if new_n else n
                     new_span = int(new_span.group(1)) if new_span else span_ns
                     assert new_n in SWEEP_N, case
+                    assert new_span < 2 ** 53, case
                     assert grid_verdict(new_n, new_span, cfg.medium, coupling) is None, case
     assert seen == set(SWEEP_MESSAGES)
+
+
+def test_carrier_window_names_the_points_its_linewidths_need():
+    # 1024 points cover 8 linewidths of a 1000-fold coupling over 0.001 ns,
+    # but not over the 1 ns window that clears the carrier
+    cfg = load_preset("fig3d")
+    coupling = dataclasses.replace(cfg.coupling, peak_rabi=cfg.coupling.peak_rabi * 1e3)
+    assert grid_verdict(2 ** 10, 1e-3, cfg.medium, coupling) == (
+        "tau window 0.001 ns does not exceed n_omega lambda0 / 2c = 0.00135774 ns, where the "
+        "detuning grid reaches the optical carrier; increase numerics.tau_span_ns to at "
+        "least 1, with n_omega at least 4096")
+
+
+def test_coupling_whose_square_underflows_has_no_grid():
+    # the group delay overflows to inf: no window is suggested
+    cfg = load_preset("fig3d")
+    coupling = dataclasses.replace(cfg.coupling, peak_rabi=1e-160)
+    for span_ns in (1e-3, 8e4):
+        message = grid_verdict(2 ** 14, span_ns, cfg.medium, coupling)
+        assert message.startswith("no admissible grid resolves this run: at its tau step "
+                                  "it needs n_omega of about 2^1024"), message
 
 
 def direct_spectrum(grid, m, medium, pump, coupling, mode):

@@ -501,33 +501,29 @@ class TestCli:
         assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((tmp_path / "scan.json").read_text())["slope_s"] == 0.0
 
-    def test_scan_power_of_weak_coupling_exits_4_suggesting_a_window(self, tmp_path, capsys):
+    def test_scan_power_without_admissible_grid_exits_4(self, tmp_path, capsys):
         # 1e-300 mW used to draw a suggested tau_span_ns and n_omega of about
-        # 300 digits each, which the parser would reject, and then the verdict
-        # that no grid resolves the run, though 1024 points over four group
-        # delays pass every grid rule
+        # 300 digits each, which the parser would reject
         code = main(["scan", "--config", "fig5", "--full", "--powers", "1e-300,1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 4
         err = capsys.readouterr().err
-        assert err.startswith("numerics error: tau window 80000 ns is below 4 group delays "
-                              "(6.26779e+303 ns); increase numerics.tau_span_ns to at least ")
-        assert err.endswith(", with n_omega at least 1024\n")
-        assert len(err.splitlines()) == 1
+        assert err.startswith("numerics error: no admissible grid resolves this run: ")
+        assert "above the largest accepted 2^20" in err
+        assert "(coupling power 1e-300 mW) sets this scale" in err
+        assert len(err) < 300
         assert not any(tmp_path.iterdir())
 
-    def test_weak_coupling_exits_4_suggesting_a_window(self, tmp_path, capsys):
+    def test_weak_coupling_without_admissible_grid_exits_4(self, tmp_path, capsys):
         # a finite group delay whose span in ns times n_omega passes the float
-        # range used to end in an OverflowError in the grid check, and then
-        # in the verdict that no grid resolves the run
+        # range used to end in an OverflowError in the grid check
         data = dump_config(load_preset("fig3d"))
         data["coupling"]["peak_rabi_mhz"] = 1e-150
         cfg = write_config(tmp_path, data)
         assert main(["waveform", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("numerics error: tau window 80000 ns is below 4 group delays "
-                              "(5.72958e+305 ns); increase numerics.tau_span_ns to at least ")
-        assert err.endswith(", with n_omega at least 1024\n")
+        assert err.startswith("numerics error: no admissible grid resolves this run: ")
+        assert "coupling Rabi frequency 1e-150 MHz" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("argv, code", [
