@@ -7,9 +7,15 @@ coherence-time-versus-coupling-power scan.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+try:
+    from numpy.exceptions import RankWarning
+except ImportError:  # numpy < 1.25
+    from numpy import RankWarning
 
 from .dispersion import group_delay_estimate
 from .params import CouplingField, MediumConfig
@@ -131,8 +137,16 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
             y_fit = signal[sel]
             ok = y_fit > 0
             if ok.sum() >= 8:
-                coeff = np.polyfit(t_fit[ok], np.log(y_fit[ok]), 1)
-                if coeff[0] < 0:
+                # polyfit scales each column by its norm, which overflows
+                # for tau past about 1e154 s: a fit that loses its rank so
+                # is no fit, and not a RankWarning on stderr
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RankWarning)
+                    try:
+                        coeff = np.polyfit(t_fit[ok], np.log(y_fit[ok]), 1)
+                    except RankWarning:
+                        coeff = None
+                if coeff is not None and coeff[0] < 0:
                     exp_tau = -1.0 / coeff[0]
                     resid = np.log(y_fit[ok]) - np.polyval(coeff, t_fit[ok])
                     fit_rmse = float(np.sqrt(np.mean(resid ** 2)))

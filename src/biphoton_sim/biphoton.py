@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -433,6 +431,12 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     if workers == 1:
         run_chunks(spans)
     else:
+        # imported here, not at the top: concurrent.futures pulls in logging,
+        # traceback and heapq, 6.5-11 ms of every command's start-up, and
+        # only a call with more than one worker uses them
+        import queue
+        from concurrent.futures import ThreadPoolExecutor
+
         # Workers claim chunks one at a time from a shared queue, so a worker
         # on a core the host is slowing takes fewer of them.  With one fixed
         # span per worker the call waited for the slowest core: fig5 at 2

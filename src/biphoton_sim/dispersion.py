@@ -50,9 +50,15 @@ def eit_denominator(omega, omega_c_sq, medium: MediumConfig, out=None):
     real omega when gamma13 > 0; for vanishing dephasing its zeros
     omega = +/- Omega_c/2 are the two dressed-state resonances.
     """
-    return np.subtract(omega_c_sq,
-                       4.0 * (omega + 1j * medium.gamma13) * (omega + 1j * medium.gamma12),
-                       out=out)
+    poles = 4.0 * (omega + 1j * medium.gamma13) * (omega + 1j * medium.gamma12)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(omega_c_sq), np.shape(poles)), complex)
+    # one plane at a time, in real arithmetic: a real-minus-complex subtraction
+    # would cast |Omega_c|^2 through numpy's buffers.  0 - Im, not -Im, keeps
+    # the +0 of the omega = 0 row, as the complex subtraction did
+    np.subtract(omega_c_sq, poles.real, out=out.real)
+    np.subtract(0.0, poles.imag, out=out.imag)
+    return out
 
 
 def _susceptibility(omega, recip, medium: MediumConfig, re, im, tmp):

@@ -8,6 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .textfmt import format_rows
+
 
 class GridError(ValueError):
     """Spectral grid cannot support the requested evaluation (Nyquist/span)."""
@@ -125,24 +127,16 @@ def spectrum_to_waveform(grid: SpectralGrid, spectrum: np.ndarray) -> Waveform:
     return Waveform(grid, psi)
 
 
-# rows per formatting pass: few enough that the temporary Python floats of a
-# pass stay small next to the text itself
-_CSV_BLOCK_ROWS = 1024
-
-
 def csv_text(header: str, *columns) -> str:
     """CSV text: the header line, then one row per index of the equal-length columns.
 
-    Every value is written with ``%.9g`` (nine significant digits, ``nan``
-    and ``inf`` as such), one ``%`` pass over a row template per block of rows.
+    Every value is written as ``'%.9g' % value`` would write it, byte for
+    byte: nine significant digits, trailing zeros dropped, ``-0``, ``nan``
+    and ``inf`` as such (see :mod:`biphoton_sim.textfmt`).
     """
-    table = np.column_stack(columns)
-    row = ",".join(["%.9g"] * len(columns)) + "\n"
-    parts = [header + "\n"]
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    # the table is freed before the join, which holds the text twice
+    rows = format_rows(np.column_stack(columns).astype(np.float64, copy=False))
+    return "".join([header + "\n", *rows])
 
 
 def waveform_csv_rows(wave: Waveform, cc_counts: np.ndarray) -> str:

@@ -16,6 +16,7 @@ from biphoton_sim import (
     ConfigError,
     dump_config,
     eit_absorption_loss,
+    group_delay_estimate,
     load_preset,
     parse_config,
 )
@@ -491,6 +492,25 @@ class TestCli:
         assert run.returncode == 4
         assert run.stderr.startswith("numerics error: ")
         assert len(run.stderr.splitlines()) == 1
+
+    def test_rank_deficient_tail_fit_stays_off_stderr(self, tmp_path):
+        # tau near 1e196 s overflows polyfit's column scaling; the analytic
+        # waveform used to exit 0 after a RankWarning with its source line
+        data = dump_config(load_preset("fig3d"))
+        data["coupling"]["peak_rabi_mhz"] = 1e-100
+        cfg = parse_config(json.dumps(data))
+        tau_g = group_delay_estimate(cfg.medium, cfg.coupling.peak_rabi)
+        data["numerics"] = {"n_omega": 1024, "z_panels": 64, "tau_span_ns": 4 * tau_g * 1e9}
+        path = write_config(tmp_path, data)
+        env = {**os.environ, "PYTHONWARNINGS": "default",
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "biphoton_sim.cli", "waveform",
+                              "--engine", "analytic", "--config", path,
+                              "--out", str(tmp_path / "x.csv")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0
+        assert run.stderr == ""
+        assert json.loads((tmp_path / "x.json").read_text())["method"] == "width_only"
 
     def test_formula_scan_at_zero_od_exits_0(self, tmp_path):
         # only a waveform needs the EIT linewidth; the formula scan is linear in OD

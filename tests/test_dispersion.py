@@ -69,6 +69,28 @@ def slow_q(omega, oc, medium):
     return slow_wavenumbers(om, 1.0 / eit_denominator(om, oc ** 2, medium), medium)
 
 
+@pytest.mark.parametrize("preset", ["fig3d", "fig2d", "fig3f", "fig2f"])
+def test_eit_denominator_keeps_the_bits_of_the_complex_subtraction(preset):
+    # D is written plane by plane in real arithmetic: every bit must be the
+    # one complex subtraction's, the +0 of the omega = 0 row included
+    cfg = load_preset(preset)
+    medium = cfg.medium
+    om = cfg.numerics.grid().omega[:, None]
+    z = np.linspace(0.0, medium.length / 2.0, 9)
+    oc_sq = (cfg.coupling.peak_rabi * beam_profile(cfg.coupling, z, medium.theta)) ** 2
+
+    def bits(omega, rabi_sq, **out):
+        expected = np.subtract(rabi_sq, 4.0 * (omega + 1j * medium.gamma13)
+                               * (omega + 1j * medium.gamma12))
+        got = eit_denominator(omega, rabi_sq, medium, **out)
+        return np.atleast_1d(got).view(np.uint64), np.atleast_1d(expected).view(np.uint64)
+
+    out = np.empty((len(om), len(z)), complex)
+    for got, expected in (bits(om, oc_sq), bits(om, oc_sq, out=out), bits(0.0, oc_sq[0])):
+        assert np.array_equal(got, expected)
+    assert np.array_equal(out.view(np.uint64), bits(om, oc_sq)[1])
+
+
 class TestWavenumber:
     def test_vacuum_limit(self):
         medium = make_medium(od=0.0)
