@@ -32,8 +32,8 @@ from .dispersion import (
     slow_wavenumbers,
 )
 from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
-from .params import (C_LIGHT, MAX_N_OMEGA, BeamField, CouplingField, DetectionConfig,
-                     GenerationMode, MediumConfig, beam_profile, n_omega_at_least)
+from .params import (C_LIGHT, BeamField, CouplingField, DetectionConfig, GenerationMode,
+                     MediumConfig, beam_profile)
 
 # (omega row, z node) cells of one psi_full chunk, counted over the full z
 # grid and both rows of each +-omega pair: a chunk takes
@@ -123,85 +123,76 @@ def _residual_wavevector(medium: MediumConfig, pump: BeamField,
 def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField) -> None:
     """Reject runs whose waveform has no time scale, or a grid that cannot hold it.
 
-    Every waveform passes here.  Its time scale is the group delay
-    tau_g = 2 gamma13 OD / |Omega_c|^2 and its grid's the EIT linewidth
-    1/tau_g, so the coupling and the OD must be > 0 (:class:`ConfigError`).
-    Three rules tie the grid to the run, each raising :class:`GridError`
-    with a grid that passes all three:
-
-    * the detuning edge n_omega pi / tau_span stays below the optical
-      carrier omega0, so the photon frequencies omega0 +- omega stay positive;
-    * the grid half-span covers eight linewidths;
-    * the tau window spans four group delays, so the support |tau| <= L/V_g
-      cannot wrap around the FFT window.  The suggestion keeps the tau step
-      if at most ``MAX_N_OMEGA`` points do, else takes the fewest points
-      that cover eight linewidths at the window.
-
-    A window is suggested in whole ns, rounded up, below 2^53 ns (104 days),
-    past which a double no longer holds every whole ns.  When no grid of at
-    most ``MAX_N_OMEGA`` points passes at the window kept or suggested, or
-    the window would pass 2^53 ns, the message says so and names the
-    coupling Rabi frequency and the OD, whose ratio sets the run's scales.
+    The waveform's time scale is the group delay tau_g = 2 gamma13 OD /
+    |Omega_c|^2 and its grid's the EIT linewidth 1/tau_g, so the coupling
+    and the OD must be > 0 (:class:`ConfigError`).  A grid that breaks a rule
+    of :func:`_violation` raises :class:`GridError` naming the rule and the
+    :func:`derived_window` at its own n_omega or, where no window passes,
+    saying that no admissible grid resolves the run, with the coupling Rabi
+    frequency and the OD, whose ratio sets the run's scales.
     """
     for value, where in ((coupling.peak_rabi, "coupling.peak_rabi_mhz"), (medium.od, "medium.od")):
         if value <= 0:
             raise ConfigError("must be > 0 for a waveform, whose time scale is the group delay "
                               f"2 gamma13 OD / |Omega_c|^2, got {value:g}", where)
     delay = group_delay_estimate(medium, coupling.peak_rabi)
-    needed = 8.0 / delay if delay > 0 else math.inf  # the delay underflows at a vanishing OD
-    span_needed = 4.0 * delay
-    # whole ns, rounded up; past the float range no window holds the run
-    span_ns = span_needed * 1e9
-    span_ns = math.ceil(span_ns) if math.isfinite(span_ns) else span_ns
-    tau_span = grid.tau_span
-    # the points that keep the tau step over 4 group delays, unrounded: for a
-    # weak coupling n_omega * span in ns passes the float range
-    n_step = grid.n * (span_needed / tau_span)
-
-    def points_over(window_ns: float) -> int:
-        if window_ns < 2 ** 53:
-            return _admissible(needed * window_ns * 1e-9 / np.pi, "suggested tau window",
-                               medium, coupling)
-        return _admissible(max(n_step, 2 * MAX_N_OMEGA), "tau step", medium, coupling)
-
-    if grid.omega_max >= medium.omega0:
-        bound_ns = grid.n * medium.lambda0 / (2.0 * C_LIGHT) * 1e9
-        window_ns = max(math.floor(bound_ns) + 1, span_ns)
-        n_lines = points_over(window_ns)
+    violation = _violation(grid, medium, delay)
+    if violation is None:
+        return
+    window = derived_window(grid.n, medium, coupling)
+    if window is None:
         raise GridError(
-            f"tau window {tau_span * 1e9:.6g} ns does not exceed n_omega lambda0 / 2c = "
-            f"{bound_ns:.6g} ns, where the detuning grid reaches the optical carrier; "
-            f"increase numerics.tau_span_ns to at least {window_ns}"
-            + (f", with n_omega at least {n_lines}" if n_lines > grid.n else ""))
-    if grid.omega_max < needed:
-        # unrounded first: at a vanishing OD the linewidth passes the float range
-        n_pow2 = _admissible(needed * tau_span / np.pi, "tau span", medium, coupling)
-        raise GridError(
-            f"grid half-span {grid.omega_max:.3e} rad/s is below 8 EIT linewidths "
-            f"({needed:.3e} rad/s); increase n_omega to at least {n_pow2}")
-    if tau_span < span_needed:
-        message = (f"tau window {tau_span * 1e9:.6g} ns is below 4 group delays "
-                   f"({span_needed * 1e9:.6g} ns); increase numerics.tau_span_ns to at least "
-                   f"{span_ns}")
-        if math.isfinite(span_ns) and n_step <= MAX_N_OMEGA:
-            n_pow2 = n_omega_at_least(grid.n * span_ns * 1e-9 / tau_span)
-            if n_pow2 <= MAX_N_OMEGA:
-                raise GridError(f"{message} and n_omega to at least {n_pow2} "
-                                "to keep the detuning span")
-        raise GridError(f"{message}, with n_omega at least {points_over(span_ns)}")
-
-
-def _admissible(n_omega: float, kept: str, medium: MediumConfig,
-                coupling: CouplingField) -> int:
-    """The accepted n_omega for ``n_omega`` points at the run's ``kept``, or no grid past 2^20."""
-    if n_omega > MAX_N_OMEGA:
-        raise GridError(
-            f"no admissible grid resolves this run: at its {kept} it needs n_omega of about "
-            f"2^{math.ceil(min(math.log2(n_omega), 1024.0))}, above the largest accepted 2^20; the "
-            f"coupling Rabi frequency {coupling.peak_rabi / (2e6 * math.pi):.6g} MHz "
-            f"(coupling power {coupling.power * 1e3:.6g} mW) sets this scale, with the "
+            "no admissible grid resolves this run: no tau window below 2^53 ns spans 4 group "
+            f"delays ({4.0 * delay * 1e9:.3g} ns) with 8 EIT linewidths below the optical "
+            f"carrier; the coupling Rabi frequency {coupling.peak_rabi / (2e6 * math.pi):.6g} "
+            f"MHz (coupling power {coupling.power * 1e3:.6g} mW) sets this scale, with the "
             f"optical depth {medium.od:.6g}")
-    return n_omega_at_least(n_omega)
+    raise GridError(f"{violation}; set numerics.tau_span_ns to {window} (n_omega {grid.n} kept)")
+
+
+def _violation(grid: SpectralGrid, medium: MediumConfig, delay: float) -> str | None:
+    """The first rule of :func:`check_grid` that ``grid`` breaks at group delay ``delay``.
+
+    The detuning edge n_omega pi / tau_span stays below the optical carrier
+    omega0, so the photon frequencies omega0 +- omega stay positive, and
+    covers eight EIT linewidths; the tau window spans four group delays, so
+    the support |tau| <= L/V_g cannot wrap around the FFT window.  None if
+    the grid passes all three.
+    """
+    needed = 8.0 / delay if delay > 0 else math.inf  # the delay underflows at a vanishing OD
+    if grid.omega_max >= medium.omega0:
+        return (f"tau window {grid.tau_span * 1e9:.6g} ns does not exceed n_omega lambda0 / 2c = "
+                f"{grid.n * medium.lambda0 / (2.0 * C_LIGHT) * 1e9:.6g} ns, where the detuning "
+                "grid reaches the optical carrier")
+    if grid.omega_max < needed:
+        return (f"grid half-span {grid.omega_max:.3e} rad/s is below 8 EIT linewidths "
+                f"({needed:.3e} rad/s)")
+    if grid.tau_span < 4.0 * delay:
+        return (f"tau window {grid.tau_span * 1e9:.6g} ns is below 4 group delays "
+                f"({4.0 * delay * 1e9:.6g} ns)")
+    return None
+
+
+def derived_window(n_omega: int, medium: MediumConfig, coupling: CouplingField) -> str | None:
+    """The ``numerics.tau_span_ns`` text that passes :func:`check_grid` at ``n_omega`` points.
+
+    The rules pass the windows above n lambda0 / 2c, up to n pi tau_g / 8
+    and from 4 tau_g on; for n >= 11 some do exactly when 8 / tau_g < omega0.
+    The one nearest 8 tau_g and below 2^53 ns (104 days) is given as its
+    shortest ``%g`` text that passes once parsed back (ns times 1e-9), or
+    None when no text does.
+    """
+    delay = group_delay_estimate(medium, coupling.peak_rabi)
+    # just above the carrier bound, by more than a 10-digit rounding moves it
+    carrier = n_omega * medium.lambda0 / (2.0 * C_LIGHT) * (1.0 + 1e-9)
+    window_ns = min(1e9 * max(8.0 * delay, carrier), 1e9 * n_omega * math.pi * delay / 8.0,
+                    2.0 ** 53 - 1)
+    for digits in range(1, 18):
+        text = f"{window_ns:.{digits}g}"
+        if 0 < float(text) < 2 ** 53 and _violation(
+                SpectralGrid(n_omega, float(text) * 1e-9), medium, delay) is None:
+            return text
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ selftest       oracle-equivalence and invariant suite (--json: the records)
 ``main`` loads the config once, calls the subcommand's handler and only then
 writes the CSV and its sidecar (same path, ``.json`` suffix), so a failed run
 leaves no output.  Both files are written under temporary names and renamed
-into place, so a failed write leaves neither.
+into place, so a failed write leaves neither.  An ``--out`` that is its own
+sidecar path (``x.json``) exits 2 before the config is read.
 
 Inputs are checked in two layers.  ``load_config`` checks what holds for
 every command, a non-zero coupling's EIT scales included, and ``_scan``
@@ -152,8 +153,11 @@ def _beat(cfg: RunConfig, args, threads: int):
     if itf.noise_counts > 0:
         scale = (cfg.detection.duty_cycle * cfg.detection.joint_efficiency
                  * cfg.detection.bin_width * cfg.detection.collection_time)
+        # the trace's level is its envelope's: the beat modulation may null
+        # the trace itself (a balanced splitter with no shift) without any
+        # input underflowing
+        check_level(scale * envelope, "the beat coincidence trace")
         cc = scale * g34
-        check_level(cc, "the beat coincidence trace")
         payload["visibility_with_noise"] = visibility_with_noise(
             itf.reflectance, itf.noise_counts, float(cc.max()), float(cc.min()))
     return csv_text("tau_ns,g34,envelope", wave.tau * 1e9, g34, envelope), payload
@@ -260,14 +264,17 @@ def main(argv: list[str] | None = None) -> int:
             return run_selftest(as_json=args.json)
         if args.threads < 0:
             raise ConfigError(f"must be >= 0, got {args.threads}", "--threads")
+        out = Path(args.out)
+        sidecar = out.with_suffix(".json") if out.name else out
+        if sidecar == out:
+            raise ConfigError(f"must name a CSV file apart from its .json sidecar, got "
+                              f"{args.out!r}", "--out")
         cfg = load_config(args.config)
         # an overflow reaches the output as inf or nan, which check_finite and
         # check_level reject in one line; numpy's warnings would only precede it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            text, sidecar = args.run(cfg, args, args.threads)
-        out = Path(args.out)
-        sidecar_text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-        _write_all({out: text, out.with_suffix(".json"): sidecar_text})
+            text, payload = args.run(cfg, args, args.threads)
+        _write_all({out: text, sidecar: json.dumps(payload, indent=2, sort_keys=True) + "\n"})
         return 0
     except GridError as exc:
         print(f"numerics error: {exc}", file=sys.stderr)

@@ -91,14 +91,16 @@ def visibility_with_noise(reflectance: float, cc_n: float,
     """Visibility degraded by a background of cc_n counts per bin.
 
     V = 1 / (1/V0 + 2 CC_n / (CC_max - CC_min)); never exceeds V0 and
-    decreases monotonically with the noise level.
+    decreases monotonically with the noise level.  A flat trace,
+    CC_max = CC_min, under noise has the limit V = 0.
     """
-    if cc_max <= cc_min:
-        raise ValueError(f"cc_max must exceed cc_min, got {cc_max} <= {cc_min}")
     if cc_n < 0:
         raise ValueError(f"cc_n must be >= 0, got {cc_n}")
+    if not (cc_max > cc_min or cc_max == cc_min and cc_n > 0):
+        raise ValueError(f"cc_max must exceed cc_min, or equal it under noise, got "
+                         f"{cc_max} and {cc_min}")
     v0 = visibility_ideal(reflectance)
-    if v0 == 0.0:
+    if v0 == 0.0 or cc_max == cc_min:
         return 0.0
     return 1.0 / (1.0 / v0 + 2.0 * cc_n / (cc_max - cc_min))
 

@@ -356,8 +356,12 @@ class TestCli:
                      "--engine", engine]) == 4
         err = capsys.readouterr().err
         assert err.startswith("numerics error: tau window 4000 ns is below 4 group delays")
-        assert "increase numerics.tau_span_ns to at least 90838" in err
+        assert err.endswith("; set numerics.tau_span_ns to 2e+05 (n_omega 16384 kept)\n")
         assert not (tmp_path / "x.csv").exists()
+        data["numerics"]["tau_span_ns"] = 2e5
+        cfg = write_config(tmp_path, data)
+        assert main(["waveform", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                     "--engine", engine]) == 0
 
     def test_z_panels_above_bound_exits_2_before_allocating(self, tmp_path, capsys):
         # 10^8 panels used to ask psi_full for a 8.9 GiB working array
@@ -529,7 +533,7 @@ class TestCli:
         assert code == 4
         err = capsys.readouterr().err
         assert err.startswith("numerics error: no admissible grid resolves this run: ")
-        assert "above the largest accepted 2^20" in err
+        assert "no tau window below 2^53 ns spans 4 group delays" in err
         assert "(coupling power 1e-300 mW) sets this scale" in err
         assert len(err) < 300
         assert not any(tmp_path.iterdir())
@@ -553,9 +557,9 @@ class TestCli:
     ], ids=["full", "analytic", "beat", "scan-full", "spectrum", "scan-formula"])
     def test_tau_window_reaching_the_carrier(self, tmp_path, capsys, argv, code):
         # a 1e-300 ns window puts the detuning grid past the optical carrier:
-        # every waveform exits 4 with a window that also spans 4 group delays,
-        # while the spectrum and the formula scan read no numerics.  The
-        # parser used to reject it for every command (exit 2).
+        # every waveform exits 4 with a window of about 8 group delays at the
+        # same n_omega, while the spectrum and the formula scan read no
+        # numerics.  The parser used to reject it for every command (exit 2).
         data = small_numerics(dump_config(load_preset("fig4b")), tau_span_ns=1e-300)
         cfg = write_config(tmp_path, data)
         assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "x.csv"),
@@ -564,10 +568,32 @@ class TestCli:
         if code:
             assert err == ("numerics error: tau window 1e-300 ns does not exceed n_omega "
                            "lambda0 / 2c = 0.00543096 ns, where the detuning grid reaches the "
-                           "optical carrier; increase numerics.tau_span_ns to at least 2726\n")
+                           "optical carrier; set numerics.tau_span_ns to 5e+03 (n_omega 4096 "
+                           "kept)\n")
             assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
         else:
             assert err == ""
+
+    @pytest.mark.parametrize("out", ["x.json", "."])
+    def test_out_that_is_its_own_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, out):
+        # --out x.json named the CSV and its sidecar alike: the run exited 0
+        # and wrote only the sidecar; "." has no name to give a sidecar
+        monkeypatch.chdir(tmp_path)
+        assert main(["eit-spectrum", "--config", "fig2c", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: --out: ")
+        assert not any(tmp_path.iterdir())
+
+    def test_balanced_unshifted_beat_with_noise_exits_0(self, tmp_path, capsys):
+        # full HOM suppression makes the beat trace exactly 0, which used to be
+        # taken for an underflow (exit 4); the visibility under noise is 0
+        data = small_numerics(dump_config(load_preset("fig4b")), n_omega=4096,
+                              tau_span_ns=5000.0, z_panels=64)
+        data["interferometer"].update(reflectance=0.5, shift_mhz=0.0, noise_counts=3.0)
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "x.csv"
+        assert main(["beat", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.with_suffix(".json").read_text())["visibility_with_noise"] == 0.0
 
     def test_beat_shift_above_nyquist_exits_4_with_a_workable_n_omega(self, tmp_path, capsys):
         # 1024 points over 5000 ns resolve beats below 102.4 MHz; a 150 MHz

@@ -112,8 +112,13 @@ class TestVisibility:
         assert v_hi <= v_lo + 1e-15
 
     def test_rejects_degenerate_count_range(self):
+        # a flat trace under noise has the limit 0; a reversed range, or a
+        # flat one without noise, has no visibility
+        assert visibility_with_noise(0.5, 1.0, 10.0, 10.0) == 0.0
         with pytest.raises(ValueError):
-            visibility_with_noise(0.5, 1.0, 10.0, 10.0)
+            visibility_with_noise(0.5, 1.0, 10.0, 20.0)
+        with pytest.raises(ValueError):
+            visibility_with_noise(0.5, 0.0, 10.0, 10.0)
 
 
 class TestBeatFrequency:
