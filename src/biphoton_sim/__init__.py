@@ -16,6 +16,7 @@ from .analysis import (
     cauchy_schwarz_factor,
     coherence_scan,
     extract_coherence_time,
+    measure_coherence,
 )
 from .biphoton import (
     coincidence_counts,
@@ -61,7 +62,6 @@ from .params import (
     beam_profile,
     density_prefactor,
 )
-from .reference import psi_reference
 
 __all__ = [
     "BeamField", "CoherenceReport", "ConfigError", "CouplingField",
@@ -74,8 +74,8 @@ __all__ = [
     "eit_absorption_loss", "eit_transmission", "extract_beat_frequency",
     "extract_coherence_time", "group_delay_estimate",
     "group_delay_numeric", "hom_residual_factor", "kappa", "load_config",
-    "load_preset", "parse_config",
-    "psi_analytic_exp", "psi_analytic_rect", "psi_full", "psi_reference",
+    "load_preset", "measure_coherence", "parse_config",
+    "psi_analytic_exp", "psi_analytic_rect", "psi_full",
     "psi_uniform_spectrum", "pt_mode_analysis",
     "spectrum_to_waveform", "visibility_ideal", "visibility_with_noise",
 ]

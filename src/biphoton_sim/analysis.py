@@ -1,8 +1,8 @@
 """Observable extraction from coincidence traces.
 
-Coherence-time measures (threshold width and tail-fit time constant), the
-nonclassicality factor, and the group-delay formula of the
-coherence-time-versus-coupling-power scan.
+Coherence-time measures (threshold width and tail-fit time constant) and the
+detector counts they are read from, the nonclassicality factor, and the
+group-delay formula of the coherence-time-versus-coupling-power scan.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ try:
 except ImportError:  # numpy < 1.25
     from numpy import RankWarning
 
+from .biphoton import coincidence_counts
 from .dispersion import group_delay_estimate
-from .params import CouplingField, MediumConfig
+from .grids import Waveform, check_level
+from .params import CouplingField, DetectionConfig, MediumConfig
 
 # Width threshold referenced to a smoothed envelope; fit window anchored just
 # below the post-peak shoulder, one e-fold deep.  See extract_coherence_time.
@@ -153,6 +155,20 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
 
     return CoherenceReport(e_inverse_width=float(width), exp_tau=exp_tau,
                            fit_rmse=fit_rmse)
+
+
+def measure_coherence(wave: Waveform,
+                      detection: DetectionConfig) -> tuple[np.ndarray, CoherenceReport]:
+    """The detector's coincidence counts of ``wave`` and the coherence measures read off them.
+
+    The one measurement of every coherence width the program reports.  Counts
+    not finite or peaking below a normal double raise
+    :class:`~biphoton_sim.grids.GridError` (``check_level``); a peak below 5x
+    ``detection.accidental_floor`` raises :class:`InsufficientSignalError`.
+    """
+    counts = coincidence_counts(wave, detection)
+    check_level(counts, "the coincidence trace")
+    return counts, extract_coherence_time(counts, wave.tau, floor=detection.accidental_floor)
 
 
 def cauchy_schwarz_factor(g12_max: float, g11_0: float, g22_0: float) -> float:

@@ -312,6 +312,8 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
         raise ValueError(f"z_panels must be >= 64, got {z_panels}")
     if z_panels % 2:
         raise ValueError(f"z_panels must be even for Simpson weights, got {z_panels}")
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = auto), got {threads}")
     check_grid(grid, medium, coupling)
 
     L = medium.length

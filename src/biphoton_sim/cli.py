@@ -24,7 +24,10 @@ not finite or peaking below a normal double (``check_level``) are rejected
 before anything is derived from them, as is a non-finite transmission
 and a beat shift the tau grid cannot resolve (``beat_correlation``);
 numpy's floating-point warnings are off while a handler runs, so that
-rejection is the one line on stderr.
+rejection is the one line on stderr.  Every coherence width, ``waveform``'s
+and each ``scan --full`` power's, is read off the detector's counts by
+``analysis.measure_coherence``; counts whose peak stands less than 5x above
+``detection.accidental_floor`` exit 2 naming that field.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
@@ -43,10 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import InsufficientSignalError, coherence_scan, extract_coherence_time
+from .analysis import InsufficientSignalError, coherence_scan, measure_coherence
 from .biphoton import (
     check_grid,
-    coincidence_counts,
     psi_analytic_exp,
     psi_analytic_rect,
     psi_full,
@@ -112,15 +114,9 @@ def _eit_spectrum(cfg: RunConfig, args, threads: int):
 
 def _waveform(cfg: RunConfig, args, threads: int):
     wave = _build_waveform(cfg, args.engine, threads)
-    counts = coincidence_counts(wave, cfg.detection)
-    check_level(counts, "the coincidence trace")
-    text = waveform_csv_rows(wave, counts)
-    try:
-        report = extract_coherence_time(counts, wave.tau, floor=cfg.detection.accidental_floor)
-    except InsufficientSignalError as exc:
-        raise ConfigError(str(exc), "detection.accidental_floor") from None
+    counts, report = measure_coherence(wave, cfg.detection)
     delay = group_delay_estimate(cfg.medium, cfg.coupling.peak_rabi)
-    return text, {
+    return waveform_csv_rows(wave, counts), {
         "e_inverse_width_ns": report.e_inverse_width * 1e9,
         "exp_tau_ns": None if report.exp_tau is None else report.exp_tau * 1e9,
         "fit_rmse": report.fit_rmse,
@@ -168,7 +164,7 @@ def _scan(cfg: RunConfig, args, threads: int):
     if args.powers is not None:
         field = "--powers"
         try:
-            values = [float(tok) for tok in args.powers.split(",") if tok]
+            values = [float(tok) for tok in args.powers.split(",")]
         except ValueError:
             raise ConfigError(f"must be comma-separated numbers, got {args.powers!r}",
                               field) from None
@@ -185,7 +181,7 @@ def _scan(cfg: RunConfig, args, threads: int):
 
     def full_width_ns(p) -> float:
         wave = _build_waveform(replace(cfg, coupling=p.coupling), "full", threads)
-        return extract_coherence_time(wave.intensity, wave.tau).e_inverse_width * 1e9
+        return measure_coherence(wave, cfg.detection)[1].e_inverse_width * 1e9
 
     return csv_text(
         "x_gamma13sq_over_omegac_sq,t_coh_formula_ns,t_coh_full_ns",
@@ -279,6 +275,10 @@ def main(argv: list[str] | None = None) -> int:
     except GridError as exc:
         print(f"numerics error: {exc}", file=sys.stderr)
         return 4
+    except InsufficientSignalError as exc:
+        # the floor is the one detector input that can swamp the counts
+        print(f"config error: detection.accidental_floor: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

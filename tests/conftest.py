@@ -6,9 +6,8 @@ from biphoton_sim import (
     BeamField,
     CouplingField,
     MediumConfig,
-    coincidence_counts,
-    extract_coherence_time,
     load_preset,
+    measure_coherence,
     psi_full,
 )
 
@@ -43,9 +42,7 @@ def preset_waveforms():
                         cfg.pump, cfg.coupling, cfg.mode,
                         scale=cfg.kappa_scale, threads=4)
         elapsed = time.perf_counter() - start
-        counts = coincidence_counts(wave, cfg.detection)
-        report = extract_coherence_time(counts, wave.tau,
-                                        floor=cfg.detection.accidental_floor)
+        counts, report = measure_coherence(wave, cfg.detection)
         out[name] = {"config": cfg, "wave": wave, "counts": counts,
                      "report": report, "seconds": elapsed}
     return out

@@ -9,9 +9,9 @@ from biphoton_sim import (
     SpectralGrid,
     cauchy_schwarz_factor,
     coherence_scan,
-    coincidence_counts,
     extract_coherence_time,
     load_preset,
+    measure_coherence,
     psi_full,
 )
 
@@ -99,9 +99,7 @@ def test_width_converges_as_n_omega_goes_x4(preset):
     for n_omega in (16384, 65536):
         wave = psi_full(SpectralGrid(n_omega, 80e-6), 64, cfg.medium, cfg.pump, cfg.coupling,
                         cfg.mode, scale=cfg.kappa_scale)
-        counts = coincidence_counts(wave, cfg.detection)
-        widths.append(extract_coherence_time(counts, wave.tau,
-                                             floor=cfg.detection.accidental_floor).e_inverse_width)
+        widths.append(measure_coherence(wave, cfg.detection)[1].e_inverse_width)
     assert widths[1] == pytest.approx(widths[0], rel=0.01)
 
 

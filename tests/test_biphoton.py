@@ -25,7 +25,6 @@ from biphoton_sim import (
     psi_analytic_exp,
     psi_analytic_rect,
     psi_full,
-    psi_reference,
     psi_uniform_spectrum,
     spectrum_to_waveform,
 )
@@ -33,6 +32,7 @@ from biphoton_sim import biphoton
 from biphoton_sim.cli import main
 from biphoton_sim.dispersion import eit_denominator, slow_wavenumbers
 from biphoton_sim.params import C_LIGHT, DetectionConfig, beam_profile
+from biphoton_sim.reference import psi_reference
 
 from conftest import MHZ, make_coupling, make_medium, make_pump
 
@@ -278,6 +278,12 @@ class TestPsiFull:
             psi_full(grid, 32, medium, pump, coupling, DEG)
         with pytest.raises(ValueError):
             psi_full(grid, 129, medium, pump, coupling, DEG)
+
+    def test_rejects_negative_threads(self):
+        # a negative count used to run the auto-sized pool, while the CLI exits 2
+        with pytest.raises(ValueError, match="threads must be >= 0"):
+            psi_full(small_grid(), 64, make_medium(), make_pump(), make_coupling(), DEG,
+                     threads=-3)
 
     @pytest.mark.parametrize("mode", [DEG, NONDEG], ids=["degenerate", "nondegenerate"])
     @pytest.mark.parametrize("threads", [1, 2])

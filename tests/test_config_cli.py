@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import biphoton_sim
 from biphoton_sim import (
     ConfigError,
+    coherence_scan,
     dump_config,
     eit_absorption_loss,
     group_delay_estimate,
@@ -307,6 +308,27 @@ class TestCli:
             _, formula_ns, full_ns = map(float, row.split(","))
             assert full_ns == pytest.approx(formula_ns, rel=0.10)
 
+    def test_scan_full_widths_are_the_waveform_widths(self, tmp_path):
+        # each power's t_coh_full_ns is waveform's e_inverse_width_ns at that
+        # power's coupling, written as '%.9g' writes it
+        data = small_numerics(dump_config(load_preset("fig5")), tau_span_ns=40000.0,
+                              z_panels=64)
+        cfg = parse_config(json.dumps(data))
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--config", write_config(tmp_path, data), "--full",
+                     "--powers", "2.3,1", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        points = coherence_scan([2.3e-3, 1e-3], cfg.medium, cfg.coupling)
+        assert len(rows) == len(points)
+        for row, point in zip(rows, points):
+            at_power = dump_config(dataclasses.replace(cfg, coupling=point.coupling))
+            assert parse_config(json.dumps(at_power)).coupling == point.coupling
+            wave_out = tmp_path / "wave.csv"
+            assert main(["waveform", "--config", write_config(tmp_path, at_power, "at-power.json"),
+                         "--engine", "full", "--out", str(wave_out)]) == 0
+            side = json.loads((tmp_path / "wave.json").read_text())
+            assert row.split(",")[2] == "%.9g" % side["e_inverse_width_ns"]
+
     def test_scan_rejects_single_point(self, tmp_path):
         code = main(["scan", "--config", "fig5", "--out",
                      str(tmp_path / "s.csv"), "--powers", "1.0"])
@@ -404,11 +426,15 @@ class TestCli:
          "the full engine's |psi|^2 peaks at 0, below the smallest normal double"),
         ("fig4b", ["beat"], ("detection", "collection_time_s", 1e-300),
          "the beat coincidence trace peaks at 0, below the smallest normal double"),
+        # scan --full used to read its widths off |psi|^2, without the
+        # detector, and wrote them with exit 0
+        ("fig5", ["scan", "--full", "--powers=2.3,1"], ("detection", "collection_time_s", 1e-300),
+         "the coincidence trace peaks at 0, below the smallest normal double"),
     ], ids=["length-full", "length-uniform",
             *(f"scale-{size}-{engine}" for engine in ("full", "uniform", "analytic")
               for size in ("tiny", "huge")),
             "collection-time-full", "bin-width-uniform", "collection-time-analytic",
-            "scale-tiny-beat", "collection-time-beat-noise"])
+            "scale-tiny-beat", "collection-time-beat-noise", "collection-time-scan-full"])
     def test_non_finite_waveform_exits_4_leaving_no_file(self, tmp_path, capsys, preset, argv,
                                                           patch, message):
         data = small_numerics(dump_config(load_preset(preset)))
@@ -664,6 +690,8 @@ def field_patch(section, key, value, **sections):
     (["scan"], {"scan": {"powers_mw": [1.0, 0.0]}}, "scan.powers_mw[1]"),
     (["scan", "--powers=0,1"], {}, "--powers"),
     (["scan", "--powers=a,b"], {}, "--powers"),
+    # empty items used to be dropped, and the two numbers scanned
+    (["scan", "--powers=2.3,,1,"], {}, "--powers"),
     (["scan"], {"scan": {}}, "scan.powers_mw"),
     (["scan"], {"scan": {"powers_mw": [1.0]}}, "scan.powers_mw"),
     (["scan", "--powers=1.0"], {}, "--powers"),
@@ -687,6 +715,9 @@ def field_patch(section, key, value, **sections):
     (["eit-spectrum", "--threads=-1"], {}, "--threads"),
     (["waveform", "--engine", "uniform"],
      {"detection": {**dump_config(load_preset("fig5"))["detection"], "accidental_floor": 1e9}},
+     "detection.accidental_floor"),
+    # scan --full used to ignore the floor and write its widths
+    (["scan", "--full", "--powers=2.3,1"], field_patch("detection", "accidental_floor", 1e9),
      "detection.accidental_floor"),
     (["waveform"], rabi_patch(0.0), "coupling.peak_rabi_mhz"),
     (["waveform", "--engine", "uniform"], rabi_patch(0.0), "coupling.peak_rabi_mhz"),
@@ -744,12 +775,13 @@ def field_patch(section, key, value, **sections):
     (["waveform"], {"numerics": {"tau_span_ns": -5}}, "numerics.tau_span_ns"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
+        "powers-flag-empty-item",
         "no-powers", "one-power", "one-power-flag", "powers-flag-overflow",
         "power-overflow", "scale-nan", "noise-nan",
         "n-omega-fraction", "n-omega-string", "n-omega-bool", "n-omega-infinity",
         "rabi-overflow", "unknown-section", "unknown-field",
         "threads-negative", "threads-negative-spectrum",
-        "floor-swamps-signal", "rabi-zero-full", "rabi-zero-uniform",
+        "floor-swamps-signal", "floor-swamps-scan-full", "rabi-zero-full", "rabi-zero-uniform",
         "rabi-underflow-analytic", "rabi-underflow-full", "rabi-zero-beat",
         "rabi-underflow-beat", "rabi-underflow-spectrum", "powers-flag-underflow",
         "powers-flag-abscissa-overflow", "power-underflow", "length-negative",
