@@ -12,7 +12,8 @@ selftest       oracle-equivalence and invariant suite (--json: the records)
 writes the CSV and its sidecar (same path, ``.json`` suffix), so a failed run
 leaves no output.  Both files are written under temporary names and renamed
 into place, so a failed write leaves neither.  An ``--out`` that is its own
-sidecar path (``x.json``) exits 2 before the config is read.
+sidecar path (``x.json``), or whose CSV or sidecar is the config file, exits
+2 before the config is read.
 
 Inputs are checked in two layers.  ``load_config`` checks what holds for
 every command, a non-zero coupling's EIT scales included, and ``_scan``
@@ -54,7 +55,7 @@ from .biphoton import (
     psi_full,
     psi_uniform_spectrum,
 )
-from .config import ConfigError, RunConfig, check_power_mw, load_config
+from .config import PRESET_NAMES, ConfigError, RunConfig, check_power_mw, load_config
 from .dispersion import eit_absorption_loss, eit_transmission, group_delay_estimate
 from .grids import (GridError, check_finite, check_level, csv_text, spectrum_to_waveform,
                     waveform_csv_rows)
@@ -265,6 +266,10 @@ def main(argv: list[str] | None = None) -> int:
         if sidecar == out:
             raise ConfigError(f"must name a CSV file apart from its .json sidecar, got "
                               f"{args.out!r}", "--out")
+        if args.config not in PRESET_NAMES and (
+                os.path.realpath(args.config) in map(os.path.realpath, (out, sidecar))):
+            raise ConfigError(f"must keep the CSV and its .json sidecar off the config file "
+                              f"{args.config!r}, got {args.out!r}", "--out")
         cfg = load_config(args.config)
         # an overflow reaches the output as inf or nan, which check_finite and
         # check_level reject in one line; numpy's warnings would only precede it

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from importlib import resources
 
@@ -132,9 +133,21 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+class _Object(dict):
+    """A JSON object that remembers the keys its text writes more than once."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeated = [] if len(self) == len(pairs) else [
+            key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+
+
 def _object(val, where: str, known) -> dict:
     if not isinstance(val, dict):
         raise ConfigError(f"expected an object, got {val!r}", where)
+    repeated = getattr(val, "repeated", ())  # a default such as numerics' {} has none
+    if repeated:
+        raise ConfigError("duplicate key", f"{where}.{repeated[0]}")
     for key in val:
         if key not in known:
             raise ConfigError("unknown field", f"{where}.{key}")
@@ -272,9 +285,9 @@ def check_power_mw(val, where: str, coupling: CouplingField, medium: MediumConfi
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse a JSON configuration document."""
+    """Parse a JSON configuration document; a key written twice in one object is refused."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_Object)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", "config"

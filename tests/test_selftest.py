@@ -31,3 +31,12 @@ def test_json_output_keeps_the_failure_exit_code(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out) == [
         {"module": "biphoton", "name": "always fails", "passed": False,
          "observed": None, "expected": "< 1"}]
+
+
+def test_text_output_is_one_line_per_check_and_a_summary(capsys):
+    code = cli.main(["selftest"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert len(lines) == len(ALL_CHECKS) + 1
+    assert all(line.startswith("[PASS] ") for line in lines[:-1])
+    assert lines[-1] == f"all {len(ALL_CHECKS)} checks passed"
