@@ -120,34 +120,50 @@ def _residual_wavevector(medium: MediumConfig, pump: BeamField,
     return (pump.detuning - coupling.detuning) / C_LIGHT * np.cos(medium.theta)
 
 
-def check_grid(grid: SpectralGrid, medium: MediumConfig, coupling: CouplingField) -> None:
+def check_grid(grid: SpectralGrid, medium: MediumConfig, *couplings: CouplingField) -> None:
     """Reject runs whose waveform has no time scale, or a grid that cannot hold it.
 
-    The waveform's time scale is the group delay tau_g = 2 gamma13 OD /
-    |Omega_c|^2 and its grid's the EIT linewidth 1/tau_g, so the coupling
-    and the OD must be > 0 (:class:`ConfigError`).  A grid that breaks a rule
-    of :func:`_violation` raises :class:`GridError` naming the rule and the
-    :func:`derived_window` at its own n_omega or, where no window passes,
-    saying that no admissible grid resolves the run, with the coupling Rabi
-    frequency and the OD, whose ratio sets the run's scales.
+    ``couplings`` are a run's one coupling, or the powers of a scan, which
+    share its grid.  The waveform's time scale is the group delay tau_g =
+    2 gamma13 OD / |Omega_c|^2 and its grid's the EIT linewidth 1/tau_g, so
+    each coupling and the OD must be > 0 (:class:`ConfigError`).  A grid that
+    breaks a rule of :func:`_violation` at some coupling raises
+    :class:`GridError` naming the first such rule and the
+    :func:`derived_window` that suits every coupling at the grid's own
+    n_omega.  Where no window passes, it says that no admissible grid
+    resolves the run: with the Rabi frequency and the OD, whose ratio sets
+    the scales, of a coupling that no window suits alone, or else with the
+    two couplings whose scales no one window spans.
     """
-    for value, where in ((coupling.peak_rabi, "coupling.peak_rabi_mhz"), (medium.od, "medium.od")):
+    scales = [(coupling.peak_rabi, "coupling.peak_rabi_mhz") for coupling in couplings]
+    for value, where in [*scales, (medium.od, "medium.od")]:
         if value <= 0:
             raise ConfigError("must be > 0 for a waveform, whose time scale is the group delay "
                               f"2 gamma13 OD / |Omega_c|^2, got {value:g}", where)
-    delay = group_delay_estimate(medium, coupling.peak_rabi)
-    violation = _violation(grid, medium, delay)
+    delays = [group_delay_estimate(medium, coupling.peak_rabi) for coupling in couplings]
+    violation = next(filter(None, (_violation(grid, medium, delay) for delay in delays)), None)
     if violation is None:
         return
-    window = derived_window(grid.n, medium, coupling)
-    if window is None:
-        raise GridError(
-            "no admissible grid resolves this run: no tau window below 2^53 ns spans 4 group "
-            f"delays ({4.0 * delay * 1e9:.3g} ns) with 8 EIT linewidths below the optical "
-            f"carrier; the coupling Rabi frequency {coupling.peak_rabi / (2e6 * math.pi):.6g} "
-            f"MHz (coupling power {coupling.power * 1e3:.6g} mW) sets this scale, with the "
-            f"optical depth {medium.od:.6g}")
-    raise GridError(f"{violation}; set numerics.tau_span_ns to {window} (n_omega {grid.n} kept)")
+    window = derived_window(grid.n, medium, *couplings)
+    if window is not None:
+        raise GridError(f"{violation}; set numerics.tau_span_ns to {window} "
+                        f"(n_omega {grid.n} kept)")
+    for coupling, delay in zip(couplings, delays):
+        if derived_window(grid.n, medium, coupling) is None:
+            raise GridError(
+                "no admissible grid resolves this run: no tau window below 2^53 ns spans 4 "
+                f"group delays ({4.0 * delay * 1e9:.3g} ns) with 8 EIT linewidths below the "
+                "optical carrier; the coupling Rabi frequency "
+                f"{coupling.peak_rabi / (2e6 * math.pi):.6g} MHz (coupling power "
+                f"{coupling.power * 1e3:.6g} mW) sets this scale, with the optical depth "
+                f"{medium.od:.6g}")
+    weak, strong = delays.index(max(delays)), delays.index(min(delays))
+    raise GridError(
+        f"no admissible grid resolves this run: no tau window at n_omega {grid.n} spans 4 group "
+        f"delays of coupling power {couplings[weak].power * 1e3:.6g} mW "
+        f"({4.0 * delays[weak] * 1e9:.3g} ns) and holds 8 EIT linewidths of coupling power "
+        f"{couplings[strong].power * 1e3:.6g} mW (at most "
+        f"{grid.n * math.pi * delays[strong] / 8.0 * 1e9:.3g} ns)")
 
 
 def _violation(grid: SpectralGrid, medium: MediumConfig, delay: float) -> str | None:
@@ -173,24 +189,28 @@ def _violation(grid: SpectralGrid, medium: MediumConfig, delay: float) -> str | 
     return None
 
 
-def derived_window(n_omega: int, medium: MediumConfig, coupling: CouplingField) -> str | None:
+def derived_window(n_omega: int, medium: MediumConfig, *couplings: CouplingField) -> str | None:
     """The ``numerics.tau_span_ns`` text that passes :func:`check_grid` at ``n_omega`` points.
 
-    The rules pass the windows above n lambda0 / 2c, up to n pi tau_g / 8
-    and from 4 tau_g on; for n >= 11 some do exactly when 8 / tau_g < omega0.
-    The one nearest 8 tau_g and below 2^53 ns (104 days) is given as its
-    shortest ``%g`` text that passes once parsed back (ns times 1e-9), or
-    None when no text does.
+    At one coupling the rules pass the windows above n lambda0 / 2c, up to
+    n pi tau_g / 8 and from 4 tau_g on; for n >= 11 some do exactly when
+    8 / tau_g < omega0.  At several, a window passes when it does at the
+    longest delay tau_max (the weakest coupling) and at the shortest tau_min
+    (the strongest).  The one nearest 8 tau_max, at most n pi tau_min / 8
+    and below 2^53 ns (104 days) is given as its shortest ``%g`` text that
+    passes every coupling once parsed back (ns times 1e-9), or None when no
+    text does.
     """
-    delay = group_delay_estimate(medium, coupling.peak_rabi)
+    delays = [group_delay_estimate(medium, coupling.peak_rabi) for coupling in couplings]
     # just above the carrier bound, by more than a 10-digit rounding moves it
     carrier = n_omega * medium.lambda0 / (2.0 * C_LIGHT) * (1.0 + 1e-9)
-    window_ns = min(1e9 * max(8.0 * delay, carrier), 1e9 * n_omega * math.pi * delay / 8.0,
-                    2.0 ** 53 - 1)
+    window_ns = min(1e9 * max(8.0 * max(delays), carrier),
+                    1e9 * n_omega * math.pi * min(delays) / 8.0, 2.0 ** 53 - 1)
     for digits in range(1, 18):
         text = f"{window_ns:.{digits}g}"
-        if 0 < float(text) < 2 ** 53 and _violation(
-                SpectralGrid(n_omega, float(text) * 1e-9), medium, delay) is None:
+        if 0 < float(text) < 2 ** 53 and all(
+                _violation(SpectralGrid(n_omega, float(text) * 1e-9), medium, delay) is None
+                for delay in delays):
             return text
     return None
 
@@ -399,6 +419,8 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
                 # nodes 0 .. mh: the anchor, then the mirrored panels' factors
                 w[:, 0] = factors[:, 0]
                 w[:, 1:] = factors[:, :0:-1]
+                # numpy's accumulate holds the GIL: with several workers, the
+                # two cumprod passes of a chunk run one thread at a time
                 np.cumprod(w, axis=1, out=w)
                 factors[:, 0] = w[:, mh]  # the centre, where the upper product goes on
                 # kappa is even in z and in omega

@@ -10,8 +10,10 @@ selftest       oracle-equivalence and invariant suite (--json: the records)
 
 ``main`` loads the config once, calls the subcommand's handler and only then
 writes the CSV and its sidecar (same path, ``.json`` suffix), so a failed run
-leaves no output.  Both files are written under temporary names and renamed
-into place, so a failed write leaves neither.  An ``--out`` that is its own
+leaves no output.  The handler returns the CSV as blocks that are formatted
+as they are written, so no command holds its text whole.  Both files are
+written under temporary names and renamed into place, so a write that fails,
+or a block that fails to format, leaves neither.  An ``--out`` that is its own
 sidecar path (``x.json``), or whose CSV or sidecar is the config file, exits
 2 before the config is read.
 
@@ -20,10 +22,12 @@ every command, a non-zero coupling's EIT scales included, and ``_scan``
 holds each ``--powers`` value to the same bounds through ``check_power_mw``.
 Every waveform, each engine's and each ``scan --full`` power's, is built by
 ``_build_waveform``: ``check_grid`` adds a coupling and an OD > 0 and a grid
-that can hold the waveform, then the engine runs, and a |psi|^2 or counts
-not finite or peaking below a normal double (``check_level``) are rejected
-before anything is derived from them, as is a non-finite transmission
-and a beat shift the tau grid cannot resolve (``beat_correlation``);
+that can hold the waveform (``scan --full`` first holds every power to its
+one grid, so a refusal names a window that suits them all), then the engine
+runs, and a |psi|^2 or counts not finite or peaking below a normal double
+(``check_level``) are rejected before anything is derived from them, as is a
+non-finite transmission and a beat shift the tau grid cannot resolve
+(``beat_correlation``);
 numpy's floating-point warnings are off while a handler runs, so that
 rejection is the one line on stderr.  Every coherence width, ``waveform``'s
 and each ``scan --full`` power's, is read off the detector's counts by
@@ -41,6 +45,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -93,7 +98,7 @@ def _build_waveform(cfg: RunConfig, engine: str, threads: int):
 
 
 # ---------------------------------------------------------------------------
-# Dataset handlers: (cfg, args, threads) -> (csv_text, sidecar payload)
+# Dataset handlers: (cfg, args, threads) -> (csv_text blocks, sidecar payload)
 # ---------------------------------------------------------------------------
 
 def _eit_spectrum(cfg: RunConfig, args, threads: int):
@@ -179,6 +184,10 @@ def _scan(cfg: RunConfig, args, threads: int):
         raise ConfigError(f"need at least 2 power points, got {len(powers)}", field)
 
     points = coherence_scan(powers, cfg.medium, cfg.coupling)
+    if args.full:
+        # every power on the one grid before the first kernel runs, so that a
+        # refusal costs no waveform and names a window that suits them all
+        check_grid(cfg.numerics.grid(), cfg.medium, *(p.coupling for p in points))
 
     def full_width_ns(p) -> float:
         wave = _build_waveform(replace(cfg, coupling=p.coupling), "full", threads)
@@ -230,25 +239,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_all(files: dict[Path, str]) -> None:
+def _write_all(files: dict[Path, Iterable[bytes | bytearray]]) -> None:
     """Write every file or none.
 
-    Each text goes to a temporary name in its target's directory; only when
-    all are written are they renamed into place.  An ``OSError`` removes the
-    temporaries and every file already renamed, then propagates.
+    Each file's blocks are written to a temporary name in its target's
+    directory as they arrive, so no file's text is held whole; only when all
+    are written are they renamed into place.  Any exception, from a write or
+    from the code that makes the blocks, removes the temporaries and every
+    file already renamed, then propagates.
     """
     temps: list[Path] = []
     placed: list[Path] = []
     try:
-        for path, text in files.items():
+        for path, blocks in files.items():
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with open(tmp, "x", encoding="utf-8") as fh:
+            with open(tmp, "xb") as fh:
                 temps.append(tmp)
-                fh.write(text)
+                for block in blocks:
+                    fh.write(block)
         for tmp, path in zip(temps, files):
             os.replace(tmp, path)
             placed.append(path)
-    except OSError:
+    except BaseException:
         for path in temps + placed:
             path.unlink(missing_ok=True)
         raise
@@ -274,8 +286,9 @@ def main(argv: list[str] | None = None) -> int:
         # an overflow reaches the output as inf or nan, which check_finite and
         # check_level reject in one line; numpy's warnings would only precede it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            text, payload = args.run(cfg, args, args.threads)
-        _write_all({out: text, sidecar: json.dumps(payload, indent=2, sort_keys=True) + "\n"})
+            blocks, payload = args.run(cfg, args, args.threads)
+        sidecar_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write_all({out: blocks, sidecar: [sidecar_text.encode("ascii")]})
         return 0
     except GridError as exc:
         print(f"numerics error: {exc}", file=sys.stderr)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -127,21 +129,22 @@ def spectrum_to_waveform(grid: SpectralGrid, spectrum: np.ndarray) -> Waveform:
     return Waveform(grid, psi)
 
 
-def csv_text(header: str, *columns) -> str:
-    """CSV text: the header line, then one row per index of the equal-length columns.
+def csv_text(header: str, *columns) -> Iterator[bytes | bytearray]:
+    """CSV text in ASCII blocks: the header line, then a row per index of the equal-length columns.
 
     Every value is written as ``'%.9g' % value`` would write it, byte for
     byte: nine significant digits, trailing zeros dropped, ``-0``, ``nan``
-    and ``inf`` as such (see :mod:`biphoton_sim.textfmt`).
+    and ``inf`` as such (see :mod:`biphoton_sim.textfmt`).  The rows are
+    formatted as the blocks are read, so a caller that writes each block as
+    it arrives never holds the whole text; the columns are held until then.
     """
-    # the table is freed before the join, which holds the text twice
-    rows = format_rows(np.column_stack(columns).astype(np.float64, copy=False))
-    return "".join([header + "\n", *rows])
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"columns differ in length: {[len(column) for column in columns]}")
+    return chain([f"{header}\n".encode("ascii")], format_rows(columns))
 
 
-def waveform_csv_rows(wave: Waveform, cc_counts: np.ndarray) -> str:
-    """The waveform CSV text: tau_ns, re_psi, im_psi, abs2_psi, cc_counts."""
-    if len(cc_counts) != len(wave.tau):
-        raise ValueError("cc_counts length does not match waveform")
+def waveform_csv_rows(wave: Waveform, cc_counts: np.ndarray) -> Iterator[bytes | bytearray]:
+    """The waveform CSV in :func:`csv_text` blocks: tau_ns, re_psi, im_psi, abs2_psi, cc_counts."""
     return csv_text("tau_ns,re_psi,im_psi,abs2_psi,cc_counts", wave.tau * 1e9,
                     wave.amplitude.real, wave.amplitude.imag, wave.intensity, cc_counts)

@@ -23,6 +23,7 @@ marked with a 0x01 byte and written by one Python ``%`` pass per block.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 
 import numpy as np
@@ -221,26 +222,33 @@ def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x - hi
 
 
-def format_rows(table: np.ndarray) -> list[str]:
-    """The rows of the 2-D float64 ``table`` as text, one string per block of rows.
+def format_rows(columns: list[np.ndarray]) -> Iterator[bytes | bytearray]:
+    """The rows of the equal-length float64 ``columns`` as ASCII text, one block at a time.
 
     Values are written ``%.9g``, joined by ',' and each row ended by '\\n'.
+    Each block of rows is copied from the columns as it is formatted, so
+    neither the whole table nor the whole text is ever held.
     """
-    n, m = table.shape
+    m, n = len(columns), len(columns[0])
     rows = max(1, BLOCK_VALUES // m)
     seps = np.zeros((rows, m, 2), np.uint64)
     seps[..., 1] = np.uint64(ord(",")) << _U56
     seps[:, -1, 1] = np.uint64(ord("\n")) << _U56
     seps = seps.tobytes()
-    parts = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n, rows):
-            block = np.ascontiguousarray(table[start:start + rows])
-            buf = bytearray(seps[:block.size * 16])
-            left = _format_block(block.ravel(), np.frombuffer(buf, np.uint64).reshape(-1, 2))
-            text = buf.translate(None, b"\0").decode("ascii")
-            if len(left):
-                values = ("%.9g," * len(left) % tuple(block.ravel()[left].tolist())).split(",")
-                text = "".join([x for pair in zip(text.split("\x01"), values) for x in pair])
-            parts.append(text)
-    return parts
+    table = np.empty((rows, m))
+    for start in range(0, n, rows):
+        block = table[:min(rows, n - start)]
+        for j, column in enumerate(columns):
+            block[:, j] = column[start:start + rows]
+        values = block.ravel()
+        buf = bytearray(seps[:values.size * 16])
+        # inside each block, not around the yield, which would hand the
+        # setting to the caller
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left = _format_block(values, np.frombuffer(buf, np.uint64).reshape(-1, 2))
+        text = buf.translate(None, b"\0")
+        if len(left):
+            python = ("%.9g," * len(left) % tuple(values[left].tolist())).encode("ascii")
+            text = b"".join([x for pair in zip(text.split(b"\x01"), python.split(b","))
+                             for x in pair])
+        yield text

@@ -343,13 +343,13 @@ GRID_MESSAGE = re.compile(r"no admissible grid resolves this run: .+"
                           r"set numerics\.tau_span_ns to (\S+) \(n_omega (\d+) kept\)")
 
 
-def grid_verdict(n, span_ns, medium, coupling):
+def grid_verdict(n, span_ns, medium, *couplings):
     """check_grid's message on ``n`` points over ``span_ns``, or None if the grid passes.
 
     ``span_ns`` is taken to seconds as the parser does, times 1e-9.
     """
     try:
-        biphoton.check_grid(SpectralGrid(n, span_ns * 1e-9), medium, coupling)
+        biphoton.check_grid(SpectralGrid(n, span_ns * 1e-9), medium, *couplings)
     except GridError as exc:
         return str(exc)
     return None
@@ -384,6 +384,51 @@ def test_every_grid_suggestion_is_workable():
                     assert int(kept) == n, case
                     assert grid_verdict(n, float(window), cfg.medium, coupling) is None, case
     assert seen == {None, "optical carrier", "8 EIT linewidths", "4 group delays"}
+
+
+# no window spans the weakest power's delays and the strongest's linewidths
+SCAN_REFUSAL = re.compile(r"no admissible grid resolves this run: no tau window at n_omega "
+                          r"\d+ spans 4 group delays of coupling power \S+ mW \(\S+ ns\) and "
+                          r"holds 8 EIT linewidths of coupling power \S+ mW \(at most \S+ ns\)")
+
+
+def test_every_scan_grid_suggestion_suits_every_power():
+    # a scan's powers share one grid: a failing grid is told one window at its
+    # own n_omega that passes at every power, and a scan is refused only where
+    # some power has no window alone, or 4 group delays of the weakest power
+    # exceed n pi tau_g / 8 of the strongest
+    seen = set()
+    for name in ("fig2c", "fig5"):
+        cfg = load_preset(name)
+        beams = [dataclasses.replace(cfg.coupling, peak_rabi=cfg.coupling.peak_rabi * scale)
+                 for scale in SWEEP_COUPLING]
+        beams = [beam for beam in beams if beam.peak_rabi < cfg.medium.omega0]
+        for i, weak in enumerate(beams):
+            for strong in beams[i + 1:]:
+                pair = (strong, weak)
+                delays = [group_delay_estimate(cfg.medium, b.peak_rabi) for b in pair]
+                for n in (2 ** 10, 2 ** 14, 2 ** 18):
+                    for span_ns in SWEEP_SPANS_NS:
+                        message = grid_verdict(n, span_ns, cfg.medium, *pair)
+                        case = (name, strong.peak_rabi, weak.peak_rabi, n, span_ns, message)
+                        if message is None:
+                            assert all(grid_verdict(n, span_ns, cfg.medium, b) is None
+                                       for b in pair), case
+                            continue
+                        match = GRID_MESSAGE.fullmatch(message)
+                        assert match, case
+                        if SCAN_REFUSAL.fullmatch(message):
+                            seen.add("refused together")
+                            assert 32.0 * delays[1] > n * math.pi * delays[0] * (1 - 1e-6), case
+                        elif match.group(1) is None:
+                            seen.add("refused alone")
+                            assert any(biphoton.derived_window(n, cfg.medium, b) is None
+                                       for b in pair), case
+                        else:
+                            seen.add("window")
+                            assert all(grid_verdict(n, float(match.group(2)), cfg.medium, b)
+                                       is None for b in pair), case
+    assert seen == {"window", "refused alone", "refused together"}
 
 
 def test_near_carrier_coupling_gets_a_sub_ns_window(tmp_path):

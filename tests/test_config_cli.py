@@ -14,15 +14,18 @@ from hypothesis import example, given, settings, strategies as st
 import biphoton_sim
 from biphoton_sim import (
     ConfigError,
+    cli,
     coherence_scan,
     dump_config,
     eit_absorption_loss,
+    grids,
     group_delay_estimate,
     load_preset,
     parse_config,
 )
-from biphoton_sim.cli import main
+from biphoton_sim.cli import _write_all, main
 from biphoton_sim.config import IGNORED, PRESET_NAMES, SECTIONS
+from biphoton_sim.grids import csv_text
 from biphoton_sim.params import MAX_Z_PANELS
 
 from conftest import MHZ
@@ -363,6 +366,59 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
         assert not any((tmp_path / "x.json").iterdir())
 
+    def test_block_that_fails_to_format_leaves_no_file(self, tmp_path, monkeypatch):
+        # the CSV is formatted while it is written: a failure after its first
+        # block leaves no CSV, no sidecar and no temporary file
+        format_rows = grids.format_rows
+
+        def failing(columns):
+            blocks = format_rows(columns)
+            yield next(blocks)
+            raise RuntimeError("formatter failed after one block")
+
+        monkeypatch.setattr(grids, "format_rows", failing)
+        with pytest.raises(RuntimeError, match="after one block"):
+            main(["waveform", "--engine", "uniform", "--config", "fig3d",
+                  "--out", str(tmp_path / "x.csv")])
+        assert not any(tmp_path.iterdir())
+
+    def test_write_that_fails_partway_exits_3_leaving_no_file(self, tmp_path):
+        # a 100 kB file size limit fails the CSV's write (EFBIG) after its
+        # first block; a child process, because the limit is the process's
+        script = (
+            "import resource, signal, sys\n"
+            "from biphoton_sim.cli import main\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script, "waveform", "--engine", "uniform",
+                              "--config", "fig3d", "--out", str(tmp_path / "x.csv")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 3
+        assert run.stderr.startswith("i/o error: ")
+        assert len(run.stderr.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    def test_writer_holds_a_block_not_the_text(self, tmp_path):
+        # 2^16 rows of five columns are 4.1 MB of text, which the writer used
+        # to hold at least twice over (as blocks and joined, then as the
+        # joined string and its UTF-8 bytes): a tracemalloc peak of 8.3 MB,
+        # where a block's formatting now peaks at 0.8 MB
+        rng = np.random.default_rng(5)
+        columns = [rng.standard_normal(2 ** 16) * 10.0 ** k for k in range(-2, 3)]
+        path = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            _write_all({path: csv_text("a,b,c,d,e", *columns)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4e6
+        assert peak < 1e6
+
     def test_nyquist_violation_exits_4(self, tmp_path):
         data = dump_config(load_preset("fig3d"))
         data["numerics"] = {"n_omega": 1024, "z_panels": 128,
@@ -593,16 +649,18 @@ class TestCli:
         assert "coupling Rabi frequency 1e-150 MHz" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
-    @pytest.mark.parametrize("argv, code", [
-        (["waveform"], 4), (["waveform", "--engine", "analytic"], 4), (["beat"], 4),
-        (["scan", "--full", "--powers=2.3,1"], 4),
-        (["eit-spectrum"], 0), (["scan", "--powers=2.3,1"], 0),
+    @pytest.mark.parametrize("argv, code, window", [
+        (["waveform"], 4, "5e+03"), (["waveform", "--engine", "analytic"], 4, "5e+03"),
+        (["beat"], 4, "5e+03"),
+        (["scan", "--full", "--powers=2.3,1"], 4, "1e+04"),
+        (["eit-spectrum"], 0, None), (["scan", "--powers=2.3,1"], 0, None),
     ], ids=["full", "analytic", "beat", "scan-full", "spectrum", "scan-formula"])
-    def test_tau_window_reaching_the_carrier(self, tmp_path, capsys, argv, code):
+    def test_tau_window_reaching_the_carrier(self, tmp_path, capsys, argv, code, window):
         # a 1e-300 ns window puts the detuning grid past the optical carrier:
         # every waveform exits 4 with a window of about 8 group delays at the
-        # same n_omega, while the spectrum and the formula scan read no
-        # numerics.  The parser used to reject it for every command (exit 2).
+        # same n_omega, of the weakest power for a scan, while the spectrum
+        # and the formula scan read no numerics.  The parser used to reject
+        # it for every command (exit 2).
         data = small_numerics(dump_config(load_preset("fig4b")), tau_span_ns=1e-300)
         cfg = write_config(tmp_path, data)
         assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "x.csv"),
@@ -611,8 +669,8 @@ class TestCli:
         if code:
             assert err == ("numerics error: tau window 1e-300 ns does not exceed n_omega "
                            "lambda0 / 2c = 0.00543096 ns, where the detuning grid reaches the "
-                           "optical carrier; set numerics.tau_span_ns to 5e+03 (n_omega 4096 "
-                           "kept)\n")
+                           f"optical carrier; set numerics.tau_span_ns to {window} (n_omega "
+                           "4096 kept)\n")
             assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
         else:
             assert err == ""
@@ -624,14 +682,37 @@ class TestCli:
                          *argv[1:]]) == 0
             assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "x.csv", "x.json"]
 
-    @pytest.mark.xfail(strict=True, reason="the window suits the first power's grid only: 1 mW "
-                       "needs 1e+04 ns, which a second run suggests")
     def test_scan_full_window_suggestion_suits_every_power(self, tmp_path, capsys):
         data = small_numerics(dump_config(load_preset("fig4b")), tau_span_ns=1e-300)
         argv = ["scan", "--full", "--powers=2.3,1", "--out", str(tmp_path / "x.csv"), "--config"]
         assert main([*argv, write_config(tmp_path, data)]) == 4
         data["numerics"]["tau_span_ns"] = suggested_span_ns(capsys.readouterr().err)
         assert main([*argv, write_config(tmp_path, data)]) == 0
+
+    @pytest.mark.parametrize("powers, span_ns, message", [
+        # 2.3 mW's grid passes and 1 mW's does not: the 2.3 mW waveform used to
+        # be computed before the refusal
+        ("2.3,1", 5000.0, "tau window 5000 ns is below 4 group delays (6267.79 ns); set "
+         "numerics.tau_span_ns to 1e+04 (n_omega 4096 kept)"),
+        # each power has a window of its own, but none suits both; the run
+        # used to be told 1000 mW's window, which 0.001 mW then refused
+        ("1000,0.001", 10000.0, "no admissible grid resolves this run: no tau window at "
+         "n_omega 4096 spans 4 group delays of coupling power 0.001 mW (6.27e+06 ns) and "
+         "holds 8 EIT linewidths of coupling power 1000 mW (at most 2.52e+03 ns)"),
+    ], ids=["second-power", "no-common-window"])
+    def test_scan_full_checks_every_power_before_a_kernel_runs(self, tmp_path, capsys,
+                                                               monkeypatch, powers, span_ns,
+                                                               message):
+        def kernel(*args, **kwargs):
+            raise AssertionError("a kernel ran before every power's grid was checked")
+
+        monkeypatch.setattr(cli, "psi_full", kernel)
+        cfg = write_config(tmp_path, small_numerics(dump_config(load_preset("fig4b")),
+                                                    tau_span_ns=span_ns))
+        assert main(["scan", "--full", f"--powers={powers}", "--config", cfg,
+                     "--out", str(tmp_path / "x.csv")]) == 4
+        assert capsys.readouterr().err == f"numerics error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     @pytest.mark.parametrize("out", ["x.json", "."])
     def test_out_that_is_its_own_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, out):
