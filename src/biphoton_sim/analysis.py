@@ -57,15 +57,13 @@ def _smooth(trace: np.ndarray, n: int) -> np.ndarray:
 
 
 def _width_at_threshold(taus: np.ndarray, trace: np.ndarray, threshold: float) -> float:
+    # threshold is at most the peak over e, so the peak sample is above it,
+    # and each crossing's two samples lie on opposite sides of it
     above = np.nonzero(trace >= threshold)[0]
-    if len(above) == 0:
-        return 0.0
     i0, i1 = above[0], above[-1]
 
     def interp(ia: int, ib: int) -> float:
         y0, y1 = trace[ia], trace[ib]
-        if y1 == y0:
-            return taus[ia]
         return taus[ia] + (threshold - y0) * (taus[ib] - taus[ia]) / (y1 - y0)
 
     left = interp(i0 - 1, i0) if i0 > 0 else taus[0]
@@ -90,11 +88,16 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
     shoulder (and above three times the floor), matching the quoted-constant
     convention for near-exponential decays while ignoring the late, spectrally
     filtered part of the tail.
+
+    A trace of another shape than ``taus``, with a non-finite sample, or with a
+    negative ``floor`` raises :class:`ValueError`.
     """
     cc = np.asarray(cc, dtype=float)
     taus = np.asarray(taus, dtype=float)
     if cc.shape != taus.shape:
         raise ValueError("cc and taus must have the same shape")
+    if not (finite := np.isfinite(cc)).all():
+        raise ValueError(f"cc must be finite: {np.sum(~finite)} of {cc.size} samples are not")
     if floor < 0:
         raise ValueError(f"floor must be >= 0, got {floor}")
     if floor > 0 and cc.max() < 5.0 * floor:

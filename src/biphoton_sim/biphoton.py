@@ -10,6 +10,9 @@ relative delay tau = t1 - t2.  Three evaluation routes are provided:
 * :func:`psi_analytic_rect` / :func:`psi_analytic_exp` - the group-delay
   limiting shapes (symmetric rectangle, one-sided exponential).
 
+Each route first holds its grid to :func:`check_grid`, so no route returns
+a waveform its grid cannot hold.
+
 A single real ``scale`` multiplies the parametric coupling everywhere; the
 absolute dipole prefactor is not derivable from the inputs, so waveform
 shapes and widths are the meaningful outputs and absolute count levels are
@@ -498,6 +501,7 @@ def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
     cancel inside Delta k, so absorption enters only through the common
     e^{-alpha L} magnitude of Phi.
     """
+    check_grid(grid, medium, coupling)
     om = grid.omega
     recip = 1.0 / eit_denominator(om, coupling.peak_rabi ** 2, medium)
     q1, q_mirror = slow_wavenumbers(om, recip, medium)
@@ -525,6 +529,7 @@ def psi_analytic_rect(grid: SpectralGrid, medium: MediumConfig, pump: BeamField,
     touching the support: the coherence time is protected by the exchange
     symmetry of the pair.
     """
+    check_grid(grid, medium, coupling)
     kappa0 = kappa(0.0, 0.0, medium, pump, coupling, GenerationMode.DEGENERATE, scale)
     delay = group_delay_estimate(medium, coupling.peak_rabi)
     vg = medium.length / delay
@@ -547,6 +552,7 @@ def psi_analytic_exp(grid: SpectralGrid, medium: MediumConfig,
     (larger tau) are attenuated more and the intensity decays with constant
     1/(2 alpha V_g).  The amplitude is 1 at tau = 0, whatever the pump and scale.
     """
+    check_grid(grid, medium, coupling)
     alpha = eit_absorption_loss(medium, coupling.peak_rabi) / medium.length
     vg = medium.length / group_delay_estimate(medium, coupling.peak_rabi)
     tau = grid.tau

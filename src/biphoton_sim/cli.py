@@ -21,12 +21,12 @@ Inputs are checked in two layers.  ``load_config`` checks what holds for
 every command, a non-zero coupling's EIT scales included, and ``_scan``
 holds each ``--powers`` value to the same bounds through ``check_power_mw``.
 Every waveform, each engine's and each ``scan --full`` power's, is built by
-``_build_waveform``: ``check_grid`` adds a coupling and an OD > 0 and a grid
-that can hold the waveform (``scan --full`` first holds every power to its
-one grid, so a refusal names a window that suits them all), then the engine
-runs, and a |psi|^2 or counts not finite or peaking below a normal double
-(``check_level``) are rejected before anything is derived from them, as is a
-non-finite transmission and a beat shift the tau grid cannot resolve
+``_build_waveform``: the engine first holds it to ``check_grid`` (a coupling
+and an OD > 0 and a grid that can hold the waveform; ``scan --full`` first
+holds every power to its one grid, so a refusal names a window that suits
+them all), and a |psi|^2 or counts not finite or peaking below a normal
+double (``check_level``) are rejected before anything is derived from them,
+as is a non-finite transmission and a beat shift the tau grid cannot resolve
 (``beat_correlation``);
 numpy's floating-point warnings are off while a handler runs, so that
 rejection is the one line on stderr.  Every coherence width, ``waveform``'s
@@ -90,9 +90,7 @@ ENGINES = {
 
 
 def _build_waveform(cfg: RunConfig, engine: str, threads: int):
-    grid = cfg.numerics.grid()
-    check_grid(grid, cfg.medium, cfg.coupling)
-    wave = ENGINES[engine](cfg, grid, threads)
+    wave = ENGINES[engine](cfg, cfg.numerics.grid(), threads)
     check_level(wave.intensity, f"the {engine} engine's |psi|^2")
     return wave
 

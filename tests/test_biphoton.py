@@ -431,6 +431,25 @@ def test_every_scan_grid_suggestion_suits_every_power():
     assert seen == {"window", "refused alone", "refused together"}
 
 
+@pytest.mark.parametrize("engine", [
+    lambda cfg, grid: psi_full(grid, 64, cfg.medium, cfg.pump, cfg.coupling, cfg.mode),
+    lambda cfg, grid: psi_uniform_spectrum(grid, cfg.medium, cfg.pump, cfg.coupling,
+                                           cfg.mode),
+    lambda cfg, grid: psi_analytic_rect(grid, cfg.medium, cfg.pump, cfg.coupling),
+    lambda cfg, grid: psi_analytic_exp(grid, cfg.medium, cfg.coupling),
+], ids=["full", "uniform", "analytic-rect", "analytic-exp"])
+def test_every_engine_refuses_a_window_below_4_group_delays(engine):
+    # OD 5000 gives a 45 us formula coherence time; on a 4 us window the
+    # uniform and rectangle engines returned the whole window as the
+    # width, and the exponential half of it
+    cfg = load_preset("fig3d")
+    cfg = dataclasses.replace(cfg, medium=dataclasses.replace(cfg.medium, od=5000.0))
+    with pytest.raises(GridError) as err:
+        engine(cfg, SpectralGrid(16384, 4000e-9))
+    assert str(err.value) == ("tau window 4000 ns is below 4 group delays (90837.5 ns); "
+                              "set numerics.tau_span_ns to 2e+05 (n_omega 16384 kept)")
+
+
 def test_near_carrier_coupling_gets_a_sub_ns_window(tmp_path):
     # 8 EIT linewidths of a 1.9e5 MHz coupling lie just below the carrier; each
     # rule's whole-ns fix used to send the run to the next rule and end in "no

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import biphoton_sim
 from biphoton_sim import (
     ConfigError,
+    biphoton,
     cli,
     coherence_scan,
     dump_config,
@@ -714,6 +715,24 @@ class TestCli:
         assert capsys.readouterr().err == f"numerics error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
+    def test_each_waveform_checks_its_grid_once(self, tmp_path, monkeypatch):
+        # the engine that builds a waveform checks its grid; scan --full also
+        # holds every power to the one grid before the first kernel runs
+        calls, check = [], biphoton.check_grid
+
+        def check_grid(*args):
+            calls.append(args)
+            return check(*args)
+
+        for module in (biphoton, cli):
+            monkeypatch.setattr(module, "check_grid", check_grid)
+        cfg = write_config(tmp_path, small_numerics(dump_config(load_preset("fig4b"))))
+        runs = [(["waveform", "--engine", engine], 1) for engine in cli.ENGINES]
+        for argv, expected in [*runs, (["beat"], 1), (["scan", "--full", "--powers=2.3,1"], 3)]:
+            calls.clear()
+            assert main([*argv, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+            assert len(calls) == expected, argv
+
     @pytest.mark.parametrize("out", ["x.json", "."])
     def test_out_that_is_its_own_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, out):
         # --out x.json named the CSV and its sidecar alike: the run exited 0
@@ -805,6 +824,13 @@ FIG4B_INTERFEROMETER = dump_config(load_preset("fig4b"))["interferometer"]
 def field_patch(section, key, value, **sections):
     """fig5's ``section`` with ``key`` set to ``value``."""
     return {section: {**dump_config(load_preset("fig5"))[section], key: value}, **sections}
+
+
+def without(key):
+    """fig5 at small numerics with no ``key``, as the bytes of its file."""
+    data = small_numerics(dump_config(load_preset("fig5")))
+    del data[key]
+    return json.dumps(data).encode()
 
 
 def repeated_key(preset, pair, again):
@@ -910,6 +936,8 @@ def repeated_key(preset, pair, again):
     (["eit-spectrum"], repeated_key("fig3d", '"od": 150.0', '"od": 5'), "medium.od"),
     (["eit-spectrum"], repeated_key("fig3d", '"mode": "degenerate"', '"mode": "nondegenerate"'),
      "config.mode"),
+    (["waveform"], without("mode"), "config.mode"),
+    (["waveform"], without("detection"), "config.detection"),
 ], ids=["numerics-list", "scan-number", "power-string", "scale-string",
         "tau-span-nan", "power-zero", "powers-flag-zero", "powers-flag-unparsable",
         "powers-flag-empty-item",
@@ -932,7 +960,8 @@ def repeated_key(preset, pair, again):
         "integer-too-long", "top-level-list", "invalid-json",
         "reference-power-zero", "reference-power-zero-flag", "reference-rabi-zero",
         "mode-both", "powers-empty", "powers-string", "scale-zero", "scale-negative",
-        "tau-span-negative", "duplicate-od", "duplicate-mode"])
+        "tau-span-negative", "duplicate-od", "duplicate-mode", "mode-missing",
+        "section-missing"])
 def test_malformed_config_exits_2_naming_the_field(tmp_path, capsys, argv, patch, field):
     if isinstance(patch, bytes):  # the file as written, byte for byte
         cfg = tmp_path / "cfg.json"

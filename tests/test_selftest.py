@@ -33,6 +33,17 @@ def test_json_output_keeps_the_failure_exit_code(capsys, monkeypatch):
          "observed": None, "expected": "< 1"}]
 
 
+def test_text_output_keeps_the_failure_exit_code(capsys, monkeypatch):
+    failing = CheckResult("biphoton", "always fails", False, float("inf"), "< 1")
+    monkeypatch.setattr(selftest, "ALL_CHECKS", (lambda: failing,))
+    code = cli.main(["selftest"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[FAIL] biphoton: always fails (observed inf, expected < 1)",
+        "1 of 1 checks failed:",
+        "  biphoton.always fails: observed inf, expected < 1"]
+
+
 def test_text_output_is_one_line_per_check_and_a_summary(capsys):
     code = cli.main(["selftest"])
     lines = capsys.readouterr().out.splitlines()
