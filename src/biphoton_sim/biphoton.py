@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -47,11 +48,18 @@ _CHUNK_ELEMENTS = 2 ** 16
 # With several workers each chunk holds this many times as many elements.
 # Every numpy call of a chunk hands the GIL from one worker to the other, and
 # a worker that has to wait for it leaves its core idle for a busy VM host to
-# give away: on a shared 2-core VM, fig5 at 2 threads lost three to four
-# times as much CPU time to the host as two single-threaded processes, and
-# its wall time varied accordingly.  Chunks 4x larger cut the waits from
-# about 530 to 90 per call, at the same speed.
-_SHARED_CHUNK_FACTOR = 4
+# give away.  A fresh fig5 call at 2 threads on a 2-core VM waited (voluntary
+# context switches) about 1900 times at factor 1, 550 at 2 and 200 at 4, and
+# took 0.135, 0.116 and 0.123 s (medians of 12): factor 2 keeps most of the
+# gain at half factor 4's workspace, 2.6 MB a worker at 512 panels.
+_SHARED_CHUNK_FACTOR = 2
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, and so the most workers psi_full runs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _partner_wavenumber(q_mirror, omega, mode: GenerationMode):
@@ -319,7 +327,11 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     Rows 0 .. n/2 are split into contiguous chunks of about
     ``_CHUNK_ELEMENTS`` cells (``_SHARED_CHUNK_FACTOR`` times as many when
     several workers share them), which the workers claim one at a time.
-    Each worker allocates its workspace once per call, 80 B per (row,
+    There are ``threads`` workers, or one per usable CPU at 0, and never
+    more than the CPUs the process may run on or than chunks: the calling
+    thread is one, plain threads are the others.  After a worker fails the
+    others claim no further chunk, and once all have stopped the first
+    failure is raised as it was.  Each worker allocates its workspace once per call, 80 B per (row,
     z >= 0 node) in both schemes: one half-z working array, which holds
     1/D(omega) and then the phase block of each z half of each side in
     turn, the two wavenumbers and four real planes, their scratch, which
@@ -372,7 +384,8 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     lower = weights[:, :mh + 1]
     upper = weights[:, mh:].copy()
     upper[:, 0] = 0.0
-    workers = threads if threads > 0 else min(8, os.cpu_count() or 1)
+    cpus = _usable_cpus()
+    workers = min(threads or cpus, cpus)
     cells = _CHUNK_ELEMENTS * (_SHARED_CHUNK_FACTOR if workers > 1 else 1)
     # At least two rows per chunk, and a one-row tail joins the chunk before
     # it: a one-row block would take a different BLAS path in the final
@@ -444,34 +457,41 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
             np.add(sums[0, 0, :k], sums[1, 0, :k], out=spectrum[start:stop])
 
     workers = min(workers, len(spans))
-    # one worker (threads == 1, or one chunk) runs in the calling thread:
-    # a worker thread would only add its stack and its own malloc arena
-    if workers == 1:
-        run_chunks(spans)
-    else:
-        # imported here, not at the top: concurrent.futures pulls in logging,
-        # traceback and heapq, 6.5-11 ms of every command's start-up, and
-        # only a call with more than one worker uses them
-        import queue
-        from concurrent.futures import ThreadPoolExecutor
+    # The calling thread is one worker and workers - 1 threads are the rest.
+    # Each claims one span at a time, so a worker on a core the host is
+    # slowing takes fewer of them: with one fixed span per worker, fig5 at 2
+    # threads, one worker's core shared with a busy process, took 0.98 s a
+    # call instead of 0.75 s.  After a failure no worker claims another span.
+    claims = iter(spans)
+    lock = threading.Lock()
+    failures = []
+    errors = np.geterr()
 
-        # Workers claim chunks one at a time from a shared queue, so a worker
-        # on a core the host is slowing takes fewer of them.  With one fixed
-        # span per worker the call waited for the slowest core: fig5 at 2
-        # threads, one worker's core shared with a busy process, took 0.98 s
-        # a call instead of 0.75 s.
-        claims = queue.SimpleQueue()
-        for span in [*spans, *[None] * workers]:  # one end mark per worker
-            claims.put(span)
-        errors = np.geterr()
+    def claim():
+        with lock:
+            return None if failures else next(claims, None)
 
-        def run_worker(claimed) -> None:
+    def run_worker() -> None:
+        try:
             # a new thread starts from numpy's default error handling, not the caller's
             with np.errstate(**errors):
-                run_chunks(claimed)
+                run_chunks(iter(claim, None))
+        except BaseException as exc:  # re-raised by the caller once all workers are joined
+            with lock:
+                failures.append(exc)
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_worker, [iter(claims.get, None) for _ in range(workers)]))
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=run_worker)
+            helper.start()
+            helpers.append(helper)
+        run_worker()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
 
     return spectrum_to_waveform(grid, spectrum[:n])
 

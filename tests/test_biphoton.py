@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -251,13 +254,91 @@ class TestPsiFull:
         asym = np.max(np.abs(mag[1:] - mag[1:][::-1])) / mag.max()
         assert asym < 1e-9
 
-    def test_thread_count_does_not_change_bytes(self):
+    def test_thread_count_does_not_change_bytes(self, monkeypatch):
+        monkeypatch.setattr(biphoton, "_usable_cpus", lambda: 3)  # three workers on any host
         medium = make_medium()
         pump, coupling = make_pump(), make_coupling()
         grid = small_grid(n=2 ** 9)
         serial = psi_full(grid, 128, medium, pump, coupling, DEG, threads=1)
         threaded = psi_full(grid, 128, medium, pump, coupling, DEG, threads=3)
         assert np.all(serial.amplitude == threaded.amplitude)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_more_workers_than_usable_cpus(self, monkeypatch, cpus):
+        # 16 or more chunks, so only the CPU set caps the 8 workers asked for
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", 16 * 2 * 129)
+        started = []
+        start = threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        psi_full(small_grid(), 128, make_medium(), make_pump(), make_coupling(), DEG, threads=8)
+        assert len(started) == cpus - 1
+
+    def test_every_chunk_claimed_once_under_contention(self, monkeypatch):
+        # eight workers on 128 two-row chunks, switching threads every
+        # microsecond: a chunk claimed twice adds a call, one left out leaves
+        # its rows unwritten
+        medium, pump, coupling = make_medium(), make_pump(), make_coupling()
+        grid = small_grid()
+        serial = psi_full(grid, 128, medium, pump, coupling, DEG, threads=1)
+        monkeypatch.setattr(biphoton, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", 2 * 129)
+        firsts = []
+
+        def denominator(omega, *args, **kwargs):
+            firsts.append(omega[0, 0])
+            return eit_denominator(omega, *args, **kwargs)
+
+        monkeypatch.setattr(biphoton, "eit_denominator", denominator)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = psi_full(grid, 128, medium, pump, coupling, DEG, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(firsts) == list(grid.omega[0:256:2])
+        assert np.all(serial.amplitude == threaded.amplitude)
+
+    @pytest.mark.parametrize("failing", ["started-thread", "caller"])
+    def test_worker_failure_is_reraised_after_every_worker_stops(self, monkeypatch, failing):
+        # Two workers over 8 chunks of 32 rows, one eit_denominator call a
+        # chunk.  Both workers' first calls meet, so each holds a chunk; then
+        # the failing worker's call raises, and the other worker ends its
+        # chunk after the failure is recorded (the caller joins the started
+        # thread; the started thread waits for the GIL the failing caller
+        # holds), so it may claim no other.
+        monkeypatch.setattr(biphoton, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", 16 * 2 * 129)
+        caller = threading.current_thread()
+        meet = threading.Barrier(2, timeout=60)
+        calls, raised = [], []
+
+        def denominator(*args, **kwargs):
+            me = threading.current_thread()
+            calls.append(me)
+            if calls.count(me) == 1:
+                meet.wait()
+                if (me is caller) == (failing == "caller"):
+                    raised.append(ZeroDivisionError(f"{failing} fails"))
+                    raise raised[0]
+                if me is caller:
+                    next(thread for thread in calls if thread is not caller).join(timeout=60)
+            return eit_denominator(*args, **kwargs)
+
+        monkeypatch.setattr(biphoton, "eit_denominator", denominator)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match=f"^{failing} fails$") as err:
+            psi_full(small_grid(), 128, make_medium(), make_pump(), make_coupling(), DEG,
+                     threads=2)
+        assert err.value is raised[0]
+        assert threading.active_count() == before
+        assert len(calls) == 2 and len(set(calls)) == 2
 
     def test_nyquist_violation_raises_with_suggestion(self):
         medium = make_medium()
@@ -286,21 +367,25 @@ class TestPsiFull:
                      threads=-3)
 
     @pytest.mark.parametrize("mode", [DEG, NONDEG], ids=["degenerate", "nondegenerate"])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_working_set_stays_small(self, monkeypatch, mode, threads):
+    @pytest.mark.parametrize("threads, cells", [(1, 2 ** 18), (2, 2 ** 18), (2, None)],
+                             ids=["1", "2", "2-default-chunks"])
+    def test_working_set_stays_small(self, monkeypatch, mode, threads, cells):
         # numpy reports its data buffers to tracemalloc.  Each worker holds
         # 80 B per (row, z >= 0 node) in both schemes, and the peak adds the
         # spectrum and less than 1 MB per worker of numpy's iterator buffers
         # and small arrays.  A full-z working array would add 32 B per cell,
         # 2.1 MB per worker with chunks of 510 rows, four times the default,
-        # at which the workspace outweighs the buffers.
-        monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", 2 ** 18)
-        monkeypatch.setattr(biphoton, "_SHARED_CHUNK_FACTOR", 1)
+        # at which the workspace outweighs the buffers.  At the default chunk
+        # size two workers each hold a 2^17-cell chunk's workspace.
+        monkeypatch.setattr(biphoton, "_usable_cpus", lambda: 2)
+        if cells:
+            monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", cells)
+            monkeypatch.setattr(biphoton, "_SHARED_CHUNK_FACTOR", 1)
         medium = make_medium()
         pump, coupling = make_pump(), make_coupling()
         grid = SpectralGrid(2 ** 12, 40e-6)
         m = 256
-        rows = biphoton._CHUNK_ELEMENTS // (2 * (m + 1))
+        rows = (cells or 2 ** 17) // (2 * (m + 1))
         assert 2 * rows < grid.n // 2 + 1  # each worker runs a full chunk
         bound = (80 * rows * (m // 2 + 1) + 1e6) * threads + 16 * (grid.n + 1)
         tracemalloc.start()
@@ -678,16 +763,18 @@ class TestPsiFullMirrorEvaluation:
     @pytest.mark.parametrize("threads", [1, 3])
     def test_any_chunking_matches_direct_evaluation(self, case, monkeypatch, pairs, threads):
         grid, medium, pump, coupling, mode, direct, reference = case
+        monkeypatch.setattr(biphoton, "_usable_cpus", lambda: 3)  # three workers on any host
         monkeypatch.setattr(biphoton, "_CHUNK_ELEMENTS", pairs * 2 * (self.M + 1))
         spectrum = psi_full_spectrum(monkeypatch, grid, self.M, medium, pump,
                                      coupling, mode, threads=threads)
         assert_kernel_contract(spectrum, direct, reference)
 
     def test_default_chunks_on_two_threads(self, case, monkeypatch):
-        # with two workers a default chunk holds 1016 row pairs at M = 128, so
+        # with two workers a default chunk holds 508 row pairs at M = 128, so
         # on a grid of 2 ** 11 rows (rows 0 .. n/2 are 1025) the workers
-        # claim a full chunk and a short one
+        # claim two full chunks and a short one
         _, medium, pump, coupling, mode, _, _ = case
+        monkeypatch.setattr(biphoton, "_usable_cpus", lambda: 2)  # two workers on any host
         grid = small_grid(n=2 ** 11)
         cells = biphoton._SHARED_CHUNK_FACTOR * biphoton._CHUNK_ELEMENTS
         assert cells // (2 * (self.M + 1)) < grid.n // 2 + 1

@@ -240,7 +240,8 @@ class TestCli:
         assert f'  "method": "{method}"\n' in text
         assert (json.loads(text)["exp_tau_ns"] is None) == (method == "width_only")
 
-    def test_waveform_deterministic_across_threads(self, tmp_path):
+    def test_waveform_deterministic_across_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(biphoton, "_usable_cpus", lambda: 3)  # three workers on any host
         data = small_numerics(dump_config(load_preset("fig3d")))
         cfg = write_config(tmp_path, data)
         outs = []
@@ -250,6 +251,23 @@ class TestCli:
                          "--threads", threads]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_scan_full_on_two_threads_imports_no_executor(self, tmp_path):
+        # the workers are plain threads: concurrent.futures, with the logging
+        # it pulls in, and queue cost a multi-worker command 6-7 ms of imports
+        cfg = write_config(tmp_path, small_numerics(dump_config(load_preset("fig5")),
+                                                    z_panels=64))
+        argv = ["scan", "--full", "--config", cfg, "--out", str(tmp_path / "scan.csv"),
+                "--threads", "2"]
+        code = ("import sys\nfrom biphoton_sim.cli import main\n"
+                f"print(main({argv!r}), *(name for name in "
+                "('concurrent.futures', 'logging', 'queue') if name in sys.modules))")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["0"]
 
     def test_beat_outputs_and_sidecar(self, tmp_path):
         data = small_numerics(dump_config(load_preset("fig4b")))
