@@ -15,10 +15,11 @@ uint64 words computed with numpy, whose unused bytes are NUL:
     byte 15       ',' or '\\n'
 
 A zero is "0" in byte 1, after its sign.
-One ``bytearray.translate`` per block deletes the NULs.  Values whose text
-the tables do not hold (non-finite values, exponents of three digits) or
-whose rounding the float arithmetic cannot settle (see ``_round_odd``) are
-marked with a 0x01 byte and written by one Python ``%`` pass per block.
+One ``bytearray.translate`` per block deletes the NULs.  Python writes
+every value the tables cannot settle: non-finite values, exponents of three
+digits, and near-ties, whose rounding the float arithmetic cannot decide.
+Their records are marked with a 0x01 byte and filled by one Python ``%``
+pass per block.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ BLOCK_VALUES = 4096
 _E0 = 330                # the table row of decimal exponent e is e + _E0
 _ROWS = _E0 + 310        # log10 of inf is clamped to the last row
 _E_MAX = 99              # a larger |e| takes three exponent digits: Python writes it
-_EXACT_ROWS = (_E0 - 14, _E0 + 8)   # rows whose 10**(8 - e) is an exact double
 # y = |v| * 10**(8 - e) carries at most two roundings, 2**-52 * 10**9 < 2.3e-7;
 # farther than this from a half-integer, rint(y) is the correctly rounded s
 _TIE_MARGIN = 1e-6
@@ -126,9 +126,9 @@ def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = np.subtract(y, r, out=y)
     np.abs(d, out=d)
     # a near-tie, or nan: from nan and inf (row 0 and the last), and from a
-    # power of ten not held
-    odd = np.flatnonzero(~(d < 0.5 - _TIE_MARGIN))
-    left = _round_odd(v, row, r, odd) if len(odd) else odd
+    # power of ten not held; Python writes them, over a valid placeholder
+    left = np.flatnonzero(~(d < 0.5 - _TIE_MARGIN))
+    r[left] = 1e8
     if r.max() >= 1e9:                # rounded up to 10**9: the next decade
         carry = r >= 1e9
         r[carry] = 1e8
@@ -183,43 +183,6 @@ def _write_records(v: np.ndarray, row: np.ndarray, digits: np.ndarray, last: np.
     lo |= hi
     lo |= t["TAIL"][row]
     out[..., 1] |= lo
-
-
-def _round_odd(v: np.ndarray, row: np.ndarray, r: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Settle the significands ``r`` at the flat indices ``odd``; return those left to Python.
-
-    Where 10**(8 - e) is an exact double, y = fl(|v| 10**(8 - e)) carries
-    one rounding: unless y is a half-integer, rint(y) is correctly rounded,
-    and if it is one, the exact error of the product (Dekker) tells on which
-    side of the tie |v| lies; an exact tie keeps rint's even neighbour, as
-    ``%`` does.  Every other odd value goes to Python; its significand is set
-    to a valid one.
-    """
-    exact = (row[odd] >= _EXACT_ROWS[0]) & (row[odd] <= _EXACT_ROWS[1])
-    ties = odd[exact]
-    a = np.abs(v[ties])
-    p = _tables()["POW10"][row[ties]]
-    y = a * p
-    d = y - r[ties]
-    err = _product_error(a, p, y)
-    r[ties] += ((d == 0.5) & (err > 0)).view(np.int8) - ((d == -0.5) & (err < 0)).view(np.int8)
-    left = odd[~exact]
-    r[left] = 1e8
-    return left
-
-
-def _product_error(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a * b - p exactly, for p = fl(a * b) with no overflow or underflow (Dekker)."""
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
-    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp's split of x into two halves of at most 26 significant bits."""
-    c = 134217729.0 * x               # 2**27 + 1
-    hi = c - (c - x)
-    return hi, x - hi
 
 
 def format_rows(columns: list[np.ndarray]) -> Iterator[bytes | bytearray]:

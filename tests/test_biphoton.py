@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -31,7 +33,7 @@ from biphoton_sim import (
     psi_uniform_spectrum,
     spectrum_to_waveform,
 )
-from biphoton_sim import biphoton
+from biphoton_sim import biphoton, reference
 from biphoton_sim.cli import main
 from biphoton_sim.dispersion import eit_denominator, slow_wavenumbers
 from biphoton_sim.params import C_LIGHT, DetectionConfig, beam_profile
@@ -601,6 +603,21 @@ def test_psi_full_matches_the_oracle_across_the_input_domain(draw):
     ref, finer = (psi_reference(grid, z, *inputs).amplitude for z in (257, 513))
     assert (np.linalg.norm(full - ref)
             <= 2.0 * np.linalg.norm(ref - finer) + 1e-9 * np.linalg.norm(ref))
+
+
+def test_the_oracle_imports_no_production_formula():
+    # the oracle is independent only while it takes nothing from the package
+    # but the grid and the parameter containers
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(reference))):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["biphoton_sim" * bool(node.level), node.module]))
+            names.update(f"{module}.{a.name}" for a in node.names)
+    package = {(name + ".").split(".")[1] for name in names
+               if name.split(".")[0] == "biphoton_sim"}
+    assert package <= {"grids", "params"}, package
 
 
 def direct_spectrum(grid, m, medium, pump, coupling, mode):
