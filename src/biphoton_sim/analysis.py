@@ -20,7 +20,7 @@ except ImportError:  # numpy < 1.25
 from .biphoton import coincidence_counts
 from .dispersion import group_delay_estimate
 from .grids import Waveform, check_level
-from .params import CouplingField, DetectionConfig, MediumConfig
+from .params import CouplingField, DetectionConfig, MediumConfig, check_range
 
 # Width threshold referenced to a smoothed envelope; fit window anchored just
 # below the post-peak shoulder, one e-fold deep.  See extract_coherence_time.
@@ -89,17 +89,18 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
     convention for near-exponential decays while ignoring the late, spectrally
     filtered part of the tail.
 
-    A trace of another shape than ``taus``, with a non-finite sample, or with a
-    negative ``floor`` raises :class:`ValueError`.
+    A trace of another shape than ``taus``, of fewer than two samples or with
+    a non-finite sample, or a ``floor`` not >= 0, raises :class:`ValueError`.
     """
     cc = np.asarray(cc, dtype=float)
     taus = np.asarray(taus, dtype=float)
     if cc.shape != taus.shape:
         raise ValueError("cc and taus must have the same shape")
+    if cc.size < 2:
+        raise ValueError("need at least two samples")
     if not (finite := np.isfinite(cc)).all():
         raise ValueError(f"cc must be finite: {np.sum(~finite)} of {cc.size} samples are not")
-    if floor < 0:
-        raise ValueError(f"floor must be >= 0, got {floor}")
+    check_range("floor", floor, ">= 0")
     if floor > 0 and cc.max() < 5.0 * floor:
         raise InsufficientSignalError(
             f"peak {cc.max():.3g} is below 5x floor ({5.0 * floor:.3g})")
@@ -176,8 +177,8 @@ def measure_coherence(wave: Waveform,
 
 def cauchy_schwarz_factor(g12_max: float, g11_0: float, g22_0: float) -> float:
     """Nonclassicality factor g12_max^2 / (g11(0) g22(0)); above 1 is nonclassical."""
-    if g11_0 <= 0 or g22_0 <= 0:
-        raise ValueError("autocorrelations must be > 0")
+    check_range("g11_0", g11_0, "> 0")
+    check_range("g22_0", g22_0, "> 0")
     return g12_max ** 2 / (g11_0 * g22_0)
 
 

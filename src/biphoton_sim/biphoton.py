@@ -37,7 +37,7 @@ from .dispersion import (
 )
 from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
 from .params import (C_LIGHT, BeamField, CouplingField, DetectionConfig, GenerationMode,
-                     MediumConfig, beam_profile)
+                     MediumConfig, beam_profile, check_range)
 
 # (omega row, z node) cells of one psi_full chunk, counted over the full z
 # grid and both rows of each +-omega pair: a chunk takes
@@ -341,14 +341,11 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     Results are deterministic and independent of
     ``threads`` and of the chunk size: every row is evaluated the same way
     whichever worker and chunk runs it, and its outputs land in disjoint
-    slices of the spectrum.
+    slices of the spectrum.  An odd ``z_panels`` or one outside [64, 2^16], or
+    ``threads`` < 0, raises :class:`~biphoton_sim.params.RangeError` up front.
     """
-    if z_panels < 64:
-        raise ValueError(f"z_panels must be >= 64, got {z_panels}")
-    if z_panels % 2:
-        raise ValueError(f"z_panels must be even for Simpson weights, got {z_panels}")
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 = auto), got {threads}")
+    check_range("z_panels", z_panels, "an even count in [64, 2^16]")
+    check_range("threads", threads, ">= 0")
     check_grid(grid, medium, coupling)
 
     L = medium.length

@@ -266,10 +266,10 @@ def _build(data) -> RunConfig:
 def check_power_mw(val, where: str, coupling: CouplingField, medium: MediumConfig) -> float:
     """A scan coupling power given in mW, returned in W, checked with the beam it gives.
 
-    The power must be finite and > 0 in W (the Rabi scaling takes its root),
-    and the Rabi frequency of ``coupling.at_power`` is held to
-    :func:`_check_eit_scales`, as a configured one is, since the scan
-    divides by its square.
+    The power must be finite and > 0 in W, checked before ``coupling.at_power``
+    so that the RangeError it may raise names a field of the configured beam.
+    The Rabi frequency it gives is held to :func:`_check_eit_scales`, as a
+    configured one is, since the scan divides by its square.
     """
     power = _finite(val, where) * 1e-3
     if power <= 0:

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .params import C_LIGHT, MediumConfig, density_prefactor
+from .params import C_LIGHT, MediumConfig, check_range, density_prefactor
 
 
 class PTRegime(Enum):
@@ -165,9 +165,8 @@ def eit_transmission(omega_grid, omega_c: float, medium: MediumConfig):
 
 
 def group_delay_estimate(medium: MediumConfig, omega_c: float) -> float:
-    """EIT group delay L/V_g ~ (2 gamma13 / |Omega_c|^2) OD, in seconds."""
-    if omega_c <= 0:
-        raise ValueError("omega_c must be > 0 (zero coupling means infinite delay)")
+    """EIT group delay L/V_g ~ (2 gamma13 / |Omega_c|^2) OD, in seconds, for ``omega_c`` > 0."""
+    check_range("omega_c", omega_c, "> 0")  # zero coupling means infinite delay
     return 2.0 * medium.gamma13 * medium.od / omega_c ** 2
 
 
@@ -189,10 +188,9 @@ def eit_absorption_loss(medium: MediumConfig, omega_c: float) -> float:
     alpha L = 2 OD gamma12 gamma13 / (|Omega_c|^2 + 4 gamma12 gamma13)
 
     This equals Im k1(0) * L; the on-resonance intensity transmission is
-    exp(-2 alpha L).
+    exp(-2 alpha L).  ``omega_c`` must be >= 0.
     """
-    if omega_c < 0:
-        raise ValueError(f"omega_c must be >= 0, got {omega_c}")
+    check_range("omega_c", omega_c, ">= 0")
     return (2.0 * medium.od * medium.gamma12 * medium.gamma13
             / (omega_c ** 2 + 4.0 * medium.gamma12 * medium.gamma13))
 
@@ -206,8 +204,8 @@ def pt_mode_analysis(alpha: float, kappa: float) -> PTModeResult:
     other), for kappa^2 < alpha^2 they are imaginary (broken regime), and at
     kappa^2 = alpha^2 they coalesce at zero (exceptional point).
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    check_range("alpha", alpha, ">= 0")
+    check_range("kappa", kappa, "finite")
     disc = kappa * kappa - alpha * alpha
     if disc > 0:
         lam = complex(np.sqrt(disc), 0.0)

@@ -10,6 +10,7 @@ from itertools import chain
 
 import numpy as np
 
+from .params import check_ranges
 from .textfmt import format_rows
 
 
@@ -33,10 +34,7 @@ class SpectralGrid:
     tau_span: float  # s
 
     def __post_init__(self) -> None:
-        if self.n < 2 or self.n & (self.n - 1) != 0:
-            raise ValueError(f"grid length must be a power of two >= 2, got {self.n}")
-        if not (math.isfinite(self.tau_span) and self.tau_span > 0):
-            raise ValueError(f"tau_span must be finite and > 0, got {self.tau_span}")
+        check_ranges(self, n="a power of two >= 2", tau_span="finite and > 0")
 
     @property
     def d_omega(self) -> float:

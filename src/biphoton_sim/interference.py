@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridError, Waveform
-from .params import MAX_N_OMEGA, check_ranges, n_omega_at_least
+from .params import MAX_N_OMEGA, check_range, check_ranges, n_omega_at_least
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def beat_correlation(psi0: Waveform, cfg: InterferometerConfig) -> np.ndarray:
 
 def visibility_ideal(reflectance: float) -> float:
     """Noise-free beat visibility V0 = 2 R (1-R) / (R^2 + (1-R)^2); 1 at R = 1/2."""
-    if not 0.0 <= reflectance <= 1.0:
-        raise ValueError(f"reflectance must be in [0, 1], got {reflectance}")
+    check_range("reflectance", reflectance, "in [0, 1]")
     r = reflectance
     return 2.0 * r * (1.0 - r) / (r ** 2 + (1.0 - r) ** 2)
 
@@ -94,8 +93,7 @@ def visibility_with_noise(reflectance: float, cc_n: float,
     decreases monotonically with the noise level.  A flat trace,
     CC_max = CC_min, under noise has the limit V = 0.
     """
-    if cc_n < 0:
-        raise ValueError(f"cc_n must be >= 0, got {cc_n}")
+    check_range("cc_n", cc_n, ">= 0")
     if not (cc_max > cc_min or cc_max == cc_min and cc_n > 0):
         raise ValueError(f"cc_max must exceed cc_min, or equal it under noise, got "
                          f"{cc_max} and {cc_min}")
@@ -107,8 +105,7 @@ def visibility_with_noise(reflectance: float, cc_n: float,
 
 def hom_residual_factor(reflectance: float) -> float:
     """Coincidence fraction surviving at zero shift: (2R - 1)^2."""
-    if not 0.0 <= reflectance <= 1.0:
-        raise ValueError(f"reflectance must be in [0, 1], got {reflectance}")
+    check_range("reflectance", reflectance, "in [0, 1]")
     return (2.0 * reflectance - 1.0) ** 2
 
 

@@ -42,13 +42,17 @@ MIN_N_OMEGA, MAX_N_OMEGA = 2 ** 10, 2 ** 20
 # running phase product over the panels (about z_panels * 2.2e-16) takes over.
 MAX_Z_PANELS = 2 ** 16
 
-# the ranges of the configuration fields, each stated once, with its test
+# the ranges of the configuration fields and the library's numeric arguments,
+# each stated once, with its test: a comparison, so nan is outside every range
 _RANGES = {
+    "finite": lambda v: -math.inf < v < math.inf,
+    "finite and > 0": lambda v: 0 < v < math.inf,
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     ">= 0 and below a right angle": lambda v: 0.0 <= v < math.pi / 2,
+    "a power of two >= 2": lambda v: v >= 2 and not v & (v - 1),
     "a power of two in [2^10, 2^20]": lambda v: MIN_N_OMEGA <= v <= MAX_N_OMEGA and not v & (v - 1),
     "an even count in [64, 2^16]": lambda v: 64 <= v <= MAX_Z_PANELS and v % 2 == 0,
 }
@@ -59,12 +63,16 @@ def n_omega_at_least(x: float) -> int:
     return max(MIN_N_OMEGA, 1 << max(math.ceil(math.log2(x)), 0))
 
 
+def check_range(name: str, value, rule: str) -> None:
+    """Raise RangeError, ``<name> must be <rule>, got <value>``, for a value outside its rule."""
+    if not _RANGES[rule](value):
+        raise RangeError(name, f"must be {rule}", value)
+
+
 def check_ranges(obj, **ranges: str) -> None:
     """Raise RangeError for the first named field of ``obj`` outside its range."""
-    for attr, rng in ranges.items():
-        value = getattr(obj, attr)
-        if not _RANGES[rng](value):
-            raise RangeError(attr, f"must be {rng}", value)
+    for attr, rule in ranges.items():
+        check_range(attr, getattr(obj, attr), rule)
 
 
 @dataclass(frozen=True)
@@ -131,15 +139,15 @@ class CouplingField(BeamField):
         check_ranges(self, power=">= 0", peak_rabi=">= 0")
 
     def at_power(self, power: float) -> CouplingField:
-        """This beam driven at ``power`` > 0 instead, at the same waist.
+        """This beam driven at a finite ``power`` > 0 instead, at the same waist.
 
         The Rabi frequency of a Gaussian beam obeys Omega ~ sqrt(P) / w0
         (from Omega = mu E / hbar with peak intensity I0 = 2P/(pi w0^2)); at a
-        fixed waist Omega = peak_rabi sqrt(power / self.power).  This beam's
-        zero power or Rabi frequency raises :class:`RangeError` naming it.
+        fixed waist Omega = peak_rabi sqrt(power / self.power).  Any other
+        ``power``, or this beam's zero power or Rabi frequency, raises
+        :class:`RangeError` with ``attr`` "power" or "peak_rabi".
         """
-        if not power > 0:
-            raise ValueError(f"the power to scale to must be > 0, got {power}")
+        check_range("power", power, "finite and > 0")
         check_ranges(self, power="> 0", peak_rabi="> 0")
         return replace(self, power=power,
                        peak_rabi=self.peak_rabi * math.sqrt(power / self.power))

@@ -14,6 +14,7 @@ from biphoton_sim import (
     eit_absorption_loss,
     extract_beat_frequency,
     extract_coherence_time,
+    group_delay_estimate,
     hom_residual_factor,
     load_preset,
     measure_coherence,
@@ -152,19 +153,36 @@ def test_loss_sweep_shortens_only_the_nondegenerate_width(preset):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: extract_coherence_time(np.ones(3), np.ones(4)), "same shape"),
+    (lambda: extract_coherence_time(np.ones(0), np.ones(0)), "^need at least two samples$"),
+    (lambda: extract_coherence_time(np.ones(1), np.ones(1)), "^need at least two samples$"),
     (lambda: extract_coherence_time(np.ones(3), np.arange(3.0), floor=-1.0),
      "floor must be >= 0"),
-    (lambda: cauchy_schwarz_factor(30.0, 0.0, 2.0), "autocorrelations must be > 0"),
+    (lambda: extract_coherence_time(np.ones(3), np.arange(3.0), floor=math.nan),
+     "^floor must be >= 0, got nan$"),
+    (lambda: cauchy_schwarz_factor(30.0, 0.0, 2.0), "^g11_0 must be > 0, got 0.0$"),
+    (lambda: cauchy_schwarz_factor(30.0, math.nan, 2.0), "^g11_0 must be > 0, got nan$"),
     (lambda: eit_absorption_loss(make_medium(), -1.0), "omega_c must be >= 0"),
+    (lambda: eit_absorption_loss(make_medium(), math.nan), "^omega_c must be >= 0, got nan$"),
+    (lambda: group_delay_estimate(make_medium(), math.nan), "^omega_c must be > 0, got nan$"),
     (lambda: pt_mode_analysis(-1.0, 1.0), "alpha must be >= 0"),
+    (lambda: pt_mode_analysis(math.nan, 1.0), "^alpha must be >= 0, got nan$"),
+    (lambda: pt_mode_analysis(1.0, math.nan), "^kappa must be finite, got nan$"),
     (lambda: visibility_ideal(1.5), r"reflectance must be in \[0, 1\]"),
+    (lambda: visibility_ideal(math.nan), r"^reflectance must be in \[0, 1\], got nan$"),
     (lambda: visibility_with_noise(0.5, -1.0, 2.0, 1.0), "cc_n must be >= 0"),
+    (lambda: visibility_with_noise(0.5, math.nan, 2.0, 1.0), "^cc_n must be >= 0, got nan$"),
     (lambda: hom_residual_factor(-0.5), r"reflectance must be in \[0, 1\]"),
+    (lambda: hom_residual_factor(math.nan), r"^reflectance must be in \[0, 1\], got nan$"),
     (lambda: extract_beat_frequency(np.zeros(1), np.zeros(1), np.zeros(1), 0.5),
      "need at least two samples"),
-], ids=["trace-shape", "floor-negative", "autocorrelation-zero", "rabi-negative",
-        "alpha-negative", "visibility-reflectance", "noise-negative", "hom-reflectance",
-        "beat-one-sample"])
+    (lambda: SpectralGrid(1024, math.nan), "^tau_span must be finite and > 0, got nan$"),
+    (lambda: make_coupling().at_power(math.inf), "^power must be finite and > 0, got inf$"),
+], ids=["trace-shape", "trace-empty", "trace-one-sample", "floor-negative", "floor-nan",
+        "autocorrelation-zero", "autocorrelation-nan", "rabi-negative", "rabi-nan",
+        "delay-rabi-nan", "alpha-negative", "alpha-nan", "kappa-nan",
+        "visibility-reflectance", "visibility-reflectance-nan", "noise-negative", "noise-nan",
+        "hom-reflectance", "hom-reflectance-nan", "beat-one-sample", "tau-span-nan",
+        "power-inf"])
 def test_library_guard_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

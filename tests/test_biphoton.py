@@ -361,6 +361,15 @@ class TestPsiFull:
             psi_full(grid, 32, medium, pump, coupling, DEG)
         with pytest.raises(ValueError):
             psi_full(grid, 129, medium, pump, coupling, DEG)
+        # past the parser's 2^16 panels: refused before anything is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^z_panels must be an even count in "):
+                psi_full(grid, 2 ** 16 + 2, medium, pump, coupling, DEG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_rejects_negative_threads(self):
         # a negative count used to run the auto-sized pool, while the CLI exits 2

@@ -10,7 +10,7 @@ from biphoton_sim import (
     beam_profile,
     density_prefactor,
 )
-from biphoton_sim.params import RangeError
+from biphoton_sim.params import _RANGES, RangeError
 
 from conftest import MHZ, make_coupling, make_medium
 
@@ -36,7 +36,7 @@ class TestAtPower:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError, match="power to scale to must be > 0"):
+        with pytest.raises(RangeError, match="^power must be finite and > 0, got "):
             make_coupling().at_power(bad)
 
     @pytest.mark.parametrize("attr, beam", [("power", make_coupling(power=0.0)),
@@ -126,3 +126,11 @@ class TestInvariants:
             DetectionConfig(duty_cycle=0.04, joint_efficiency=0.049,
                             bin_width=2e-9, collection_time=600.0,
                             accidental_floor=-1.0)
+
+
+def test_every_range_rule_rejects_nan():
+    # each rule is a comparison that nan fails; one written as `not v < 0`
+    # would let nan through every guard that states it
+    assert not [rule for rule, test in _RANGES.items() if test(math.nan)]
+    assert not [rule for rule, test in _RANGES.items()
+                if rule.startswith("finite") and (test(math.inf) or test(-math.inf))]
