@@ -7,15 +7,9 @@ group-delay formula of the coherence-time-versus-coupling-power scan.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from numpy.exceptions import RankWarning
-except ImportError:  # numpy < 1.25
-    from numpy import RankWarning
 
 from .biphoton import coincidence_counts
 from .dispersion import group_delay_estimate
@@ -90,7 +84,8 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
     filtered part of the tail.
 
     A trace of another shape than ``taus``, of fewer than two samples or with
-    a non-finite sample, or a ``floor`` not >= 0, raises :class:`ValueError`.
+    a non-finite sample, a ``taus`` axis not finite and strictly increasing,
+    or a ``floor`` not >= 0, raises :class:`ValueError`.
     """
     cc = np.asarray(cc, dtype=float)
     taus = np.asarray(taus, dtype=float)
@@ -98,6 +93,8 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
         raise ValueError("cc and taus must have the same shape")
     if cc.size < 2:
         raise ValueError("need at least two samples")
+    if not (np.isfinite(taus[[0, -1]]).all() and (taus[1:] > taus[:-1]).all()):
+        raise ValueError("taus must be finite and strictly increasing")
     if not (finite := np.isfinite(cc)).all():
         raise ValueError(f"cc must be finite: {np.sum(~finite)} of {cc.size} samples are not")
     check_range("floor", floor, ">= 0")
@@ -139,22 +136,16 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
         end_hits = np.nonzero(after & (smoothed <= lo_level))[0]
         if len(start_hits) and len(end_hits) and end_hits[0] > start_hits[0]:
             sel = slice(start_hits[0], end_hits[0] + 1)
-            t_fit = taus[sel]
-            y_fit = signal[sel]
-            ok = y_fit > 0
+            ok = signal[sel] > 0
             if ok.sum() >= 8:
-                # polyfit scales each column by its norm, which overflows
-                # for tau past about 1e154 s: a fit that loses its rank so
-                # is no fit, and not a RankWarning on stderr
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", RankWarning)
-                    try:
-                        coeff = np.polyfit(t_fit[ok], np.log(y_fit[ok]), 1)
-                    except RankWarning:
-                        coeff = None
-                if coeff is not None and coeff[0] < 0:
-                    exp_tau = -1.0 / coeff[0]
-                    resid = np.log(y_fit[ok]) - np.polyval(coeff, t_fit[ok])
+                # past tau of about 1e154 s the sums overflow: a slope not finite is no fit
+                t = taus[sel][ok] - taus[sel][ok].mean()
+                log_y = np.log(signal[sel][ok])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    slope = np.sum(t * (log_y - log_y.mean())) / np.sum(t * t)
+                if -np.inf < slope < 0:
+                    exp_tau = -1.0 / slope
+                    resid = log_y - (log_y.mean() + slope * t)
                     fit_rmse = float(np.sqrt(np.mean(resid ** 2)))
 
     return CoherenceReport(e_inverse_width=float(width), exp_tau=exp_tau,
@@ -177,6 +168,7 @@ def measure_coherence(wave: Waveform,
 
 def cauchy_schwarz_factor(g12_max: float, g11_0: float, g22_0: float) -> float:
     """Nonclassicality factor g12_max^2 / (g11(0) g22(0)); above 1 is nonclassical."""
+    check_range("g12_max", g12_max, ">= 0")
     check_range("g11_0", g11_0, "> 0")
     check_range("g22_0", g22_0, "> 0")
     return g12_max ** 2 / (g11_0 * g22_0)

@@ -122,8 +122,8 @@ def spectrum_to_waveform(grid: SpectralGrid, spectrum: np.ndarray) -> Waveform:
     normalization Parseval's identity holds exactly:
     sum |psi|^2 d_tau = (1/2pi) sum |S|^2 d_omega.
     """
-    shifted = np.fft.ifftshift(spectrum)
-    psi = np.fft.fftshift(np.fft.fft(shifted)) * (grid.d_omega / (2.0 * math.pi))
+    psi = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(spectrum)))
+    psi *= grid.d_omega / (2.0 * math.pi)
     return Waveform(grid, psi)
 
 

@@ -116,10 +116,11 @@ def extract_beat_frequency(tau: np.ndarray, g34: np.ndarray,
     Subtracts the modulation-free part (R^2 + (1-R)^2) |psi0|^2 and locates
     the spectral peak of the residual, which sits at the applied shift to
     within one FFT bin of the trace length.  Returns 0 for an unmodulated
-    trace.
+    trace.  A ``reflectance`` outside [0, 1] raises :class:`ValueError`.
     """
     if len(tau) < 2:
         raise ValueError("need at least two samples")
+    check_range("reflectance", reflectance, "in [0, 1]")
     r = reflectance
     residual = g34 - (r ** 2 + (1.0 - r) ** 2) * envelope
     spec = np.abs(np.fft.rfft(residual))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -52,8 +53,9 @@ _RANGES = {
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     ">= 0 and below a right angle": lambda v: 0.0 <= v < math.pi / 2,
-    "a power of two >= 2": lambda v: v >= 2 and not v & (v - 1),
-    "a power of two in [2^10, 2^20]": lambda v: MIN_N_OMEGA <= v <= MAX_N_OMEGA and not v & (v - 1),
+    "a power of two >= 2": lambda v: isinstance(v, Integral) and v >= 2 and not v & (v - 1),
+    "a power of two in [2^10, 2^20]":
+        lambda v: isinstance(v, Integral) and MIN_N_OMEGA <= v <= MAX_N_OMEGA and not v & (v - 1),
     "an even count in [64, 2^16]": lambda v: 64 <= v <= MAX_Z_PANELS and v % 2 == 0,
 }
 

@@ -19,7 +19,9 @@ from biphoton_sim import (
     load_preset,
     measure_coherence,
     psi_full,
+    psi_uniform_spectrum,
     pt_mode_analysis,
+    spectrum_to_waveform,
     visibility_ideal,
     visibility_with_noise,
 )
@@ -76,11 +78,48 @@ class TestExtractCoherenceTime:
         with pytest.raises(ValueError, match="^cc must be finite: 1 of 2001 samples are not$"):
             extract_coherence_time(trace, taus)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tail_fit_is_the_least_squares_line(self, monkeypatch, seed):
+        # the closed-form line agrees with polyfit's LAPACK least squares,
+        # the reference here only, on the samples the fit reads
+        rng = np.random.default_rng(seed)
+        taus = np.linspace(-1e-6, 4e-6, 5001)
+        tau_d = rng.uniform(200e-9, 600e-9)
+        trace = (np.where(taus >= 0.0, np.exp(-taus / tau_d), 0.0)
+                 * (1.0 + 0.02 * rng.standard_normal(taus.size)))
+        logged, log = [], np.log
+        monkeypatch.setattr(np, "log", lambda y: logged.append(y.copy()) or log(y))
+        rep = extract_coherence_time(trace, taus)
+        monkeypatch.undo()
+        y = logged[0]
+        start = np.flatnonzero(trace == y[0])[0]
+        t, log_y = taus[start:start + len(y)], np.log(y)
+        slope, intercept = np.polyfit(t, log_y, 1)
+        assert rep.exp_tau == pytest.approx(-1.0 / slope, rel=1e-12)
+        rmse = np.sqrt(np.mean((log_y - np.polyval((slope, intercept), t)) ** 2))
+        assert rep.fit_rmse == pytest.approx(rmse, rel=1e-9)
+
     def test_rising_tail_reports_width_only(self):
         taus = np.linspace(0.0, 4e-6, 2001)
         trace = 1.0 + np.cos(2 * math.pi * taus / 2.1e-6)
         rep = extract_coherence_time(trace, taus)
         assert rep.exp_tau is None
+
+
+def test_preset_tail_fit_needs_no_lapack(monkeypatch):
+    # polyfit's LAPACK least squares cost every fitting command about 1 MB of
+    # peak memory, and printed LAPACK's own lines to stderr on a NaN axis
+    def lapack(*args, **kwargs):
+        raise AssertionError("the tail fit called LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", lapack)
+    monkeypatch.setattr(np.linalg, "lstsq", lapack)
+    cfg = load_preset("fig3d")
+    grid = cfg.numerics.grid()
+    spectrum = psi_uniform_spectrum(grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
+                                    scale=cfg.kappa_scale)
+    report = measure_coherence(spectrum_to_waveform(grid, spectrum), cfg.detection)[1]
+    assert report.exp_tau == pytest.approx(185.8067e-9, rel=1e-6)
 
 
 class TestCauchySchwarz:
@@ -151,6 +190,18 @@ def test_loss_sweep_shortens_only_the_nondegenerate_width(preset):
         assert np.all(np.diff(widths) < 0)
 
 
+def _exp_trace(nan_at=None):
+    """A 340 ns exponential and its increasing axis, with a NaN at tau ``nan_at`` s if given.
+
+    The tail fit reads tau from about 55 to 395 ns.
+    """
+    taus = np.arange(-1000, 3000) * 1e-9
+    trace = np.where(taus >= 0.0, np.exp(-taus / 340e-9), 0.0)
+    if nan_at is not None:
+        taus[np.argmin(np.abs(taus - nan_at))] = math.nan
+    return trace, taus
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: extract_coherence_time(np.ones(3), np.ones(4)), "same shape"),
     (lambda: extract_coherence_time(np.ones(0), np.ones(0)), "^need at least two samples$"),
@@ -177,12 +228,27 @@ def test_loss_sweep_shortens_only_the_nondegenerate_width(preset):
      "need at least two samples"),
     (lambda: SpectralGrid(1024, math.nan), "^tau_span must be finite and > 0, got nan$"),
     (lambda: make_coupling().at_power(math.inf), "^power must be finite and > 0, got inf$"),
+    (lambda: extract_coherence_time(*(values[::-1] for values in _exp_trace())),
+     "^taus must be finite and strictly increasing$"),
+    (lambda: extract_coherence_time(*_exp_trace(nan_at=200e-9)),
+     "^taus must be finite and strictly increasing$"),
+    (lambda: extract_coherence_time(*_exp_trace(nan_at=-900e-9)),
+     "^taus must be finite and strictly increasing$"),
+    (lambda: extract_beat_frequency(np.arange(4.0), np.ones(4), np.ones(4), 2.0),
+     r"^reflectance must be in \[0, 1\], got 2.0$"),
+    (lambda: extract_beat_frequency(np.arange(4.0), np.ones(4), np.ones(4), math.nan),
+     r"^reflectance must be in \[0, 1\], got nan$"),
+    (lambda: cauchy_schwarz_factor(-1.0, 2.0, 2.0), "^g12_max must be >= 0, got -1.0$"),
+    (lambda: cauchy_schwarz_factor(math.nan, 1.0, 1.0), "^g12_max must be >= 0, got nan$"),
+    (lambda: SpectralGrid(1024.0, 1e-6), "^n must be a power of two >= 2, got 1024.0$"),
 ], ids=["trace-shape", "trace-empty", "trace-one-sample", "floor-negative", "floor-nan",
         "autocorrelation-zero", "autocorrelation-nan", "rabi-negative", "rabi-nan",
         "delay-rabi-nan", "alpha-negative", "alpha-nan", "kappa-nan",
         "visibility-reflectance", "visibility-reflectance-nan", "noise-negative", "noise-nan",
         "hom-reflectance", "hom-reflectance-nan", "beat-one-sample", "tau-span-nan",
-        "power-inf"])
+        "power-inf", "taus-decreasing", "taus-nan-in-tail", "taus-nan-elsewhere",
+        "beat-reflectance", "beat-reflectance-nan", "g12-max-negative", "g12-max-nan",
+        "grid-size-float"])
 def test_library_guard_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -865,6 +865,32 @@ class TestUniformSpectrum:
         dip = grid.omega[window][np.argmin(np.abs(spec[window]))]
         assert dip == pytest.approx(omega_root, rel=0.02)
 
+    def test_working_set_is_the_spectrum_and_a_few_blocks(self):
+        # numpy reports its data buffers to tracemalloc.  The spectrum and the
+        # detuning axis take 24 B per row; each block's temporaries are a dozen
+        # complex arrays of _UNIFORM_BLOCK_ROWS rows.  Evaluated whole, the
+        # same formula held about 70 such arrays' worth (2.8 MB on this grid).
+        cfg = load_preset("fig3f")
+        grid = SpectralGrid(2 ** 14, cfg.numerics.tau_span)
+        bound = 24 * grid.n + 16 * (16 * biphoton._UNIFORM_BLOCK_ROWS)
+        tracemalloc.start()
+        try:
+            psi_uniform_spectrum(grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
+                                 scale=cfg.kappa_scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("rows", [1000, 2 ** 15], ids=["ragged", "one-block"])
+    def test_blocks_do_not_change_bits(self, monkeypatch, rows):
+        cfg = load_preset("fig3d")
+        grid = cfg.numerics.grid()
+        args = (grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode, cfg.kappa_scale)
+        blocked = psi_uniform_spectrum(*args)
+        monkeypatch.setattr(biphoton, "_UNIFORM_BLOCK_ROWS", rows)
+        assert psi_uniform_spectrum(*args).tobytes() == blocked.tobytes()
+
 
 class TestAnalyticLimits:
     def test_rect_support_and_amplitude(self):

@@ -134,3 +134,11 @@ def test_every_range_rule_rejects_nan():
     assert not [rule for rule, test in _RANGES.items() if test(math.nan)]
     assert not [rule for rule, test in _RANGES.items()
                 if rule.startswith("finite") and (test(math.inf) or test(-math.inf))]
+
+
+def test_power_of_two_rules_hold_integers_only():
+    # a float grid size died in the rules' `v & (v - 1)` with a TypeError
+    rules = [rule for rule in _RANGES if rule.startswith("a power of two")]
+    assert len(rules) == 2
+    assert not [rule for rule in rules if _RANGES[rule](1024.0)]
+    assert all(_RANGES[rule](np.int64(1024)) for rule in rules)
