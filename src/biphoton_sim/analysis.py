@@ -13,7 +13,7 @@ import numpy as np
 
 from .biphoton import coincidence_counts
 from .dispersion import group_delay_estimate
-from .grids import Waveform, check_level
+from .grids import Waveform, check_axis, check_level
 from .params import CouplingField, DetectionConfig, MediumConfig, check_range
 
 # Width threshold referenced to a smoothed envelope; fit window anchored just
@@ -89,12 +89,7 @@ def extract_coherence_time(cc: np.ndarray, taus: np.ndarray,
     """
     cc = np.asarray(cc, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    if cc.shape != taus.shape:
-        raise ValueError("cc and taus must have the same shape")
-    if cc.size < 2:
-        raise ValueError("need at least two samples")
-    if not (np.isfinite(taus[[0, -1]]).all() and (taus[1:] > taus[:-1]).all()):
-        raise ValueError("taus must be finite and strictly increasing")
+    check_axis("taus", taus, cc=cc)
     if not (finite := np.isfinite(cc)).all():
         raise ValueError(f"cc must be finite: {np.sum(~finite)} of {cc.size} samples are not")
     check_range("floor", floor, ">= 0")

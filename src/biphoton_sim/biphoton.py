@@ -10,8 +10,9 @@ relative delay tau = t1 - t2.  Three evaluation routes are provided:
 * :func:`psi_analytic_rect` / :func:`psi_analytic_exp` - the group-delay
   limiting shapes (symmetric rectangle, one-sided exponential).
 
-Each route first holds its grid to :func:`check_grid`, so no route returns
-a waveform its grid cannot hold.
+The spectral routes return S(omega) on the grid's detuning axis, which the
+caller transforms to psi(tau) (:mod:`~biphoton_sim.grids`); the analytic
+limits return waveforms.  Each route first holds its grid to :func:`check_grid`.
 
 A single real ``scale`` multiplies the parametric coupling everywhere; the
 absolute dipole prefactor is not derivable from the inputs, so waveform
@@ -35,7 +36,7 @@ from .dispersion import (
     group_delay_estimate,
     slow_wavenumbers,
 )
-from .grids import GridError, SpectralGrid, Waveform, spectrum_to_waveform
+from .grids import GridError, SpectralGrid, Waveform
 from .params import (C_LIGHT, BeamField, CouplingField, DetectionConfig, GenerationMode,
                      MediumConfig, beam_profile, check_range)
 
@@ -264,20 +265,18 @@ def _panel_factors(q1: np.ndarray, q2: np.ndarray, h: float, delta0: float,
 
 def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
              pump: BeamField, coupling: CouplingField, mode: GenerationMode,
-             scale: float = 1.0, threads: int = 1) -> Waveform:
-    """Joint amplitude from the full detuning/position double integral.
+             scale: float = 1.0, threads: int = 1) -> np.ndarray:
+    """Spectral amplitude S(omega) of the full detuning/position double integral.
 
-    For each detuning the position integral accumulates the parametric
-    coupling with the propagation phases of both photons,
+    For each detuning of ``grid.omega`` the position integral accumulates the
+    parametric coupling with the propagation phases of both photons,
 
         S(omega) = int_{-L/2}^{L/2} dz kappa(omega, z)
                    e^{i int_z^{L/2} k1 dz'} e^{i int_{-L/2}^z k2 dz'}
                    e^{-i (k_c - k_p) z cos(theta)},
 
     evaluated with composite-Simpson weights over cumulative-trapezoid phase
-    integrals on a shared z grid; the detuning integral
-    (1/2pi) int d omega e^{-i omega tau} S(omega) is an FFT on the paired
-    grids.
+    integrals on a shared z grid.
 
     The integrand is built from its mirror symmetries.  The z grid,
     Omega_c^2(z) and the drive envelope are exact mirrors about z = 0, so
@@ -332,18 +331,14 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     more than the CPUs the process may run on or than chunks: the calling
     thread is one, plain threads are the others.  After a worker fails the
     others claim no further chunk, and once all have stopped the first
-    failure is raised as it was.  Each worker allocates its workspace once per call, 80 B per (row,
-    z >= 0 node) in both schemes: one half-z working array, which holds
-    1/D(omega) and then the phase block of each z half of each side in
-    turn, the two wavenumbers and four real planes, their scratch, which
-    then hold the per-panel factors and the real kappa factor.  A chunk
-    writes all of them with ``out=`` and allocates no block-sized array, so
-    the working set stays small and no chunk faults in fresh pages.
-    Results are deterministic and independent of
-    ``threads`` and of the chunk size: every row is evaluated the same way
-    whichever worker and chunk runs it, and its outputs land in disjoint
-    slices of the spectrum.  An odd ``z_panels`` or one outside [64, 2^16], or
-    ``threads`` < 0, raises :class:`~biphoton_sim.params.RangeError` up front.
+    failure is raised as it was.  Each worker allocates its workspace (laid
+    out in ``run_chunks``) once per call, 80 B per (row, z >= 0 node) in both
+    schemes, and its chunks write it with ``out=``, so the working set stays
+    small and no chunk faults in fresh pages.  Results are deterministic and
+    independent of ``threads`` and of the chunk size: every row is evaluated
+    the same way whichever worker and chunk runs it, and its outputs land in
+    disjoint slices of the spectrum.  An odd ``z_panels`` or one outside
+    [64, 2^16], or ``threads`` < 0, raises a ``RangeError`` up front.
     """
     check_range("z_panels", z_panels, "an even count in [64, 2^16]")
     check_range("threads", threads, ">= 0")
@@ -368,7 +363,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
 
     n = grid.n
     half = n // 2
-    # slot n takes +Omega_max, the mirror of row 0, and is dropped before the FFT
+    # slot n takes +Omega_max, the mirror of row 0, and is dropped on return
     spectrum = np.empty(n + 1, dtype=complex)
     degenerate = mode is GenerationMode.DEGENERATE
     # Weights of the +omega and the -omega rows.  The degenerate -omega row's
@@ -491,7 +486,7 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     if failures:
         raise failures[0]
 
-    return spectrum_to_waveform(grid, spectrum[:n])
+    return spectrum[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +508,9 @@ def psi_uniform_spectrum(grid: SpectralGrid, medium: MediumConfig,
     Phi(omega) = sinc(Delta k L / 2) e^{i (k1 + k2) L / 2} is the longitudinal
     detuning function, with the phase mismatch carrying the residual
     pump-coupling wavevector offset.  With both envelopes flat the position
-    integral collapses to this closed form; its transform through
-    :func:`spectrum_to_waveform` agrees with :func:`psi_full` under flat
-    profiles.  In the degenerate scheme the imaginary parts of k1 and k2
+    integral collapses to this closed form, which agrees with :func:`psi_full`
+    under flat profiles.  Like :func:`psi_full` it returns S(omega) on
+    ``grid.omega``.  In the degenerate scheme the imaginary parts of k1 and k2
     cancel inside Delta k, so absorption enters only through the common
     e^{-alpha L} magnitude of Phi.
     """

@@ -75,11 +75,11 @@ from .params import GenerationMode
 from .selftest import run_selftest
 
 
-# waveform engines: (cfg, grid, threads) -> Waveform
+# waveform engines: (cfg, grid, threads) -> Waveform, the spectral ones' S through the FFT
 ENGINES = {
-    "full": lambda cfg, grid, threads: psi_full(
+    "full": lambda cfg, grid, threads: spectrum_to_waveform(grid, psi_full(
         grid, cfg.numerics.z_panels, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
-        scale=cfg.kappa_scale, threads=threads),
+        scale=cfg.kappa_scale, threads=threads)),
     "uniform": lambda cfg, grid, threads: spectrum_to_waveform(grid, psi_uniform_spectrum(
         grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode, scale=cfg.kappa_scale)),
     "analytic": lambda cfg, grid, threads: (

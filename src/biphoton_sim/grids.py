@@ -90,6 +90,19 @@ def check_level(values: np.ndarray, label: str) -> None:
                         "double: some input underflows double precision")
 
 
+def check_axis(name: str, axis, **traces) -> None:
+    """Raise ValueError unless each of ``traces`` has the shape of ``axis``, named
+    ``name``, and the axis holds at least two samples, finite and strictly increasing."""
+    axis = np.asarray(axis, dtype=float)
+    for label, trace in traces.items():
+        if np.shape(trace) != axis.shape:
+            raise ValueError(f"{label} and {name} must have the same shape")
+    if axis.size < 2:
+        raise ValueError("need at least two samples")
+    if not (np.isfinite(axis[[0, -1]]).all() and (axis[1:] > axis[:-1]).all()):
+        raise ValueError(f"{name} must be finite and strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class Waveform:
     """Relative-time joint amplitude psi(tau) on the time axis of ``grid``, equal only to itself."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridError, Waveform
+from .grids import GridError, Waveform, check_axis
 from .params import MAX_N_OMEGA, check_range, check_ranges, n_omega_at_least
 
 
@@ -116,10 +116,11 @@ def extract_beat_frequency(tau: np.ndarray, g34: np.ndarray,
     Subtracts the modulation-free part (R^2 + (1-R)^2) |psi0|^2 and locates
     the spectral peak of the residual, which sits at the applied shift to
     within one FFT bin of the trace length.  Returns 0 for an unmodulated
-    trace.  A ``reflectance`` outside [0, 1] raises :class:`ValueError`.
+    trace.  A ``tau`` that fails :func:`~biphoton_sim.grids.check_axis` with
+    ``g34`` and ``envelope``, or a ``reflectance`` outside [0, 1], raises
+    :class:`ValueError`.
     """
-    if len(tau) < 2:
-        raise ValueError("need at least two samples")
+    check_axis("tau", tau, g34=g34, envelope=envelope)
     check_range("reflectance", reflectance, "in [0, 1]")
     r = reflectance
     residual = g34 - (r ** 2 + (1.0 - r) ** 2) * envelope

@@ -31,6 +31,7 @@ from .grids import SpectralGrid, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, CouplingField, GenerationMode, MediumConfig
 
 MHZ = 2.0 * math.pi * 1e6
+DEG = GenerationMode.DEGENERATE
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,7 @@ def check_kappa_symmetry() -> CheckResult:
     medium = _medium(theta=math.radians(3.0))
     pump, coupling = _beams(waist=2e-3)
     grid = SpectralGrid(2 ** 10, 20e-6)
-    val = kappa(grid.omega, 0.3 * medium.length, medium, pump, coupling,
-                GenerationMode.DEGENERATE)
+    val = kappa(grid.omega, 0.3 * medium.length, medium, pump, coupling, DEG)
     mirrored = val[1:][::-1]
     worst = float(np.max(np.abs(val[1:] - mirrored)))
     return CheckResult("biphoton", "kappa detuning symmetry (exact)",
@@ -97,8 +97,7 @@ def check_parseval() -> CheckResult:
     medium = _medium(theta=math.radians(3.0))
     pump, coupling = _beams(waist=2e-3)
     grid = SpectralGrid(2 ** 10, 10e-6)  # tau_g 0.681 us: 14.7 group delays
-    spec = psi_uniform_spectrum(grid, medium, pump, coupling,
-                                GenerationMode.DEGENERATE)
+    spec = psi_uniform_spectrum(grid, medium, pump, coupling, DEG)
     wave = spectrum_to_waveform(grid, spec)
     e_tau = np.sum(np.abs(wave.amplitude) ** 2) * grid.d_tau
     e_omega = np.sum(np.abs(spec) ** 2) * grid.d_omega / (2.0 * math.pi)
@@ -112,8 +111,8 @@ def check_reference_agreement() -> CheckResult:
     medium = _medium(theta=math.radians(3.0))
     pump, coupling = _beams(waist=2e-3)
     grid = SpectralGrid(2 ** 8, 10e-6)  # tau_g 0.681 us: 14.7 group delays
-    fast = psi_full(grid, 128, medium, pump, coupling, GenerationMode.DEGENERATE)
-    slow = psi_reference(grid, 129, medium, pump, coupling, GenerationMode.DEGENERATE)
+    fast = spectrum_to_waveform(grid, psi_full(grid, 128, medium, pump, coupling, DEG))
+    slow = psi_reference(grid, 129, medium, pump, coupling, DEG)
     rel = float(np.linalg.norm(fast.amplitude - slow.amplitude)
                 / np.linalg.norm(slow.amplitude))
     return CheckResult("biphoton", "full integral vs slow trapezoid reference",
@@ -125,7 +124,7 @@ def check_rect_limit() -> CheckResult:
     medium = _medium(od=800.0, g12_mhz=0.0, theta=0.0)
     pump, coupling = _beams(oc_mhz=20.0, pump_det_mhz=0.0)
     grid = SpectralGrid(2 ** 12, 20e-6)  # tau_g 1.910 us: 10.5 group delays
-    full = psi_full(grid, 256, medium, pump, coupling, GenerationMode.DEGENERATE)
+    full = spectrum_to_waveform(grid, psi_full(grid, 256, medium, pump, coupling, DEG))
     rect = psi_analytic_rect(grid, medium, pump, coupling)
     delay = dispersion.group_delay_estimate(medium, coupling.peak_rabi)
     inner = np.abs(grid.tau) <= 0.9 * delay
@@ -138,13 +137,13 @@ def check_rect_limit() -> CheckResult:
 
 
 def check_z_convergence() -> CheckResult:
+    # compared as spectra: by Parseval the same relative L2 as the waveforms'
     medium = _medium(theta=math.radians(3.0))
     pump, coupling = _beams(waist=2e-3)
     grid = SpectralGrid(2 ** 10, 10e-6)  # tau_g 0.681 us: 14.7 group delays
-    coarse = psi_full(grid, 256, medium, pump, coupling, GenerationMode.DEGENERATE)
-    fine = psi_full(grid, 512, medium, pump, coupling, GenerationMode.DEGENERATE)
-    rel = float(np.linalg.norm(fine.amplitude - coarse.amplitude)
-                / np.linalg.norm(fine.amplitude))
+    coarse = psi_full(grid, 256, medium, pump, coupling, DEG)
+    fine = psi_full(grid, 512, medium, pump, coupling, DEG)
+    rel = float(np.linalg.norm(fine - coarse) / np.linalg.norm(fine))
     return CheckResult("biphoton", "z-panel doubling convergence",
                        rel < 0.005, rel, "< 0.5%")
 
@@ -153,12 +152,9 @@ def check_uniform_route() -> CheckResult:
     medium = _medium(theta=0.0)
     pump, coupling = _beams()
     grid = SpectralGrid(2 ** 10, 10e-6)  # tau_g 0.681 us: 14.7 group delays
-    spec = psi_uniform_spectrum(grid, medium, pump, coupling,
-                                GenerationMode.DEGENERATE)
-    full = psi_full(grid, 256, medium, pump, coupling, GenerationMode.DEGENERATE)
-    uni = spectrum_to_waveform(grid, spec)
-    rel = float(np.linalg.norm(full.amplitude - uni.amplitude)
-                / np.linalg.norm(uni.amplitude))
+    uni = psi_uniform_spectrum(grid, medium, pump, coupling, DEG)
+    full = psi_full(grid, 256, medium, pump, coupling, DEG)
+    rel = float(np.linalg.norm(full - uni) / np.linalg.norm(uni))
     return CheckResult("biphoton", "uniform spectral route vs full integral",
                        rel < 1e-6, rel, "< 1e-6 RMS (flat beams)")
 
@@ -188,7 +184,7 @@ def check_carrier_offset() -> CheckResult:
     # detuning over c, with the coupling on resonance
     medium = _medium(theta=0.0)
     pump, coupling = _beams(pump_det_mhz=6800.0)
-    off = _residual_wavevector(medium, pump, coupling, GenerationMode.DEGENERATE)
+    off = _residual_wavevector(medium, pump, coupling, DEG)
     ok = off == pump.detuning / C_LIGHT
     off_n = _residual_wavevector(medium, pump, coupling, GenerationMode.NONDEGENERATE)
     ok &= off_n == 0.0

@@ -9,6 +9,7 @@ from biphoton_sim import (
     load_preset,
     measure_coherence,
     psi_full,
+    spectrum_to_waveform,
 )
 
 MHZ = 2.0 * math.pi * 1e6
@@ -38,9 +39,10 @@ def preset_waveforms():
     for name in ("fig2d", "fig2f", "fig3d", "fig3f"):
         cfg = load_preset(name)
         start = time.perf_counter()
-        wave = psi_full(cfg.numerics.grid(), cfg.numerics.z_panels, cfg.medium,
-                        cfg.pump, cfg.coupling, cfg.mode,
-                        scale=cfg.kappa_scale, threads=4)
+        grid = cfg.numerics.grid()
+        wave = spectrum_to_waveform(grid, psi_full(grid, cfg.numerics.z_panels, cfg.medium,
+                                                   cfg.pump, cfg.coupling, cfg.mode,
+                                                   scale=cfg.kappa_scale, threads=4))
         elapsed = time.perf_counter() - start
         counts, report = measure_coherence(wave, cfg.detection)
         out[name] = {"config": cfg, "wave": wave, "counts": counts,

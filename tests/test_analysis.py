@@ -148,15 +148,17 @@ class TestCauchySchwarz:
     # peak that sets the 1/e threshold: 1267.99 -> 1231.80 ns.  Exact bin
     # integrals are to mend it.
     pytest.param("fig3f", marks=pytest.mark.xfail(
-        strict=True, reason="the sampled counts pick up the tau = 0 transient")),
+        strict=True, raises=AssertionError,
+        reason="the sampled counts pick up the tau = 0 transient")),
 ])
 def test_width_converges_as_n_omega_goes_x4(preset):
     # at a fixed 80 us span, so the tau step shrinks 4x and the band widens 4x
     cfg = load_preset(preset)
     widths = []
     for n_omega in (16384, 65536):
-        wave = psi_full(SpectralGrid(n_omega, 80e-6), 64, cfg.medium, cfg.pump, cfg.coupling,
-                        cfg.mode, scale=cfg.kappa_scale)
+        grid = SpectralGrid(n_omega, 80e-6)
+        wave = spectrum_to_waveform(grid, psi_full(grid, 64, cfg.medium, cfg.pump, cfg.coupling,
+                                                   cfg.mode, scale=cfg.kappa_scale))
         widths.append(measure_coherence(wave, cfg.detection)[1].e_inverse_width)
     assert widths[1] == pytest.approx(widths[0], rel=0.01)
 
@@ -165,8 +167,8 @@ def test_width_converges_as_n_omega_goes_x4(preset):
     # At gamma12 0.25 MHz (alpha L 1.06) the width drops from 1232.4 to 11.9 ns:
     # the tau ~ 0 transient, not the rectangle, then holds the 1/e threshold.
     pytest.param("fig3d", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 11: the degenerate width collapses above "
-                            "alpha L ~ 1")),
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 11: the degenerate width collapses above alpha L ~ 1")),
     "fig2d",
 ])
 def test_loss_sweep_shortens_only_the_nondegenerate_width(preset):
@@ -176,11 +178,12 @@ def test_loss_sweep_shortens_only_the_nondegenerate_width(preset):
     # the nondegenerate width strictly falls, and the degenerate width stays
     # within 10% of its lowest-loss value.
     cfg = load_preset(preset)
+    grid = SpectralGrid(4096, 5e-6)
     losses, widths = [], []
     for gamma12_mhz in (0.004, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5):
         medium = dataclasses.replace(cfg.medium, gamma12=gamma12_mhz * MHZ)
-        wave = psi_full(SpectralGrid(4096, 5e-6), 64, medium, cfg.pump, cfg.coupling, cfg.mode,
-                        scale=cfg.kappa_scale)
+        wave = spectrum_to_waveform(grid, psi_full(grid, 64, medium, cfg.pump, cfg.coupling,
+                                                   cfg.mode, scale=cfg.kappa_scale))
         losses.append(eit_absorption_loss(medium, cfg.coupling.peak_rabi))
         widths.append(measure_coherence(wave, cfg.detection)[1].e_inverse_width)
     assert np.all(np.abs(np.diff(np.log(widths))) <= 2.0 * np.diff(losses))
@@ -241,6 +244,15 @@ def _exp_trace(nan_at=None):
     (lambda: cauchy_schwarz_factor(-1.0, 2.0, 2.0), "^g12_max must be >= 0, got -1.0$"),
     (lambda: cauchy_schwarz_factor(math.nan, 1.0, 1.0), "^g12_max must be >= 0, got nan$"),
     (lambda: SpectralGrid(1024.0, 1e-6), "^n must be a power of two >= 2, got 1024.0$"),
+    # a shorter axis read a 4x beat frequency or an index past its spectrum,
+    # a reversed one a negative frequency
+    (lambda: extract_beat_frequency(np.arange(1000) * 1e-9, np.ones(4000), np.ones(4000), 0.5),
+     "^g34 and tau must have the same shape$"),
+    (lambda: extract_beat_frequency(np.arange(4.0)[::-1], np.ones(4), np.ones(4), 0.5),
+     "^tau must be finite and strictly increasing$"),
+    (lambda: extract_beat_frequency(np.array([0.0, math.nan, 2.0, 3.0]), np.ones(4),
+                                    np.ones(4), 0.5),
+     "^tau must be finite and strictly increasing$"),
 ], ids=["trace-shape", "trace-empty", "trace-one-sample", "floor-negative", "floor-nan",
         "autocorrelation-zero", "autocorrelation-nan", "rabi-negative", "rabi-nan",
         "delay-rabi-nan", "alpha-negative", "alpha-nan", "kappa-nan",
@@ -248,7 +260,7 @@ def _exp_trace(nan_at=None):
         "hom-reflectance", "hom-reflectance-nan", "beat-one-sample", "tau-span-nan",
         "power-inf", "taus-decreasing", "taus-nan-in-tail", "taus-nan-elsewhere",
         "beat-reflectance", "beat-reflectance-nan", "g12-max-negative", "g12-max-nan",
-        "grid-size-float"])
+        "grid-size-float", "beat-tau-shorter", "beat-tau-reversed", "beat-tau-nan"])
 def test_library_guard_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
