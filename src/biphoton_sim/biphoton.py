@@ -337,11 +337,12 @@ def psi_full(grid: SpectralGrid, z_panels: int, medium: MediumConfig,
     small and no chunk faults in fresh pages.  Results are deterministic and
     independent of ``threads`` and of the chunk size: every row is evaluated
     the same way whichever worker and chunk runs it, and its outputs land in
-    disjoint slices of the spectrum.  An odd ``z_panels`` or one outside
-    [64, 2^16], or ``threads`` < 0, raises a ``RangeError`` up front.
+    disjoint slices of the spectrum.  A ``z_panels`` that is not an even
+    integer in [64, 2^16], or a negative or non-integer ``threads``, raises
+    a ``RangeError`` up front.
     """
     check_range("z_panels", z_panels, "an even count in [64, 2^16]")
-    check_range("threads", threads, ">= 0")
+    check_range("threads", threads, "an integer >= 0")
     check_grid(grid, medium, coupling)
 
     L = medium.length

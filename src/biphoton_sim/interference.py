@@ -33,7 +33,8 @@ class InterferometerConfig:
     noise_counts: float = 0.0  # CC_n, counts per bin
 
     def __post_init__(self) -> None:
-        check_ranges(self, reflectance="in [0, 1]", shift_delta=">= 0", noise_counts=">= 0")
+        check_ranges(self, reflectance="in [0, 1]", shift_delta="finite and >= 0",
+                     noise_counts=">= 0")
 
 
 def _check_exchange_symmetry(psi0: Waveform, tol: float = 0.05) -> None:

@@ -50,13 +50,16 @@ _RANGES = {
     "finite and > 0": lambda v: 0 < v < math.inf,
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
+    "finite and >= 0": lambda v: 0 <= v < math.inf,
+    "an integer >= 0": lambda v: isinstance(v, Integral) and v >= 0,
     "in (0, 1]": lambda v: 0.0 < v <= 1.0,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
     ">= 0 and below a right angle": lambda v: 0.0 <= v < math.pi / 2,
     "a power of two >= 2": lambda v: isinstance(v, Integral) and v >= 2 and not v & (v - 1),
     "a power of two in [2^10, 2^20]":
         lambda v: isinstance(v, Integral) and MIN_N_OMEGA <= v <= MAX_N_OMEGA and not v & (v - 1),
-    "an even count in [64, 2^16]": lambda v: 64 <= v <= MAX_Z_PANELS and v % 2 == 0,
+    "an even count in [64, 2^16]":
+        lambda v: isinstance(v, Integral) and 64 <= v <= MAX_Z_PANELS and v % 2 == 0,
 }
 
 

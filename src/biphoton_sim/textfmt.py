@@ -14,7 +14,8 @@ uint64 words computed with numpy, whose unused bytes are NUL:
     bytes 11..14  "e+XX" in exponential form
     byte 15       ',' or '\\n'
 
-A zero is "0" in byte 1, after its sign.
+Table row 0, where log10 sends +-0 and nan, scales by 0 and keeps one digit
+in fixed form: a zero is "0" in byte 1, after its sign, and 0 * nan is nan.
 One ``bytearray.translate`` per block deletes the NULs.  Python writes
 every value the tables cannot settle: non-finite values, exponents of three
 digits, and near-ties, whose rounding the float arithmetic cannot decide.
@@ -38,8 +39,6 @@ _E_MAX = 99              # a larger |e| takes three exponent digits: Python writ
 # farther than this from a half-integer, rint(y) is the correctly rounded s
 _TIE_MARGIN = 1e-6
 _MARK = 1                # the first word of a record that Python writes
-_ZERO = np.uint64(ord("0") << 8)
-_DIV_1000 = 1099511628   # (x * _DIV_1000) >> 40 == x // 1000 for 0 <= x < 10**9
 _U8, _U56, _U63 = np.uint64(8), np.uint64(56), np.uint64(63)
 
 
@@ -82,6 +81,8 @@ def _tables() -> dict:
     tail = np.stack([np.full(_ROWS, ord("e")), np.where(e < 0, ord("-"), ord("+")),
                      mag // 10 + ord("0"), mag % 10 + ord("0")], -1)
     t["TAIL"] = np.where(fixed, np.uint64(0), _bytes_at(tail, 3))
+    # row 0, where log10 sends +-0 and nan: s = 0 is one digit in fixed form
+    t["POW10"][0], t["KEEP"][0], t["TAIL"][0] = 0.0, 1, 0
     # the first n of the 10 body bytes: masks of the low word and the high bytes
     t["KEEP_LO"] = np.array([(1 << 8 * min(n, 8)) - 1 for n in range(11)], np.uint64)
     t["KEEP_HI"] = np.array([(1 << 8 * max(n - 8, 0)) - 1 for n in range(11)], np.uint64)
@@ -95,17 +96,6 @@ def _format_block(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     left to Python, whose records are marked.  Each stage is its own
     function, so that its temporaries are freed before the next begins.
     """
-    nonzero = np.flatnonzero(v)
-    if len(nonzero) < len(v):
-        # a zero is "0" after its sign: the digit work is for the others only
-        # (most values of an analytic waveform are zeros)
-        out[:, 0] = (v.view(np.uint64) >> _U63) * np.uint64(ord("-")) | _ZERO
-        if not len(nonzero):
-            return nonzero
-        records = out[nonzero]
-        left = _format_block(v[nonzero], records)
-        out[nonzero] = records
-        return nonzero[left]
     row, s, left = _significands(v)
     _write_records(v, row, *_digits(s), out)
     out[left, 0] = _MARK
@@ -118,7 +108,7 @@ def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.abs(v)
     e = np.log10(a)
     e += _E0
-    np.fmax(e, 0, out=e)              # nan: row 0
+    np.fmax(e, 0, out=e)              # +-0 and nan: row 0
     np.fmin(e, _ROWS - 1, out=e)      # inf
     row = e.astype(np.intp)           # e >= 0, so truncation is floor
     y = np.multiply(a, _tables()["POW10"][row], out=a)
@@ -140,9 +130,9 @@ def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _digits(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Digits 0 .. 7 of ``s`` as bytes 0 .. 7 of a word, digit 8, and the significant digits."""
     t = _tables()
-    thousands = (s * _DIV_1000) >> 40
+    thousands = s // 1000
     g2 = s - thousands * 1000
-    g0 = (thousands * _DIV_1000) >> 40
+    g0 = thousands // 1000
     g1 = thousands - g0 * 1000
     digits = t["DIGITS"][g1] << np.uint64(24)
     digits |= t["DIGITS"][g0]

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from biphoton_sim import (
     GenerationMode,
     InsufficientSignalError,
+    InterferometerConfig,
+    NumericsConfig,
     SpectralGrid,
     cauchy_schwarz_factor,
     coherence_scan,
@@ -205,6 +207,13 @@ def _exp_trace(nan_at=None):
     return trace, taus
 
 
+def _fig3d_psi_full(z_panels=64, **kwargs):
+    """psi_full on fig3d at 4096 points over 5 us."""
+    cfg = load_preset("fig3d")
+    return psi_full(SpectralGrid(4096, 5e-6), z_panels, cfg.medium, cfg.pump, cfg.coupling,
+                    cfg.mode, **kwargs)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: extract_coherence_time(np.ones(3), np.ones(4)), "same shape"),
     (lambda: extract_coherence_time(np.ones(0), np.ones(0)), "^need at least two samples$"),
@@ -253,6 +262,15 @@ def _exp_trace(nan_at=None):
     (lambda: extract_beat_frequency(np.array([0.0, math.nan, 2.0, 3.0]), np.ones(4),
                                     np.ones(4), 0.5),
      "^tau must be finite and strictly increasing$"),
+    # a float count used to reach numpy, which raised TypeError
+    (lambda: _fig3d_psi_full(64.0),
+     r"^z_panels must be an even count in \[64, 2\^16\], got 64.0$"),
+    (lambda: NumericsConfig(n_omega=4096, z_panels=64.0, tau_span=5e-6),
+     r"^z_panels must be an even count in \[64, 2\^16\], got 64.0$"),
+    (lambda: _fig3d_psi_full(threads=2.0), r"^threads must be an integer >= 0, got 2.0$"),
+    # an infinite shift used to overflow in beat_correlation's n_omega hint
+    (lambda: InterferometerConfig(0.5, math.inf),
+     "^shift_delta must be finite and >= 0, got inf$"),
 ], ids=["trace-shape", "trace-empty", "trace-one-sample", "floor-negative", "floor-nan",
         "autocorrelation-zero", "autocorrelation-nan", "rabi-negative", "rabi-nan",
         "delay-rabi-nan", "alpha-negative", "alpha-nan", "kappa-nan",
@@ -260,7 +278,8 @@ def _exp_trace(nan_at=None):
         "hom-reflectance", "hom-reflectance-nan", "beat-one-sample", "tau-span-nan",
         "power-inf", "taus-decreasing", "taus-nan-in-tail", "taus-nan-elsewhere",
         "beat-reflectance", "beat-reflectance-nan", "g12-max-negative", "g12-max-nan",
-        "grid-size-float", "beat-tau-shorter", "beat-tau-reversed", "beat-tau-nan"])
+        "grid-size-float", "beat-tau-shorter", "beat-tau-reversed", "beat-tau-nan",
+        "z-panels-float", "numerics-z-panels-float", "threads-float", "shift-inf"])
 def test_library_guard_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

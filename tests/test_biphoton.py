@@ -374,7 +374,7 @@ class TestPsiFull:
 
     def test_rejects_negative_threads(self):
         # a negative count used to run the auto-sized pool, while the CLI exits 2
-        with pytest.raises(ValueError, match="threads must be >= 0"):
+        with pytest.raises(ValueError, match="threads must be an integer >= 0"):
             psi_full(small_grid(), 64, make_medium(), make_pump(), make_coupling(), DEG,
                      threads=-3)
 

@@ -92,6 +92,15 @@ def test_zeros_and_non_finite_values():
         "a,b\n0,-inf\n-0,nan\ninf,1\n")
 
 
+def test_zeros_take_the_tables_and_nan_is_left_to_python():
+    # table row 0 scales +-0 to the significand 0; 0 * nan leaves nan to Python
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row, s, left = textfmt._significands(np.array([0.0, -0.0, math.nan]))
+    assert row.tolist() == [0, 0, 0]
+    assert s[:2].tolist() == [0, 0]
+    assert left.tolist() == [2]
+
+
 def test_list_columns_with_nan_as_the_scan_writes_them():
     text = text_of(csv_text("x,t,full", [0.5, 0.25, 1.0 / 3.0], [1250.0, 2500.5, 6850.25],
                             [math.nan] * 3))
