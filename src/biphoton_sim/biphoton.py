@@ -81,8 +81,9 @@ def _coupling_constant(medium: MediumConfig, pump: BeamField, mode: GenerationMo
 
     The pump-coupled upper level is a distinct state, of dephasing gamma14,
     only in the nondegenerate scheme; the degenerate scheme reuses the EIT
-    level, gamma13.
+    level, gamma13.  ``scale`` must be finite and > 0.
     """
+    check_range("scale", scale, "finite and > 0")
     gamma_up = medium.gamma14 if mode is GenerationMode.NONDEGENERATE else medium.gamma13
     return -1j * (medium.omega0 / (2.0 * C_LIGHT)) * scale / (pump.detuning + 1j * gamma_up)
 

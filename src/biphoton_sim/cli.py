@@ -96,10 +96,10 @@ def _build_waveform(cfg: RunConfig, engine: str, threads: int):
 
 
 # ---------------------------------------------------------------------------
-# Dataset handlers: (cfg, args, threads) -> (csv_text blocks, sidecar payload)
+# Dataset handlers: (cfg, args) -> (csv_text blocks, sidecar payload)
 # ---------------------------------------------------------------------------
 
-def _eit_spectrum(cfg: RunConfig, args, threads: int):
+def _eit_spectrum(cfg: RunConfig, args):
     oc = cfg.coupling.peak_rabi  # zero is the two-level spectrum, without a group delay
     span = 4.0 * oc if oc > 0 else 2.0 * math.pi * 30e6
     omega = np.linspace(-span, span, 2001)
@@ -116,8 +116,8 @@ def _eit_spectrum(cfg: RunConfig, args, threads: int):
     }
 
 
-def _waveform(cfg: RunConfig, args, threads: int):
-    wave = _build_waveform(cfg, args.engine, threads)
+def _waveform(cfg: RunConfig, args):
+    wave = _build_waveform(cfg, args.engine, args.threads)
     counts, report = measure_coherence(wave, cfg.detection)
     delay = group_delay_estimate(cfg.medium, cfg.coupling.peak_rabi)
     return waveform_csv_rows(wave, counts), {
@@ -132,7 +132,7 @@ def _waveform(cfg: RunConfig, args, threads: int):
     }
 
 
-def _beat(cfg: RunConfig, args, threads: int):
+def _beat(cfg: RunConfig, args):
     itf = cfg.interferometer
     if itf is None:
         raise ConfigError("missing required section for the beat command",
@@ -140,7 +140,7 @@ def _beat(cfg: RunConfig, args, threads: int):
     if cfg.mode is not GenerationMode.DEGENERATE:
         raise ConfigError("the beat formulas assume |psi(tau)| = |psi(-tau)|, which only the "
                           f"degenerate scheme gives, got {cfg.mode.value!r}", "config.mode")
-    wave = _build_waveform(cfg, "full", threads)
+    wave = _build_waveform(cfg, "full", args.threads)
     envelope = wave.intensity
     g34 = beat_correlation(wave, itf)
     beat_hz = extract_beat_frequency(wave.tau, g34, envelope, itf.reflectance)
@@ -163,7 +163,7 @@ def _beat(cfg: RunConfig, args, threads: int):
     return csv_text("tau_ns,g34,envelope", wave.tau * 1e9, g34, envelope), payload
 
 
-def _scan(cfg: RunConfig, args, threads: int):
+def _scan(cfg: RunConfig, args):
     field = "scan.powers_mw"
     if args.powers is not None:
         field = "--powers"
@@ -188,7 +188,7 @@ def _scan(cfg: RunConfig, args, threads: int):
         check_grid(cfg.numerics.grid(), cfg.medium, *(p.coupling for p in points))
 
     def full_width_ns(p) -> float:
-        wave = _build_waveform(replace(cfg, coupling=p.coupling), "full", threads)
+        wave = _build_waveform(replace(cfg, coupling=p.coupling), "full", args.threads)
         return measure_coherence(wave, cfg.detection)[1].e_inverse_width * 1e9
 
     return csv_text(
@@ -284,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         # an overflow reaches the output as inf or nan, which check_finite and
         # check_level reject in one line; numpy's warnings would only precede it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            blocks, payload = args.run(cfg, args, args.threads)
+            blocks, payload = args.run(cfg, args)
         sidecar_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         _write_all({out: blocks, sidecar: [sidecar_text.encode("ascii")]})
         return 0

@@ -158,8 +158,9 @@ def eit_transmission(omega_grid, omega_c: float, medium: MediumConfig):
 
     The factor 2 converts the field attenuation Im k1 into an intensity
     exponent; on resonance T(0) = exp(-2 alpha L) with alpha L from
-    :func:`eit_absorption_loss`.
+    :func:`eit_absorption_loss`.  ``omega_c`` must be >= 0.
     """
+    check_range("omega_c", omega_c, ">= 0")
     q1 = _slow_wavenumber_at(omega_grid, omega_c, medium)
     return np.exp(-2.0 * np.imag(q1) * medium.length)
 

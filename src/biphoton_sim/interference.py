@@ -37,14 +37,13 @@ class InterferometerConfig:
                      noise_counts=">= 0")
 
 
-def _check_exchange_symmetry(psi0: Waveform, tol: float = 0.05) -> None:
+def _check_exchange_symmetry(psi0: Waveform) -> None:
     mag = np.abs(psi0.amplitude)
-    n = len(mag)
     mirrored = mag[1:][::-1]  # index i pairs with n - i on a centered grid
     peak = mag.max()
     if peak > 0:
         worst = np.max(np.abs(mag[1:] - mirrored)) / peak
-        if worst > tol:
+        if worst > 0.05:
             warnings.warn(
                 f"input amplitude deviates from exchange symmetry by {worst:.1%}; "
                 "beat formulas assume |psi0(tau)| = |psi0(-tau)|",

@@ -21,8 +21,7 @@ BLOCK_ROWS = 16
 
 
 def psi_reference(grid: SpectralGrid, z_points: int, medium: MediumConfig,
-                  pump: BeamField, coupling: CouplingField, mode: GenerationMode,
-                  scale: float = 1.0) -> Waveform:
+                  pump: BeamField, coupling: CouplingField, mode: GenerationMode) -> Waveform:
     """Trapezoid/direct-sum evaluation of the same double integral as psi_full."""
     L = medium.length
     z = np.linspace(-L / 2.0, L / 2.0, z_points)
@@ -73,7 +72,7 @@ def psi_reference(grid: SpectralGrid, z_points: int, medium: MediumConfig,
         d_plus = oc ** 2 - 4.0 * (om + 1j * g13) * (om + 1j * g12)
         d_minus = oc ** 2 - 4.0 * (-om + 1j * g13) * (-om + 1j * g12)
         chi3_sym = (1.0 / d_plus + 1.0 / d_minus) / (pump.detuning + 1j * g_up)
-        kap = -1j * (w0 / (2.0 * C_LIGHT)) * scale * g_p * g_c * chi3_sym
+        kap = -1j * (w0 / (2.0 * C_LIGHT)) * g_p * g_c * chi3_sym
         spectrum[lo:lo + BLOCK_ROWS] = np.sum(trap_w * kap * phase, axis=1)
 
     psi = np.empty(grid.n, dtype=complex)

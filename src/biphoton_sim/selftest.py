@@ -214,10 +214,10 @@ def _record(res: CheckResult) -> dict:
             "expected": res.expected}
 
 
-def run_selftest(report=print, as_json: bool = False) -> int:
+def run_selftest(as_json: bool = False) -> int:
     """Run every check and return a process exit code.
 
-    Reports one line per property and a summary, or with ``as_json`` one JSON
+    Prints one line per property and a summary, or with ``as_json`` one JSON
     array of the ``CheckResult`` records (a non-finite ``observed`` as null).
     """
     results = []
@@ -226,16 +226,16 @@ def run_selftest(report=print, as_json: bool = False) -> int:
         results.append(res)
         if not as_json:
             status = "PASS" if res.passed else "FAIL"
-            report(f"[{status}] {res.module}: {res.name} "
-                   f"(observed {res.observed:.3e}, expected {res.expected})")
+            print(f"[{status}] {res.module}: {res.name} "
+                  f"(observed {res.observed:.3e}, expected {res.expected})")
     failures = [res for res in results if not res.passed]
     if as_json:
-        report(json.dumps([_record(res) for res in results], indent=2))
+        print(json.dumps([_record(res) for res in results], indent=2))
     elif failures:
-        report(f"{len(failures)} of {len(ALL_CHECKS)} checks failed:")
+        print(f"{len(failures)} of {len(ALL_CHECKS)} checks failed:")
         for res in failures:
-            report(f"  {res.module}.{res.name}: observed {res.observed:.6e}, "
-                   f"expected {res.expected}")
+            print(f"  {res.module}.{res.name}: observed {res.observed:.6e}, "
+                  f"expected {res.expected}")
     else:
-        report(f"all {len(ALL_CHECKS)} checks passed")
+        print(f"all {len(ALL_CHECKS)} checks passed")
     return 1 if failures else 0

@@ -18,9 +18,9 @@ Table row 0, where log10 sends +-0 and nan, scales by 0 and keeps one digit
 in fixed form: a zero is "0" in byte 1, after its sign, and 0 * nan is nan.
 One ``bytearray.translate`` per block deletes the NULs.  Python writes
 every value the tables cannot settle: non-finite values, exponents of three
-digits, and near-ties, whose rounding the float arithmetic cannot decide.
-Their records are marked with a 0x01 byte and filled by one Python ``%``
-pass per block.
+digits, near-ties, whose rounding the float arithmetic cannot decide, and
+significands that round up to 10**9, into the next decade.  Their records
+are marked with a 0x01 byte and filled by one Python ``%`` pass per block.
 """
 
 from __future__ import annotations
@@ -116,14 +116,10 @@ def _significands(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = np.subtract(y, r, out=y)
     np.abs(d, out=d)
     # a near-tie, or nan: from nan and inf (row 0 and the last), and from a
-    # power of ten not held; Python writes them, over a valid placeholder
-    left = np.flatnonzero(~(d < 0.5 - _TIE_MARGIN))
+    # power of ten not held; or a significand rounded up to 10**9, into the
+    # next decade.  Python writes them, over a valid placeholder
+    left = np.flatnonzero(~(d < 0.5 - _TIE_MARGIN) | (r >= 1e9))
     r[left] = 1e8
-    if r.max() >= 1e9:                # rounded up to 10**9: the next decade
-        carry = r >= 1e9
-        r[carry] = 1e8
-        row += carry
-        left = np.union1d(left, np.flatnonzero(row > _E0 + _E_MAX))
     return row, r.astype(np.intp), left
 
 

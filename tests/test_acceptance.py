@@ -177,7 +177,7 @@ class TestCriterion6OracleEquivalence:
 
     def test_selftest_runtime(self):
         start = time.perf_counter()
-        code = run_selftest(report=lambda *_: None)
+        code = run_selftest()
         elapsed = time.perf_counter() - start
         report(f"criterion 6d: selftest exit {code} in {elapsed:.1f} s (< 60 s)")
         assert code == 0

@@ -14,12 +14,15 @@ from biphoton_sim import (
     cauchy_schwarz_factor,
     coherence_scan,
     eit_absorption_loss,
+    eit_transmission,
     extract_beat_frequency,
     extract_coherence_time,
     group_delay_estimate,
     hom_residual_factor,
+    kappa,
     load_preset,
     measure_coherence,
+    psi_analytic_rect,
     psi_full,
     psi_uniform_spectrum,
     pt_mode_analysis,
@@ -207,11 +210,16 @@ def _exp_trace(nan_at=None):
     return trace, taus
 
 
+def _fig3d():
+    """fig3d's grid of 4096 points over 5 us, its medium, pump and coupling."""
+    cfg = load_preset("fig3d")
+    return SpectralGrid(4096, 5e-6), cfg.medium, cfg.pump, cfg.coupling
+
+
 def _fig3d_psi_full(z_panels=64, **kwargs):
     """psi_full on fig3d at 4096 points over 5 us."""
-    cfg = load_preset("fig3d")
-    return psi_full(SpectralGrid(4096, 5e-6), z_panels, cfg.medium, cfg.pump, cfg.coupling,
-                    cfg.mode, **kwargs)
+    grid, *inputs = _fig3d()
+    return psi_full(grid, z_panels, *inputs, GenerationMode.DEGENERATE, **kwargs)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -271,6 +279,15 @@ def _fig3d_psi_full(z_panels=64, **kwargs):
     # an infinite shift used to overflow in beat_correlation's n_omega hint
     (lambda: InterferometerConfig(0.5, math.inf),
      "^shift_delta must be finite and >= 0, got inf$"),
+    # each amplitude route returned all nan for a non-finite scale, all zeros for 0
+    (lambda: _fig3d_psi_full(scale=math.nan), "^scale must be finite and > 0, got nan$"),
+    (lambda: psi_uniform_spectrum(*_fig3d(), GenerationMode.DEGENERATE, scale=math.inf),
+     "^scale must be finite and > 0, got inf$"),
+    (lambda: psi_analytic_rect(*_fig3d(), scale=0.0), "^scale must be finite and > 0, got 0.0$"),
+    (lambda: kappa(0.0, 0.0, *_fig3d()[1:], GenerationMode.DEGENERATE, scale=-1.0),
+     "^scale must be finite and > 0, got -1.0$"),
+    (lambda: eit_transmission(np.zeros(3), math.nan, make_medium()),
+     "^omega_c must be >= 0, got nan$"),
 ], ids=["trace-shape", "trace-empty", "trace-one-sample", "floor-negative", "floor-nan",
         "autocorrelation-zero", "autocorrelation-nan", "rabi-negative", "rabi-nan",
         "delay-rabi-nan", "alpha-negative", "alpha-nan", "kappa-nan",
@@ -279,7 +296,8 @@ def _fig3d_psi_full(z_panels=64, **kwargs):
         "power-inf", "taus-decreasing", "taus-nan-in-tail", "taus-nan-elsewhere",
         "beat-reflectance", "beat-reflectance-nan", "g12-max-negative", "g12-max-nan",
         "grid-size-float", "beat-tau-shorter", "beat-tau-reversed", "beat-tau-nan",
-        "z-panels-float", "numerics-z-panels-float", "threads-float", "shift-inf"])
+        "z-panels-float", "numerics-z-panels-float", "threads-float", "shift-inf",
+        "scale-nan", "scale-inf", "scale-zero", "scale-negative", "transmission-rabi-nan"])
 def test_library_guard_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()

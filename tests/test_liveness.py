@@ -9,6 +9,8 @@ interferometer, which only ``beat`` reads).  The presets omit the keys of
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 from biphoton_sim import dump_config, load_preset
 from biphoton_sim.cli import main
@@ -69,10 +71,15 @@ def changed(data, field):
 
 
 def run(tmp_path, data, argv):
-    """The CSV and sidecar bytes of one command on ``data``."""
-    cfg = tmp_path / "cfg.json"
+    """The CSV and sidecar bytes of one command on ``data``.
+
+    Each run writes into a fresh directory: on ext4, renaming over an
+    existing file first forces that file's data out, about 50 ms a file.
+    """
+    run_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfg = run_dir / "cfg.json"
     cfg.write_text(json.dumps(data))
-    out = tmp_path / "out.csv"
+    out = run_dir / "out.csv"
     assert main([*argv, "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
     return out.read_bytes(), out.with_suffix(".json").read_bytes()
 

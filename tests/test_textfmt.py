@@ -75,6 +75,13 @@ def test_rounding_up_into_the_next_decade():
     assert_matches_reference(ulp_neighbours(values))
 
 
+def test_a_significand_rounded_into_the_next_decade_is_left_to_python():
+    # 999999.99996 rounds to 1e6: nine nines carry into a tenth digit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, left = textfmt._significands(np.array([9.9999999996e5, 1.0, 9.99999999e5]))
+    assert left.tolist() == [0]
+
+
 def test_switch_between_fixed_and_exponential_form():
     edges = [1e-5, 1e-4, 1e9, 9.99999999e-5, 9.999999995e-5, 999999999.0, 999999999.5,
              123456789.0, 0.000123456789, 0.0001, 1e8, 12.0, 120000.0, 0.1, 0.5]
