@@ -17,6 +17,8 @@ from .analysis import (
     coherence_scan,
     extract_coherence_time,
     measure_coherence,
+    measure_run,
+    run_waveform,
 )
 from .biphoton import (
     coincidence_counts,
@@ -74,8 +76,8 @@ __all__ = [
     "eit_absorption_loss", "eit_transmission", "extract_beat_frequency",
     "extract_coherence_time", "group_delay_estimate",
     "group_delay_numeric", "hom_residual_factor", "kappa", "load_config",
-    "load_preset", "measure_coherence", "parse_config",
+    "load_preset", "measure_coherence", "measure_run", "parse_config",
     "psi_analytic_exp", "psi_analytic_rect", "psi_full",
-    "psi_uniform_spectrum", "pt_mode_analysis",
+    "psi_uniform_spectrum", "pt_mode_analysis", "run_waveform",
     "spectrum_to_waveform", "visibility_ideal", "visibility_with_noise",
 ]

@@ -1,8 +1,8 @@
-"""Observable extraction from coincidence traces.
+"""Observable extraction: a run's S(omega), psi(tau) and counts, and what they show.
 
-Coherence-time measures (threshold width and tail-fit time constant) and the
-detector counts they are read from, the nonclassicality factor, and the
-group-delay formula of the coherence-time-versus-coupling-power scan.
+The run pipeline (``run_waveform``, ``measure_run``), coherence-time measures
+(threshold width and tail-fit time constant), the nonclassicality factor, and
+the group-delay formula of the coherence-time-versus-coupling-power scan.
 """
 
 from __future__ import annotations
@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biphoton import coincidence_counts
+from .biphoton import (coincidence_counts, psi_analytic_exp, psi_analytic_rect, psi_full,
+                       psi_uniform_spectrum)
+from .config import RunConfig
 from .dispersion import group_delay_estimate
-from .grids import Waveform, check_axis, check_level
-from .params import CouplingField, DetectionConfig, MediumConfig, check_range
+from .grids import Waveform, check_axis, check_level, spectrum_to_waveform
+from .params import CouplingField, DetectionConfig, GenerationMode, MediumConfig, check_range
 
 # Width threshold referenced to a smoothed envelope; fit window anchored just
 # below the post-peak shoulder, one e-fold deep.  See extract_coherence_time.
@@ -159,6 +161,39 @@ def measure_coherence(wave: Waveform,
     counts = coincidence_counts(wave, detection)
     check_level(counts, "the coincidence trace")
     return counts, extract_coherence_time(counts, wave.tau, floor=detection.accidental_floor)
+
+
+# (cfg, grid, threads) -> S(omega) or Waveform; each call looks up the engine's module global
+ENGINES = {
+    "full": lambda cfg, grid, threads: psi_full(
+        grid, cfg.numerics.z_panels, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
+        scale=cfg.kappa_scale, threads=threads),
+    "uniform": lambda cfg, grid, threads: psi_uniform_spectrum(
+        grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode, scale=cfg.kappa_scale),
+    "analytic": lambda cfg, grid, threads: (
+        psi_analytic_rect(grid, cfg.medium, cfg.pump, cfg.coupling, scale=cfg.kappa_scale)
+        if cfg.mode is GenerationMode.DEGENERATE
+        else psi_analytic_exp(grid, cfg.medium, cfg.coupling)),
+}
+
+
+def run_waveform(cfg: RunConfig, engine="full", threads=0) -> tuple[np.ndarray | None, Waveform]:
+    """S(omega) on ``cfg``'s grid and its FFT psi(tau); the analytic engine forms psi, S None.
+    Each engine first holds the run to ``check_grid``; a |psi|^2 not finite or peaking
+    below a normal double raises :class:`~biphoton_sim.grids.GridError` (``check_level``)."""
+    grid = cfg.numerics.grid()
+    out = ENGINES[engine](cfg, grid, threads)
+    spectrum, wave = ((None, out) if isinstance(out, Waveform)
+                      else (out, spectrum_to_waveform(grid, out)))
+    check_level(wave.intensity, f"the {engine} engine's |psi|^2")
+    return spectrum, wave
+
+
+def measure_run(cfg: RunConfig, engine="full", threads=0
+                ) -> tuple[np.ndarray | None, Waveform, np.ndarray, CoherenceReport]:
+    """``run_waveform``, then ``measure_coherence``: what ``waveform`` writes."""
+    spectrum, wave = run_waveform(cfg, engine, threads)
+    return (spectrum, wave, *measure_coherence(wave, cfg.detection))
 
 
 def cauchy_schwarz_factor(g12_max: float, g11_0: float, g22_0: float) -> float:

@@ -17,22 +17,22 @@ or a block that fails to format, leaves neither.  An ``--out`` that is its own
 sidecar path (``x.json``), or whose CSV or sidecar is the config file, exits
 2 before the config is read.
 
-Inputs are checked in two layers.  ``load_config`` checks what holds for
-every command, a non-zero coupling's EIT scales included, and ``_scan``
-holds each ``--powers`` value to the same bounds through ``check_power_mw``.
-Every waveform, each engine's and each ``scan --full`` power's, is built by
-``_build_waveform``: the engine first holds it to ``check_grid`` (a coupling
-and an OD > 0 and a grid that can hold the waveform; ``scan --full`` first
-holds every power to its one grid, so a refusal names a window that suits
-them all), and a |psi|^2 or counts not finite or peaking below a normal
-double (``check_level``) are rejected before anything is derived from them,
-as is a non-finite transmission and a beat shift the tau grid cannot resolve
-(``beat_correlation``);
-numpy's floating-point warnings are off while a handler runs, so that
-rejection is the one line on stderr.  Every coherence width, ``waveform``'s
-and each ``scan --full`` power's, is read off the detector's counts by
-``analysis.measure_coherence``; counts whose peak stands less than 5x above
-``detection.accidental_floor`` exit 2 naming that field.
+Inputs are checked in two layers.  ``load_config`` checks what holds for every
+command, a non-zero coupling's EIT scales included, and ``_scan`` holds each
+``--powers`` value to the same bounds through ``check_power_mw``.  Every
+waveform, each engine's and each ``scan --full`` power's, is built by
+``analysis.run_waveform``: the engine first holds it to ``check_grid`` (a
+coupling and an OD > 0 and a grid that can hold the waveform; ``scan --full``
+first holds every power to its one grid, so a refusal names a window that
+suits them all), and a |psi|^2 or counts not finite or peaking below a normal
+double (``check_level``) are rejected before anything is derived from them, as
+is a non-finite transmission and a beat shift the tau grid cannot resolve
+(``beat_correlation``); numpy's floating-point warnings are off while a
+handler runs, so that rejection is the one line on stderr.  Every coherence
+width, ``waveform``'s and each ``scan --full`` power's, is read off the
+detector's counts by ``analysis.measure_run`` (``beat`` forms no counts);
+counts whose peak stands less than 5x above ``detection.accidental_floor``
+exit 2 naming that field.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O problem,
 4 numerics (grid cannot support the request).
@@ -52,18 +52,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import InsufficientSignalError, coherence_scan, measure_coherence
-from .biphoton import (
-    check_grid,
-    psi_analytic_exp,
-    psi_analytic_rect,
-    psi_full,
-    psi_uniform_spectrum,
-)
+from .analysis import (ENGINES, InsufficientSignalError, coherence_scan, measure_run,
+                       run_waveform)
+# psi_full stays bound here, as load_config does: the traced benchmark run calls both
+from .biphoton import check_grid, psi_full
 from .config import PRESET_NAMES, ConfigError, RunConfig, check_power_mw, load_config
 from .dispersion import eit_absorption_loss, eit_transmission, group_delay_estimate
-from .grids import (GridError, check_finite, check_level, csv_text, spectrum_to_waveform,
-                    waveform_csv_rows)
+from .grids import GridError, check_finite, check_level, csv_text, waveform_csv_rows
 from .interference import (
     beat_correlation,
     extract_beat_frequency,
@@ -73,26 +68,6 @@ from .interference import (
 )
 from .params import GenerationMode
 from .selftest import run_selftest
-
-
-# waveform engines: (cfg, grid, threads) -> Waveform, the spectral ones' S through the FFT
-ENGINES = {
-    "full": lambda cfg, grid, threads: spectrum_to_waveform(grid, psi_full(
-        grid, cfg.numerics.z_panels, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
-        scale=cfg.kappa_scale, threads=threads)),
-    "uniform": lambda cfg, grid, threads: spectrum_to_waveform(grid, psi_uniform_spectrum(
-        grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode, scale=cfg.kappa_scale)),
-    "analytic": lambda cfg, grid, threads: (
-        psi_analytic_rect(grid, cfg.medium, cfg.pump, cfg.coupling, scale=cfg.kappa_scale)
-        if cfg.mode is GenerationMode.DEGENERATE
-        else psi_analytic_exp(grid, cfg.medium, cfg.coupling)),
-}
-
-
-def _build_waveform(cfg: RunConfig, engine: str, threads: int):
-    wave = ENGINES[engine](cfg, cfg.numerics.grid(), threads)
-    check_level(wave.intensity, f"the {engine} engine's |psi|^2")
-    return wave
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +92,7 @@ def _eit_spectrum(cfg: RunConfig, args):
 
 
 def _waveform(cfg: RunConfig, args):
-    wave = _build_waveform(cfg, args.engine, args.threads)
-    counts, report = measure_coherence(wave, cfg.detection)
+    _, wave, counts, report = measure_run(cfg, args.engine, args.threads)
     delay = group_delay_estimate(cfg.medium, cfg.coupling.peak_rabi)
     return waveform_csv_rows(wave, counts), {
         "e_inverse_width_ns": report.e_inverse_width * 1e9,
@@ -140,7 +114,7 @@ def _beat(cfg: RunConfig, args):
     if cfg.mode is not GenerationMode.DEGENERATE:
         raise ConfigError("the beat formulas assume |psi(tau)| = |psi(-tau)|, which only the "
                           f"degenerate scheme gives, got {cfg.mode.value!r}", "config.mode")
-    wave = _build_waveform(cfg, "full", args.threads)
+    _, wave = run_waveform(cfg, "full", args.threads)
     envelope = wave.intensity
     g34 = beat_correlation(wave, itf)
     beat_hz = extract_beat_frequency(wave.tau, g34, envelope, itf.reflectance)
@@ -188,8 +162,8 @@ def _scan(cfg: RunConfig, args):
         check_grid(cfg.numerics.grid(), cfg.medium, *(p.coupling for p in points))
 
     def full_width_ns(p) -> float:
-        wave = _build_waveform(replace(cfg, coupling=p.coupling), "full", args.threads)
-        return measure_coherence(wave, cfg.detection)[1].e_inverse_width * 1e9
+        *_, report = measure_run(replace(cfg, coupling=p.coupling), "full", args.threads)
+        return report.e_inverse_width * 1e9
 
     return csv_text(
         "x_gamma13sq_over_omegac_sq,t_coh_formula_ns,t_coh_full_ns",

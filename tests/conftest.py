@@ -7,9 +7,7 @@ from biphoton_sim import (
     CouplingField,
     MediumConfig,
     load_preset,
-    measure_coherence,
-    psi_full,
-    spectrum_to_waveform,
+    measure_run,
 )
 
 MHZ = 2.0 * math.pi * 1e6
@@ -39,12 +37,7 @@ def preset_waveforms():
     for name in ("fig2d", "fig2f", "fig3d", "fig3f"):
         cfg = load_preset(name)
         start = time.perf_counter()
-        grid = cfg.numerics.grid()
-        wave = spectrum_to_waveform(grid, psi_full(grid, cfg.numerics.z_panels, cfg.medium,
-                                                   cfg.pump, cfg.coupling, cfg.mode,
-                                                   scale=cfg.kappa_scale, threads=4))
-        elapsed = time.perf_counter() - start
-        counts, report = measure_coherence(wave, cfg.detection)
+        _, wave, counts, report = measure_run(cfg, "full", threads=4)
         out[name] = {"config": cfg, "wave": wave, "counts": counts,
-                     "report": report, "seconds": elapsed}
+                     "report": report, "seconds": time.perf_counter() - start}
     return out

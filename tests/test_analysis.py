@@ -21,12 +21,11 @@ from biphoton_sim import (
     hom_residual_factor,
     kappa,
     load_preset,
-    measure_coherence,
+    measure_run,
     psi_analytic_rect,
     psi_full,
     psi_uniform_spectrum,
     pt_mode_analysis,
-    spectrum_to_waveform,
     visibility_ideal,
     visibility_with_noise,
 )
@@ -119,11 +118,7 @@ def test_preset_tail_fit_needs_no_lapack(monkeypatch):
 
     monkeypatch.setattr(np, "polyfit", lapack)
     monkeypatch.setattr(np.linalg, "lstsq", lapack)
-    cfg = load_preset("fig3d")
-    grid = cfg.numerics.grid()
-    spectrum = psi_uniform_spectrum(grid, cfg.medium, cfg.pump, cfg.coupling, cfg.mode,
-                                    scale=cfg.kappa_scale)
-    report = measure_coherence(spectrum_to_waveform(grid, spectrum), cfg.detection)[1]
+    report = measure_run(load_preset("fig3d"), "uniform")[3]
     assert report.exp_tau == pytest.approx(185.8067e-9, rel=1e-6)
 
 
@@ -159,12 +154,8 @@ class TestCauchySchwarz:
 def test_width_converges_as_n_omega_goes_x4(preset):
     # at a fixed 80 us span, so the tau step shrinks 4x and the band widens 4x
     cfg = load_preset(preset)
-    widths = []
-    for n_omega in (16384, 65536):
-        grid = SpectralGrid(n_omega, 80e-6)
-        wave = spectrum_to_waveform(grid, psi_full(grid, 64, cfg.medium, cfg.pump, cfg.coupling,
-                                                   cfg.mode, scale=cfg.kappa_scale))
-        widths.append(measure_coherence(wave, cfg.detection)[1].e_inverse_width)
+    widths = [measure_run(dataclasses.replace(cfg, numerics=NumericsConfig(n, 64, 80e-6)))[3]
+              .e_inverse_width for n in (16384, 65536)]
     assert widths[1] == pytest.approx(widths[0], rel=0.01)
 
 
@@ -182,15 +173,12 @@ def test_loss_sweep_shortens_only_the_nondegenerate_width(preset):
     # between neighbouring points the log width moves at most 2 d(alpha L),
     # the nondegenerate width strictly falls, and the degenerate width stays
     # within 10% of its lowest-loss value.
-    cfg = load_preset(preset)
-    grid = SpectralGrid(4096, 5e-6)
+    cfg = dataclasses.replace(load_preset(preset), numerics=NumericsConfig(4096, 64, 5e-6))
     losses, widths = [], []
     for gamma12_mhz in (0.004, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5):
         medium = dataclasses.replace(cfg.medium, gamma12=gamma12_mhz * MHZ)
-        wave = spectrum_to_waveform(grid, psi_full(grid, 64, medium, cfg.pump, cfg.coupling,
-                                                   cfg.mode, scale=cfg.kappa_scale))
         losses.append(eit_absorption_loss(medium, cfg.coupling.peak_rabi))
-        widths.append(measure_coherence(wave, cfg.detection)[1].e_inverse_width)
+        widths.append(measure_run(dataclasses.replace(cfg, medium=medium))[3].e_inverse_width)
     assert np.all(np.abs(np.diff(np.log(widths))) <= 2.0 * np.diff(losses))
     if cfg.mode is GenerationMode.DEGENERATE:
         assert widths == pytest.approx([widths[0]] * len(widths), rel=0.1)

@@ -11,9 +11,11 @@ read here (parsed, not imported).
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import biphoton_sim
@@ -30,14 +32,6 @@ def traced_targets():
                 isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError("perfbench/spans.py defines no TRACED table")
-
-
-def test_traced_functions_exist():
-    targets = [pair for pairs in traced_targets().values() for pair in pairs]
-    assert targets
-    for module, attr in targets:
-        mod = importlib.import_module(f"biphoton_sim.{module}")
-        assert callable(getattr(mod, attr, None)), f"biphoton_sim.{module}.{attr}"
 
 
 def run_imports():
@@ -92,3 +86,48 @@ def test_benchmark_inputs_parse_strictly():
     for path in inputs:
         # the frozen inputs still carry the keys the presets dropped
         assert parse_config(path.read_text(encoding="utf-8")) == load_preset(path.stem)
+
+
+def test_tracer_sees_every_engine_call(tmp_path, monkeypatch):
+    # Tracer.install's rule, with a counter: every attribute of a loaded package
+    # module that is a traced function is rebound, so an engine reached another
+    # way (a table holding the function itself) goes uncounted.  check_grid is
+    # counted too: once a waveform, and scan --full first checks every power.
+    from biphoton_sim.cli import main
+    from biphoton_sim.config import dump_config, load_preset
+
+    calls = Counter()
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = [*(pair for pairs in traced_targets().values() for pair in pairs),
+               ("biphoton", "check_grid")]
+    fns = [getattr(importlib.import_module(f"biphoton_sim.{module}"), attr)
+           for module, attr in targets]
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "biphoton_sim"]
+    for (_, attr), fn in zip(targets, fns):
+        for mod in modules:
+            for name in [name for name, value in vars(mod).items() if value is fn]:
+                monkeypatch.setattr(mod, name, counted(attr, fn))
+
+    names = ("psi_full", "psi_uniform_spectrum", "psi_analytic_rect", "psi_analytic_exp",
+             "spectrum_to_waveform", "coincidence_counts", "check_grid")
+    for line, expected in [("waveform fig3d --engine full", (1, 0, 0, 0, 1, 1, 1)),
+                           ("waveform fig3d --engine uniform", (0, 1, 0, 0, 1, 1, 1)),
+                           ("waveform fig3d --engine analytic", (0, 0, 1, 0, 0, 1, 1)),
+                           ("waveform fig2d --engine full", (1, 0, 0, 0, 1, 1, 1)),
+                           ("waveform fig2d --engine uniform", (0, 1, 0, 0, 1, 1, 1)),
+                           ("waveform fig2d --engine analytic", (0, 0, 0, 1, 0, 1, 1)),
+                           ("beat fig4b", (1, 0, 0, 0, 1, 0, 1)),
+                           ("scan fig5 --full --powers=2.5,1.5", (2, 0, 0, 0, 2, 2, 3))]:
+        command, preset, *flags = line.split()
+        numerics = {"n_omega": 1024, "z_panels": 64, "tau_span_ns": 5000.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**dump_config(load_preset(preset)), "numerics": numerics}))
+        calls.clear()
+        assert main([command, "--config", str(cfg), *flags, "--out", str(tmp_path / "x.csv")]) == 0
+        assert tuple(calls[name] for name in names) == expected, line

@@ -18,6 +18,7 @@ from biphoton_sim import (
     CouplingField,
     GenerationMode,
     GridError,
+    NumericsConfig,
     SpectralGrid,
     Waveform,
     coincidence_counts,
@@ -31,6 +32,7 @@ from biphoton_sim import (
     psi_analytic_rect,
     psi_full,
     psi_uniform_spectrum,
+    run_waveform,
     spectrum_to_waveform,
 )
 from biphoton_sim import biphoton, reference
@@ -529,21 +531,18 @@ def test_every_scan_grid_suggestion_suits_every_power():
     assert seen == {"window", "refused alone", "refused together"}
 
 
-@pytest.mark.parametrize("engine", [
-    lambda cfg, grid: psi_full(grid, 64, cfg.medium, cfg.pump, cfg.coupling, cfg.mode),
-    lambda cfg, grid: psi_uniform_spectrum(grid, cfg.medium, cfg.pump, cfg.coupling,
-                                           cfg.mode),
-    lambda cfg, grid: psi_analytic_rect(grid, cfg.medium, cfg.pump, cfg.coupling),
-    lambda cfg, grid: psi_analytic_exp(grid, cfg.medium, cfg.coupling),
+@pytest.mark.parametrize("engine, mode", [
+    ("full", DEG), ("uniform", DEG), ("analytic", DEG), ("analytic", NONDEG),
 ], ids=["full", "uniform", "analytic-rect", "analytic-exp"])
-def test_every_engine_refuses_a_window_below_4_group_delays(engine):
+def test_every_engine_refuses_a_window_below_4_group_delays(engine, mode):
     # OD 5000 gives a 45 us formula coherence time; on a 4 us window the
     # uniform and rectangle engines returned the whole window as the
     # width, and the exponential half of it
     cfg = load_preset("fig3d")
-    cfg = dataclasses.replace(cfg, medium=dataclasses.replace(cfg.medium, od=5000.0))
+    cfg = dataclasses.replace(cfg, mode=mode, medium=dataclasses.replace(cfg.medium, od=5000.0),
+                              numerics=NumericsConfig(16384, 64, 4000e-9))
     with pytest.raises(GridError) as err:
-        engine(cfg, SpectralGrid(16384, 4000e-9))
+        run_waveform(cfg, engine)
     assert str(err.value) == ("tau window 4000 ns is below 4 group delays (90837.5 ns); "
                               "set numerics.tau_span_ns to 2e+05 (n_omega 16384 kept)")
 
