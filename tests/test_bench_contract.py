@@ -34,6 +34,14 @@ def traced_targets():
     raise AssertionError("perfbench/spans.py defines no TRACED table")
 
 
+def test_traced_functions_exist():
+    targets = [pair for pairs in traced_targets().values() for pair in pairs]
+    assert targets
+    for module, attr in targets:
+        mod = importlib.import_module(f"biphoton_sim.{module}")
+        assert callable(getattr(mod, attr, None)), f"biphoton_sim.{module}.{attr}"
+
+
 def run_imports():
     """The package modules ``perfbench/run.py``'s ``import_package`` imports."""
     tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
@@ -91,8 +99,7 @@ def test_benchmark_inputs_parse_strictly():
 def test_tracer_sees_every_engine_call(tmp_path, monkeypatch):
     # Tracer.install's rule, with a counter: every attribute of a loaded package
     # module that is a traced function is rebound, so an engine reached another
-    # way (a table holding the function itself) goes uncounted.  check_grid is
-    # counted too: once a waveform, and scan --full first checks every power.
+    # way (a table holding the function itself) goes uncounted.
     from biphoton_sim.cli import main
     from biphoton_sim.config import dump_config, load_preset
 
@@ -104,8 +111,7 @@ def test_tracer_sees_every_engine_call(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    targets = [*(pair for pairs in traced_targets().values() for pair in pairs),
-               ("biphoton", "check_grid")]
+    targets = [pair for pairs in traced_targets().values() for pair in pairs]
     fns = [getattr(importlib.import_module(f"biphoton_sim.{module}"), attr)
            for module, attr in targets]
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "biphoton_sim"]
@@ -115,15 +121,15 @@ def test_tracer_sees_every_engine_call(tmp_path, monkeypatch):
                 monkeypatch.setattr(mod, name, counted(attr, fn))
 
     names = ("psi_full", "psi_uniform_spectrum", "psi_analytic_rect", "psi_analytic_exp",
-             "spectrum_to_waveform", "coincidence_counts", "check_grid")
-    for line, expected in [("waveform fig3d --engine full", (1, 0, 0, 0, 1, 1, 1)),
-                           ("waveform fig3d --engine uniform", (0, 1, 0, 0, 1, 1, 1)),
-                           ("waveform fig3d --engine analytic", (0, 0, 1, 0, 0, 1, 1)),
-                           ("waveform fig2d --engine full", (1, 0, 0, 0, 1, 1, 1)),
-                           ("waveform fig2d --engine uniform", (0, 1, 0, 0, 1, 1, 1)),
-                           ("waveform fig2d --engine analytic", (0, 0, 0, 1, 0, 1, 1)),
-                           ("beat fig4b", (1, 0, 0, 0, 1, 0, 1)),
-                           ("scan fig5 --full --powers=2.5,1.5", (2, 0, 0, 0, 2, 2, 3))]:
+             "spectrum_to_waveform", "coincidence_counts")
+    for line, expected in [("waveform fig3d --engine full", (1, 0, 0, 0, 1, 1)),
+                           ("waveform fig3d --engine uniform", (0, 1, 0, 0, 1, 1)),
+                           ("waveform fig3d --engine analytic", (0, 0, 1, 0, 0, 1)),
+                           ("waveform fig2d --engine full", (1, 0, 0, 0, 1, 1)),
+                           ("waveform fig2d --engine uniform", (0, 1, 0, 0, 1, 1)),
+                           ("waveform fig2d --engine analytic", (0, 0, 0, 1, 0, 1)),
+                           ("beat fig4b", (1, 0, 0, 0, 1, 0)),
+                           ("scan fig5 --full --powers=2.5,1.5", (2, 0, 0, 0, 2, 2))]:
         command, preset, *flags = line.split()
         numerics = {"n_omega": 1024, "z_panels": 64, "tau_span_ns": 5000.0}
         cfg = tmp_path / "cfg.json"

@@ -16,13 +16,13 @@ from biphoton_sim import (
     ConfigError,
     analysis,
     biphoton,
+    cli,
     coherence_scan,
     dump_config,
     eit_absorption_loss,
     grids,
     group_delay_estimate,
     load_preset,
-    measure_run,
     parse_config,
 )
 from biphoton_sim.cli import _write_all, main
@@ -209,6 +209,15 @@ class TestCli:
         assert width_ns == pytest.approx(side["coherence_formula_ns"],
                                          rel=0.01)
 
+    def test_waveform_uniform_engine_runs(self, tmp_path):
+        data = small_numerics(dump_config(load_preset("fig3d")))
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "wave.csv"
+        assert main(["waveform", "--config", cfg, "--out", str(out),
+                     "--engine", "uniform"]) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == "tau_ns,re_psi,im_psi,abs2_psi,cc_counts"
+
     def test_waveform_sidecar_reports_coherence(self, tmp_path):
         data = small_numerics(dump_config(load_preset("fig3d")))
         cfg = write_config(tmp_path, data)
@@ -272,17 +281,30 @@ class TestCli:
         assert side["v0"] == pytest.approx(21.0 / 29.0, rel=1e-9)
         assert side["hom_residual_factor"] == pytest.approx(0.16, rel=1e-9)
 
-    @pytest.mark.parametrize("reflectance, residual", [(0.5, 0.0), (0.7, 0.16)],
-                             ids=["perfect-hom", "residual-ratio"])
-    def test_beat_without_shift_is_the_residual_envelope(self, tmp_path, reflectance, residual):
-        # with no shift g34 is the envelope times the HOM residual (1 - 2R)^2
+    def test_beat_perfect_hom(self, tmp_path):
         data = small_numerics(dump_config(load_preset("fig4b")))
-        data["interferometer"] = {"reflectance": reflectance, "shift_mhz": 0.0,
+        data["interferometer"] = {"reflectance": 0.5, "shift_mhz": 0.0,
                                   "noise_counts": 0.0}
-        out = tmp_path / "x.csv"
-        assert main(["beat", "--config", write_config(tmp_path, data), "--out", str(out)]) == 0
-        _, g34, env = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
-        assert np.all(np.abs(g34 - residual * env) <= 1e-6 * residual * env + 1e-12 * env.max())
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "hom.csv"
+        assert main(["beat", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        g34 = np.array([float(r.split(",")[1]) for r in rows])
+        env = np.array([float(r.split(",")[2]) for r in rows])
+        assert np.all(np.abs(g34) <= 1e-12 * env.max())
+
+    def test_beat_residual_ratio(self, tmp_path):
+        data = small_numerics(dump_config(load_preset("fig4b")))
+        data["interferometer"] = {"reflectance": 0.7, "shift_mhz": 0.0,
+                                  "noise_counts": 0.0}
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "res.csv"
+        assert main(["beat", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        g34 = np.array([float(r.split(",")[1]) for r in rows])
+        env = np.array([float(r.split(",")[2]) for r in rows])
+        support = env > 1e-3 * env.max()
+        assert np.allclose(g34[support] / env[support], 0.16, rtol=1e-6)
 
     def test_beat_requires_interferometer(self, tmp_path):
         cfg = write_config(tmp_path, small_numerics(dump_config(load_preset("fig3d"))))
@@ -315,8 +337,8 @@ class TestCli:
             assert full_ns == pytest.approx(formula_ns, rel=0.10)
 
     def test_scan_full_widths_are_the_waveform_widths(self, tmp_path):
-        # each power's t_coh_full_ns is the width measure_run gives waveform at
-        # that power's coupling, written as '%.9g' writes it
+        # each power's t_coh_full_ns is waveform's e_inverse_width_ns at that
+        # power's coupling, written as '%.9g' writes it
         data = small_numerics(dump_config(load_preset("fig5")), tau_span_ns=40000.0,
                               z_panels=64)
         cfg = parse_config(json.dumps(data))
@@ -327,8 +349,13 @@ class TestCli:
         points = coherence_scan([2.3e-3, 1e-3], cfg.medium, cfg.coupling)
         assert len(rows) == len(points)
         for row, point in zip(rows, points):
-            report = measure_run(dataclasses.replace(cfg, coupling=point.coupling))[3]
-            assert row.split(",")[2] == "%.9g" % (report.e_inverse_width * 1e9)
+            at_power = dump_config(dataclasses.replace(cfg, coupling=point.coupling))
+            assert parse_config(json.dumps(at_power)).coupling == point.coupling
+            wave_out = tmp_path / "wave.csv"
+            assert main(["waveform", "--config", write_config(tmp_path, at_power, "at-power.json"),
+                         "--engine", "full", "--out", str(wave_out)]) == 0
+            side = json.loads((tmp_path / "wave.json").read_text())
+            assert row.split(",")[2] == "%.9g" % side["e_inverse_width_ns"]
 
     def test_scan_rejects_single_point(self, tmp_path):
         code = main(["scan", "--config", "fig5", "--out",
@@ -724,6 +751,24 @@ class TestCli:
                      "--out", str(tmp_path / "x.csv")]) == 4
         assert capsys.readouterr().err == f"numerics error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_each_waveform_checks_its_grid_once(self, tmp_path, monkeypatch):
+        # the engine that builds a waveform checks its grid; scan --full also
+        # holds every power to the one grid before the first kernel runs
+        calls, check = [], biphoton.check_grid
+
+        def check_grid(*args):
+            calls.append(args)
+            return check(*args)
+
+        for module in (biphoton, cli):
+            monkeypatch.setattr(module, "check_grid", check_grid)
+        cfg = write_config(tmp_path, small_numerics(dump_config(load_preset("fig4b"))))
+        runs = [(["waveform", "--engine", engine], 1) for engine in analysis.ENGINES]
+        for argv, expected in [*runs, (["beat"], 1), (["scan", "--full", "--powers=2.3,1"], 3)]:
+            calls.clear()
+            assert main([*argv, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 0
+            assert len(calls) == expected, argv
 
     @pytest.mark.parametrize("out", ["x.json", "."])
     def test_out_that_is_its_own_sidecar_exits_2(self, tmp_path, capsys, monkeypatch, out):
