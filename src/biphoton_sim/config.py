@@ -31,11 +31,13 @@ from .params import (
 
 MHZ = 2.0 * math.pi * 1e6  # linear MHz -> rad/s
 
-# Each pair of figure panels shares one file: fig2c/fig2d, fig2e/fig2f,
-# fig3c/fig3d and fig3e/fig3f are byte-identical, so the ten presets hold six
-# distinct configurations (output sets run over all ten repeat four of them).
-PRESET_NAMES = ("fig2c", "fig2d", "fig2e", "fig2f",
-                "fig3c", "fig3d", "fig3e", "fig3f", "fig4b", "fig5")
+# preset name -> its file under presets/: a spectrum panel (c, e) reads the
+# file of its run's waveform panel (d, f), so the ten names hold six distinct
+# configurations (output sets run over all ten repeat four of them)
+PRESETS = {"fig2c": "fig2d", "fig2d": "fig2d", "fig2e": "fig2f", "fig2f": "fig2f",
+           "fig3c": "fig3d", "fig3d": "fig3d", "fig3e": "fig3f", "fig3f": "fig3f",
+           "fig4b": "fig4b", "fig5": "fig5"}
+PRESET_NAMES = tuple(PRESETS)
 
 
 class ConfigError(ValueError):
@@ -326,7 +328,7 @@ def dump_config(cfg: RunConfig) -> dict:
 
 
 def _preset_text(name: str) -> str:
-    return (resources.files("biphoton_sim") / "presets" / f"{name}.json").read_text(
+    return (resources.files("biphoton_sim") / "presets" / f"{PRESETS[name]}.json").read_text(
         encoding="utf-8")
 
 

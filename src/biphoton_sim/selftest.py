@@ -26,11 +26,11 @@ from .biphoton import (
     psi_full,
     psi_uniform_spectrum,
 )
+from .config import MHZ
 from .dispersion import PTRegime, eit_denominator, pt_mode_analysis, slow_wavenumbers
 from .grids import SpectralGrid, spectrum_to_waveform
 from .params import C_LIGHT, BeamField, CouplingField, GenerationMode, MediumConfig
 
-MHZ = 2.0 * math.pi * 1e6
 DEG = GenerationMode.DEGENERATE
 
 

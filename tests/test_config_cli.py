@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from biphoton_sim import (
     parse_config,
 )
 from biphoton_sim.cli import _write_all, main
-from biphoton_sim.config import IGNORED, PRESET_NAMES, SECTIONS
+from biphoton_sim.config import IGNORED, PRESET_NAMES, PRESETS, SECTIONS
 from biphoton_sim.grids import csv_text
 from biphoton_sim.params import MAX_Z_PANELS
 
@@ -53,6 +54,16 @@ class TestConfig:
         for name in PRESET_NAMES:
             cfg = load_preset(name)
             assert cfg.medium.od in (88.0, 150.0)
+
+    def test_each_configuration_stated_once(self):
+        # a spectrum panel (c, e) is a name for its run's waveform panel (d, f)
+        for spectrum, waveform in (("fig2c", "fig2d"), ("fig2e", "fig2f"),
+                                   ("fig3c", "fig3d"), ("fig3e", "fig3f")):
+            assert load_preset(spectrum) == load_preset(waveform)
+        files = list((resources.files("biphoton_sim") / "presets").iterdir())
+        texts = [f.read_bytes() for f in files]
+        assert len(set(texts)) == len(texts)
+        assert {f.name for f in files} == {f"{stem}.json" for stem in PRESETS.values()}
 
     def test_preset_units(self):
         cfg = load_preset("fig3d")
